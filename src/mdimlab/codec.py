@@ -73,13 +73,19 @@ class DyadicRational:
     exp: int = 0
 
     def __post_init__(self) -> None:
-        if self.exp < 0:
-            object.__setattr__(self, "num", self.num << -self.exp)
-            object.__setattr__(self, "exp", 0)
         num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if exp > 0:
+            if num & 1:
+                return
+            # strip every trailing zero in one shift; zero becomes 0 / 2**0
+            shift = min(exp, (num & -num).bit_length() - 1) if num else exp
+            num >>= shift
+            exp -= shift
+        elif exp < 0:
+            num <<= -exp
+            exp = 0
+        else:
+            return
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

@@ -29,7 +29,7 @@ from .codec import (
     try_decode_exact_point,
 )
 from .compressor import lz78_cost
-from .constants import GUARD_BITS, MACHINE_VERSION
+from .constants import GUARD_BITS
 from .geometry import Ball, DyadicCube, LdsRecord, cube_containing
 from .machine import MachineConfig, apriori_mass, exact_k, get_enumeration
 from .oracles import PointOracle
@@ -233,7 +233,7 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
         count = sum(1 for k in ks if k <= floor + d)
         worst = max(worst, math.log2(count))
     measured = worst - d - kr
-    rhs = d + kr + CUBE_COUNT_CONSTANT[MACHINE_VERSION]
+    rhs = d + kr + CUBE_COUNT_CONSTANT[cfg.version_tag]
     return _report(f"cube_count[r={r},d={d}]", worst, rhs, measured)
 
 
@@ -260,7 +260,7 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
         count = sum(1 for k in ks if k <= floor + d)
         worst = max(worst, math.log2(count))
     measured = worst - d - 2 * kr
-    rhs = d + 2 * kr + BALL_COUNT_CONSTANT[MACHINE_VERSION]
+    rhs = d + 2 * kr + BALL_COUNT_CONSTANT[cfg.version_tag]
     return _report(f"ball_count[r={r},d={d}]", worst, rhs, measured)
 
 
@@ -288,7 +288,7 @@ def check_lds_coding_bound(
         kr = k_of_precision(rec.layer, cfg)
         log_inv_mass = math.log2(mass.denominator) - math.log2(mass.numerator)
         measured = k_block - log_inv_mass - kr
-        rhs = log_inv_mass + kr + LDS_CODING_CONSTANT[MACHINE_VERSION]
+        rhs = log_inv_mass + kr + LDS_CODING_CONSTANT[cfg.version_tag]
         reports.append(
             _report(
                 f"lds_coding[layer={rec.layer},block={rec.block}]",
@@ -320,5 +320,5 @@ def check_precision_improvement(
         return None
     n = x.dimension
     measured = refined - base - n * s
-    rhs = base + n * s + PRECISION_IMPROVEMENT_CONSTANT[MACHINE_VERSION]
+    rhs = base + n * s + PRECISION_IMPROVEMENT_CONSTANT[cfg.version_tag]
     return _report(f"precision_improvement[r={r},s={s}]", refined, rhs, measured)

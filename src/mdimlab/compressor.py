@@ -7,6 +7,12 @@ entries, the empty phrase included, plus the literal bit. A final partial
 phrase, one cut off mid-extension, is charged like a completed one. The
 empty string costs zero bits.
 
+The phrase dictionary is a binary trie held in two flat lists of ints,
+one per literal bit: entry ``n`` of the ``0`` list is the node reached from
+node ``n`` by a ``0``, or 0 for no child (the root, node 0, is never a
+child). Node i + 1 is the i-th phrase, so the lists grow by one entry per
+phrase and the parse loop touches nothing but local ints and lists.
+
 Costs are reproducible integers, so profiles taken at different times or
 processes agree bit for bit.
 """
@@ -16,6 +22,10 @@ from __future__ import annotations
 from typing import Iterable
 
 
+# ASCII '0'/'1' to the byte values 0/1, so a bit indexes the child lists
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _token_cost(index: int) -> int:
     return index.bit_length() + 1
 
@@ -23,10 +33,11 @@ def _token_cost(index: int) -> int:
 class Lz78Parser:
     """Incremental parser holding a running compressed-size total."""
 
-    __slots__ = ("_children", "_node", "_closed_cost", "_tokens", "_length")
+    __slots__ = ("_zero", "_one", "_node", "_closed_cost", "_tokens", "_length")
 
     def __init__(self) -> None:
-        self._children: list[dict[str, int]] = [{}]
+        self._zero = [0]
+        self._one = [0]
         self._node = 0
         self._closed_cost = 0
         self._tokens = 0
@@ -35,20 +46,38 @@ class Lz78Parser:
     def push(self, bit: str) -> None:
         if bit != "0" and bit != "1":
             raise ValueError(f"bit must be '0' or '1', got {bit!r}")
-        self._length += 1
-        child = self._children[self._node].get(bit)
-        if child is None:
-            self._children[self._node][bit] = len(self._children)
-            self._children.append({})
-            self._closed_cost += _token_cost(self._tokens)
-            self._tokens += 1
-            self._node = 0
-        else:
-            self._node = child
+        self.feed(bit)
 
     def feed(self, bits: str) -> "Lz78Parser":
-        for bit in bits:
-            self.push(bit)
+        """Parse ``bits`` on from the current state.
+
+        The whole string is checked first, so a bad character raises
+        before any state changes.
+        """
+        if bits.count("0") + bits.count("1") != len(bits):
+            bad = next(c for c in bits if c != "0" and c != "1")
+            raise ValueError(f"bit must be '0' or '1', got {bad!r}")
+        zero, one = self._zero, self._one
+        children_by_bit = (zero, one)
+        node = self._node
+        cost = self._closed_cost
+        tokens = self._tokens
+        for bit in bits.encode().translate(_BIT_VALUES):
+            children = children_by_bit[bit]
+            child = children[node]
+            if child:
+                node = child
+            else:
+                cost += tokens.bit_length() + 1
+                tokens += 1
+                children[node] = tokens
+                zero.append(0)
+                one.append(0)
+                node = 0
+        self._node = node
+        self._closed_cost = cost
+        self._tokens = tokens
+        self._length += len(bits)
         return self
 
     @property
@@ -106,9 +135,8 @@ def lz78_profile(bits: str, checkpoints: Iterable[int]) -> list[int]:
     out = []
     at = 0
     for mark in marks:
-        while at < mark:
-            parser.push(bits[at])
-            at += 1
+        parser.feed(bits[at:mark])
+        at = mark
         out.append(parser.cost)
     return out
 

@@ -23,10 +23,6 @@ FIRST_HALTING_OUTPUT = ""
 ECHO_COST = 8
 ECHO_WITNESS = "00100010"
 
-# conditional machine with empty input runs identically to unconditional,
-# so mutual_info(lambda, q) is exactly zero
-CONDITIONAL_OVERHEAD = 0
-
 # exhaustive enumeration at (max_program_len, step_budget)
 HALTING_COUNT = {
     (16, 1000): 416,
@@ -70,6 +66,12 @@ CUBE_COUNT_CONSTANT = {"v0": -8.0}
 BALL_COUNT_CONSTANT = {"v0": -15.0}
 LDS_CODING_CONSTANT = {"v0": -5.24511249783653}
 PRECISION_IMPROVEMENT_CONSTANT = {"v0": 7}
+
+# version tags with every bound constant pinned; a config naming any other
+# tag is rejected before a suite runs
+PINNED_VERSIONS = frozenset(CUBE_COUNT_CONSTANT).intersection(
+    BALL_COUNT_CONSTANT, LDS_CODING_CONSTANT, PRECISION_IMPROVEMENT_CONSTANT
+)
 
 # ---- compressor-backed estimator, version v0 -----------------------------
 

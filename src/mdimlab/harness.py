@@ -185,10 +185,16 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     if suite not in SUITE_NAMES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
     m = data.get("machine", {})
+    version_tag = str(m.get("version_tag", C.MACHINE_VERSION))
+    if version_tag not in C.PINNED_VERSIONS:
+        raise InvalidConfigError(
+            f"no pinned constants for version_tag {version_tag!r}; "
+            f"pinned: {', '.join(sorted(C.PINNED_VERSIONS))}"
+        )
     machine = MachineConfig(
         max_program_len=int(m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN)),
         step_budget=int(m.get("step_budget", C.BOUNDS_STEP_BUDGET)),
-        version_tag=str(m.get("version_tag", "v0")),
+        version_tag=version_tag,
     )
     backend_kind = data.get("backend", "compressor")
     if backend_kind == "compressor":

@@ -171,10 +171,6 @@ def valid_payload_lengths(max_program_len: int) -> list[int]:
         p for p in range(max_program_len + 1) if header_len(p) + p <= max_program_len
     ]
 
-def program_for_payload(payload: str) -> str:
-    return gamma_encode(len(payload) + 1) + payload
-
-
 def iter_valid_programs(max_program_len: int) -> Iterator[str]:
     """All well-formed programs up to the length bound, in length-lex order."""
     for p in valid_payload_lengths(max_program_len):

@@ -68,7 +68,11 @@ def mutual_info(p: str, q: str, backend: KBackend) -> int | None:
 
 
 def _xor_bits(a: str, b: str) -> str:
-    return "".join("01"[x != y] for x, y in zip(a, b))
+    """Bitwise XOR of the common-length prefixes of two bit strings."""
+    n = min(len(a), len(b))
+    if n == 0:
+        return ""
+    return format(int(a[:n], 2) ^ int(b[:n], 2), f"0{n}b")
 
 
 def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:

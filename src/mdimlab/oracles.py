@@ -13,7 +13,6 @@ over a seed label, so every run of every process sees identical bits.
 from __future__ import annotations
 
 import hashlib
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,23 +35,38 @@ class PointOracle(ABC):
 
 
 class BitStream:
-    """Lazily materialized infinite bit sequence with a cached prefix."""
+    """Lazily materialized infinite bit sequence with a cached prefix.
+
+    The prefix is kept as a ``bytearray`` of ASCII ``0``/``1``, so reading a
+    bit or a prefix costs time in what it returns, not in what came before.
+    Call contract: the stream asks ``bit_at`` for each index once and in
+    order, always at the current buffer length.  Sources may carry state
+    from one index to the next on that basis, but must still answer any
+    other index correctly.  A value other than 0 or 1 raises ``ValueError``.
+    """
 
     def __init__(self, bit_at: Callable[[int], int]):
         self._bit_at = bit_at
-        self._buf: list[str] = []
+        self._buf = bytearray()
 
-    def prefix(self, k: int) -> str:
-        while len(self._buf) < k:
-            bit = self._bit_at(len(self._buf))
+    def _extend(self, k: int) -> None:
+        buf = self._buf
+        bit_at = self._bit_at
+        for i in range(len(buf), k):
+            bit = bit_at(i)
             if bit not in (0, 1):
                 raise ValueError(f"bit source produced {bit!r}")
-            self._buf.append("01"[bit])
-        return "".join(self._buf[:k])
+            buf.append(48 + bit)
+
+    def prefix(self, k: int) -> str:
+        if len(self._buf) < k:
+            self._extend(k)
+        return self._buf[:k].decode()
 
     def bit(self, i: int) -> int:
-        self.prefix(i + 1)
-        return int(self._buf[i])
+        if i >= len(self._buf):
+            self._extend(i + 1)
+        return self._buf[i] - 48
 
 
 def hash_stream(seed: int, lane: int = 0) -> BitStream:
@@ -91,12 +105,13 @@ def diluted_stream(
     if period <= 0:
         raise ValueError("period must be positive")
     base = hash_stream(seed, lane)
-    scaled = rho * period
+    scaled = Fraction(rho) * period
+    num, den = scaled.numerator, scaled.denominator
 
     def bit_at(j: int) -> int:
         q, phase = divmod(j, period)
-        start = math.floor(q * scaled)
-        if phase >= math.floor((q + 1) * scaled) - start:
+        start = q * num // den
+        if phase >= (q + 1) * num // den - start:
             return 0
         return base.bit(start + phase)
 
@@ -104,12 +119,27 @@ def diluted_stream(
 
 
 def rational_stream(value: Fraction) -> BitStream:
-    """Binary expansion of a rational in [0, 1)."""
+    """Binary expansion of a rational p/q in [0, 1), by long division.
+
+    Bit i is the quotient digit of 2 * (p * 2**i mod q) by q.  The remainder
+    is carried from one index to the next; an index out of order gets its
+    remainder recomputed with a modular power.
+    """
     if not 0 <= value < 1:
         raise ValueError("value must lie in [0, 1)")
+    value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    at, rem = 0, p
 
     def bit_at(i: int) -> int:
-        return int(value * (1 << (i + 1))) & 1
+        nonlocal at, rem
+        if i != at:
+            rem = p * pow(2, i, q) % q
+        rem *= 2
+        bit = 1 if rem >= q else 0
+        rem -= bit * q
+        at = i + 1
+        return bit
 
     return BitStream(bit_at)
 

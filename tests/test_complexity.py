@@ -177,6 +177,31 @@ class TestCodingBound:
         assert worst == C.LDS_CODING_CONSTANT["v0"]
 
 
+class TestVersionedConstants:
+    def test_checks_read_constants_of_config_version(self, monkeypatch):
+        # a second tag pinned 100 above v0 must move every right-hand side
+        # by exactly 100, so the checks read cfg.version_tag
+        for table in (C.CUBE_COUNT_CONSTANT, C.BALL_COUNT_CONSTANT,
+                      C.LDS_CODING_CONSTANT, C.PRECISION_IMPROVEMENT_CONSTANT):
+            monkeypatch.setitem(table, "vtest", table["v0"] + 100)
+        v0 = MachineConfig(20, 256)
+        vtest = MachineConfig(20, 256, version_tag="vtest")
+        point, _, enc = enumerated_points(v0)[0]
+        block = [LdsRecord(0, 0, frozenset({enc}))]
+        oracle = ConstantOracle(point)
+
+        def rhs(cfg):
+            return (
+                check_cube_count_bound(0, 0, cfg).rhs,
+                check_ball_count_bound(0, 0, cfg).rhs,
+                check_lds_coding_bound(block, cfg)[0].rhs,
+                check_precision_improvement(oracle, 0, 1, cfg).rhs,
+            )
+
+        for base, shifted in zip(rhs(v0), rhs(vtest)):
+            assert shifted == pytest.approx(base + 100)
+
+
 class TestPrecisionImprovement:
     def test_sweep_reproduces_pin(self):
         worst = None

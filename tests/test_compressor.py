@@ -99,6 +99,24 @@ def test_cost_scales_sublinearly_on_constant_input():
     assert lz78_cost(zeros) < len(zeros) // 4
 
 
+def test_feed_rejects_bad_character_before_any_state_change():
+    parser = Lz78Parser().feed("0110")
+    state = (parser.length, parser.cost, parser.phrase_count)
+    with pytest.raises(ValueError, match="'x'"):
+        parser.feed("01x1")
+    assert (parser.length, parser.cost, parser.phrase_count) == state
+    # the parse goes on as if the bad string had never been offered
+    assert parser.feed("0111").cost == lz78_cost("01100111")
+
+
+@pytest.mark.parametrize("bad", ["01", "2", "", "x"])
+def test_push_rejects_anything_but_one_bit(bad):
+    parser = Lz78Parser()
+    with pytest.raises(ValueError):
+        parser.push(bad)
+    assert (parser.length, parser.cost) == (0, 0)
+
+
 def test_rejects_non_bits():
     with pytest.raises(ValueError):
         lz78_cost("012")

@@ -43,6 +43,16 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             load_config(str(path))
 
+    def test_unpinned_version_tag(self):
+        with pytest.raises(InvalidConfigError, match="'v9'"):
+            config_from_mapping({"suite": "coding-bounds",
+                                 "machine": {"version_tag": "v9"}})
+
+    def test_pinned_version_tag(self):
+        cfg = config_from_mapping({"suite": "coding-bounds",
+                                   "machine": {"version_tag": "v0"}})
+        assert cfg.machine.version_tag == "v0"
+
     def test_defaults(self):
         cfg = config_from_mapping({"suite": "machine"})
         assert cfg.machine.max_program_len == C.BOUNDS_MAX_PROGRAM_LEN
@@ -144,6 +154,16 @@ class TestCli:
         path = self._config_file(tmp_path, {"suite": "machine",
                                             "backend": "gzip"})
         assert main(["machine", "--config", path]) == 2
+
+    def test_unpinned_version_tag_exit(self, tmp_path, capsys):
+        path = self._config_file(
+            tmp_path, {"suite": "coding-bounds",
+                       "machine": {"version_tag": "v9"}}
+        )
+        assert main(["coding-bounds", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "version_tag 'v9'" in captured.err
 
     def test_suite_mismatch_exit(self, tmp_path):
         path = self._config_file(
