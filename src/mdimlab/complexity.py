@@ -121,13 +121,12 @@ def point_representation(p: RationalPoint, r: int) -> str:
 
 # ---- enumerated output universe, decoded once -----------------------------
 
-_DECODED_CACHE: dict[tuple, list[tuple[RationalPoint, int, str]]] = {}
+_DECODED_CACHE: dict[MachineConfig, list[tuple[RationalPoint, int, str]]] = {}
 
 
 def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]]:
     """All (point, K, encoding) triples the enumeration reaches, K-sorted."""
-    key = (cfg.max_program_len, cfg.step_budget, cfg.version_tag)
-    cached = _DECODED_CACHE.get(key)
+    cached = _DECODED_CACHE.get(cfg)
     if cached is None:
         enum = get_enumeration(cfg)
         enum.ensure_complete()
@@ -137,7 +136,7 @@ def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]
             if point is not None:
                 cached.append((point, info.k, output))
         cached.sort(key=lambda t: (t[1], t[2]))
-        _DECODED_CACHE[key] = cached
+        _DECODED_CACHE[cfg] = cached
     return cached
 
 

@@ -15,12 +15,10 @@ import csv
 import io
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from . import constants as C
 from .codec import DyadicRational, RationalPoint, distance_sq
@@ -45,7 +43,7 @@ from .geometry import (
     dyadic_lds,
     lattice_point_in_ball,
 )
-from .machine import MachineConfig, enumerate_halting, get_enumeration
+from .machine import MachineConfig, PrefixCheck, get_enumeration
 from .mutual import dim_estimate, mdim_estimate, pair_cost
 from .oracles import ConstantOracle, ProductOracle, make_oracle
 
@@ -165,18 +163,6 @@ def _finish(suite: str, rows: list[dict], constants: dict) -> SuiteReport:
     return SuiteReport(suite, passes, fails, constants, rows)
 
 
-def _run_tasks(tasks: Sequence[Callable[[], list[dict]]]) -> list[dict]:
-    """Run independent row producers, honoring the thread cap; results keep
-    the submission order so reports stay deterministic."""
-    workers = int(os.environ.get("MDIMLAB_THREADS", "1") or "1")
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    else:
-        chunks = [task() for task in tasks]
-    return [row for chunk in chunks for row in chunk]
-
-
 # ---- config loading ---------------------------------------------------------
 
 
@@ -255,18 +241,11 @@ def _grid(cfg: ExperimentConfig) -> tuple[int, ...] | None:
 def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
     enum = get_enumeration(cfg.machine)
     enum.ensure_complete()
-    witnesses = sorted(info.witness for info in enum.outputs.values())
-    witness_violations = sum(
-        1
-        for a, b in zip(witnesses, witnesses[1:])
-        if b.startswith(a) and a != b
-    )
-    halting = sorted(p for p, _ in enumerate_halting(cfg.machine))
-    halting_violations = sum(
-        1
-        for a, b in zip(halting, halting[1:])
-        if b.startswith(a) and a != b
-    )
+    witnesses = PrefixCheck()
+    witnesses.add_level(sorted(info.witness for info in enum.outputs.values()))
+    witness_violations = witnesses.count()
+    halting_violations = enum.prefix_check.count()
+    halting = enum.halting_count
     mass = enum.kraft
     rows = [
         _check("prefix_free", "witness set", witness_violations, 0,
@@ -280,14 +259,14 @@ def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
     if pinned is not None:
         rows.append(
             _check("halting_count", f"max_len={key[0]} budget={key[1]}",
-                   len(halting), pinned, len(halting) == pinned)
+                   halting, pinned, halting == pinned)
         )
     else:
         rows.append(_info("halting_count",
-                          f"max_len={key[0]} budget={key[1]}", len(halting)))
+                          f"max_len={key[0]} budget={key[1]}", halting))
     constants = {
         "kraft_mass": mass,
-        "halting_count": len(halting),
+        "halting_count": halting,
         "distinct_outputs": len(enum.outputs),
     }
     return _finish("machine", rows, constants)
@@ -361,11 +340,10 @@ def _geometry_partition_task(seed: int) -> list[dict]:
 
 
 def _geometry_suite(cfg: ExperimentConfig) -> SuiteReport:
-    tasks = [
-        (lambda n=n: _geometry_axis_task(cfg.seed, n)) for n in (1, 2, 3, 4)
-    ]
-    tasks.append(lambda: _geometry_partition_task(cfg.seed))
-    rows = _run_tasks(tasks)
+    rows = []
+    for n in (1, 2, 3, 4):
+        rows += _geometry_axis_task(cfg.seed, n)
+    rows += _geometry_partition_task(cfg.seed)
     constants = {
         f"cover_max_n{row['detail'][2:]}": row["value"]
         for row in rows
@@ -448,24 +426,18 @@ DEFAULT_PROFILE_GENERATORS = tuple(spec for _, spec, _ in C.CALIBRATION_SET)
 def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
     specs = cfg.generators or DEFAULT_PROFILE_GENERATORS
     grid = _grid(cfg)
-
-    def profile_task(idx: int, spec: Mapping) -> list[dict]:
+    rows = []
+    for idx, spec in enumerate(specs):
         oracle = make_oracle(spec)
         est = dim_estimate(oracle, window=grid, backend=cfg.backend)
         name = spec.get("kind", "?") + f"#{idx}"
-        rows = [
+        rows += [
             _info("kprofile", f"{name} r={r}", k)
             for r, k in zip(est.r_grid, est.k_values)
         ]
         rows.append(_info("dim_envelope", name,
                           round(est.lo, 6), round(est.hi, 6)))
-        return rows
-
-    tasks = [
-        (lambda idx=idx, spec=spec: profile_task(idx, spec))
-        for idx, spec in enumerate(specs)
-    ]
-    return _finish("kprofile", _run_tasks(tasks), {})
+    return _finish("kprofile", rows, {})
 
 
 def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:

@@ -30,9 +30,10 @@ budget.  Each instruction costs 1 step plus the number of bits it appends, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .codec import encode_int, gamma_decode, gamma_encode, pair
 
@@ -203,7 +204,40 @@ def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, st
 class OutputInfo:
     k: int            # length of the first (shortest, lex-least) producer
     witness: str
-    mass: Fraction    # sum of 2**-len over all halting producers seen so far
+    mass_units: int   # mass of its halting producers, in 2**-max_program_len
+
+
+class PrefixCheck:
+    """Counts proper-prefix pairs in a set of programs without keeping it.
+
+    Levels arrive in ascending lex order; a program is compared only with the
+    previous one of its level.  Each level's first and last program form a
+    run, and sorted runs must neither overlap nor have one run's last program
+    prefix the next run's first.  That is sound for any levels: every program
+    between ``a`` and a proper extension of ``a`` starts with ``a``.
+    """
+
+    def __init__(self) -> None:
+        self._in_level = 0
+        self._runs: list[tuple[str, str]] = []
+
+    def add_level(self, programs: Iterable[str]) -> None:
+        first = prev = None
+        for program in programs:
+            if prev is None:
+                first = program
+            elif program <= prev or program.startswith(prev):
+                self._in_level += 1
+            prev = program
+        if prev is not None:
+            self._runs.append((first, prev))
+
+    def count(self) -> int:
+        runs = sorted(self._runs)
+        return self._in_level + sum(
+            first <= last or first.startswith(last)
+            for (_, last), (first, _) in zip(runs, runs[1:])
+        )
 
 
 class Enumeration:
@@ -211,6 +245,10 @@ class Enumeration:
 
     Levels (payload lengths) are materialized in ascending order, so a lookup
     can stop as soon as its target appears: every later program is longer.
+    Each program runs once, and every halting one feeds ``prefix_check``.
+    Masses are integers in units of ``2**-max_program_len``; ``kraft`` turns
+    their total into a ``Fraction``.  The package starts no threads, and an
+    enumeration is not safe to advance from two threads at once.
     """
 
     def __init__(self, cfg: MachineConfig, given: str):
@@ -223,38 +261,41 @@ class Enumeration:
                 f"{total} programs exceed the configured cap {cfg.item_cap}"
             )
         self.outputs: dict[str, OutputInfo] = {}
-        self.kraft: Fraction = Fraction(0)
         self.halting_count = 0
+        self.prefix_check = PrefixCheck()
         self._next_level = 0
+
+    @property
+    def kraft(self) -> Fraction:
+        units = sum(info.mass_units for info in self.outputs.values())
+        return Fraction(units, 1 << self.cfg.max_program_len)
 
     def _advance_one_level(self) -> None:
         p = self.levels[self._next_level]
         self._next_level += 1
+        self.prefix_check.add_level(self._run_level(p))
+
+    def _run_level(self, p: int) -> Iterator[str]:
+        """Run and record every program of payload length ``p``; yield the
+        halting ones in lex order."""
         header = gamma_encode(p + 1)
-        total_len = len(header) + p
-        weight = Fraction(1, 1 << total_len)
+        units = 1 << (self.cfg.max_program_len - len(header) - p)
         budget = self.cfg.step_budget
         given = self.given
         outputs = self.outputs
-        if p == 0:
-            res = _execute("", given, budget)
-            if res.status == HALTED:
-                self._record(header, res.output, weight)
-            return
-        for i in range(1 << p):
-            payload = format(i, f"0{p}b")
+        payloads = map(format, range(1 << p), repeat(f"0{p}b")) if p else ("",)
+        for payload in payloads:
             res = _execute(payload, given, budget)
-            if res.status == HALTED:
-                self._record(header + payload, res.output, weight)
-
-    def _record(self, bits: str, output: str, weight: Fraction) -> None:
-        self.halting_count += 1
-        self.kraft += weight
-        info = self.outputs.get(output)
-        if info is None:
-            self.outputs[output] = OutputInfo(len(bits), bits, weight)
-        else:
-            info.mass += weight
+            if res.status != HALTED:
+                continue
+            self.halting_count += 1
+            bits = header + payload
+            info = outputs.get(res.output)
+            if info is None:
+                outputs[res.output] = OutputInfo(len(bits), bits, units)
+            else:
+                info.mass_units += units
+            yield bits
 
     def ensure_complete(self) -> None:
         while self._next_level < len(self.levels):
@@ -267,11 +308,11 @@ class Enumeration:
         return self.outputs.get(target)
 
 
-_ENUM_CACHE: dict[tuple[int, int, str, str], Enumeration] = {}
+_ENUM_CACHE: dict[tuple[MachineConfig, str], Enumeration] = {}
 
 
 def get_enumeration(cfg: MachineConfig, given: str = "") -> Enumeration:
-    key = (cfg.max_program_len, cfg.step_budget, cfg.version_tag, given)
+    key = (cfg, given)
     enum = _ENUM_CACHE.get(key)
     if enum is None:
         enum = Enumeration(cfg, given)
@@ -301,12 +342,12 @@ def apriori_mass(targets: set[str], cfg: MachineConfig, given: str = "") -> Frac
     """Sum of 2**-len over halting programs whose output lies in ``targets``."""
     enum = get_enumeration(cfg, given)
     enum.ensure_complete()
-    total = Fraction(0)
+    units = 0
     for t in targets:
         info = enum.outputs.get(t)
         if info is not None:
-            total += info.mass
-    return total
+            units += info.mass_units
+    return Fraction(units, 1 << cfg.max_program_len)
 
 
 def output_universe(cfg: MachineConfig, given: str = "") -> dict[str, OutputInfo]:

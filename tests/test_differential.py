@@ -1,9 +1,11 @@
 """Fast paths checked against the slow implementations they replaced.
 
 Each reference below is the straightforward version of a hot path: the
-dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, and the
-``Fraction`` formulas behind the diluted and rational bit streams.  They
-are kept here, outside the package, as oracles for differential tests.
+dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
+``Fraction`` formulas behind the diluted and rational bit streams, and the
+sorted-list prefix check with ``Fraction`` masses over the per-program
+enumeration (``machine.enumerate_halting``).  They are kept here, outside
+the package, as oracles for differential tests.
 """
 
 import math
@@ -15,6 +17,12 @@ from hypothesis import strategies as st
 
 from mdimlab.codec import DyadicRational
 from mdimlab.compressor import Lz78Parser
+from mdimlab.machine import (
+    Enumeration,
+    MachineConfig,
+    PrefixCheck,
+    enumerate_halting,
+)
 from mdimlab.oracles import diluted_stream, hash_stream, rational_stream
 
 
@@ -80,6 +88,12 @@ def diluted_reference(seed, rho, period, n, lane=0):
 
 def rational_bit_reference(value, i):
     return int(value * (1 << (i + 1))) & 1
+
+
+def sorted_prefix_violations(programs):
+    """Adjacent pairs of the sorted programs where one properly prefixes the next."""
+    progs = sorted(programs)
+    return sum(b.startswith(a) and a != b for a, b in zip(progs, progs[1:]))
 
 
 # ---- LZ78 --------------------------------------------------------------------
@@ -208,3 +222,66 @@ def test_rational_source_out_of_order(pq, indices):
         assert source(i) == rational_bit_reference(value, i)
     expected = "".join(str(rational_bit_reference(value, i)) for i in range(64))
     assert stream.prefix(64) == expected
+
+
+# ---- exhaustive enumeration ----------------------------------------------------
+
+
+@pytest.mark.parametrize("max_len,budget,given_bits", [
+    (16, 1000, ""), (16, 1000, "0110"), (20, 10000, ""), (24, 256, ""),
+])
+def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
+    cfg = MachineConfig(max_len, budget)
+    reference = enumerate_halting(cfg, given_bits)
+    expected = {}
+    for program, output in reference:
+        weight = Fraction(1, 2 ** len(program))
+        if output in expected:
+            expected[output][2] += weight
+        else:
+            expected[output] = [len(program), program, weight]
+    enum = Enumeration(cfg, given_bits)
+    enum.ensure_complete()
+    assert enum.halting_count == len(reference)
+    assert enum.kraft == sum(Fraction(1, 2 ** len(p)) for p, _ in reference)
+    assert {
+        output: [info.k, info.witness, Fraction(info.mass_units, 2**max_len)]
+        for output, info in enum.outputs.items()
+    } == expected
+    assert enum.prefix_check.count() == sorted_prefix_violations(
+        p for p, _ in reference
+    ) == 0
+
+
+def _prefix_check_count(levels):
+    check = PrefixCheck()
+    for level in levels:
+        check.add_level(level)
+    return check.count()
+
+
+@pytest.mark.parametrize("levels", [
+    [["00", "01"], ["010", "011"]],   # "01" prefixes the next run's first
+    [["0", "1"], ["01"]],             # overlapping runs
+    [["01", "00"]],                   # out of order within a level
+    [["0", "01"]],                    # a prefix pair within a level
+])
+def test_prefix_check_flags_planted_violations(levels):
+    assert _prefix_check_count(levels) >= 1
+
+
+def test_prefix_check_passes_prefix_free_levels():
+    assert _prefix_check_count([["1"], ["010", "011"], ["00100", "00111"]]) == 0
+
+
+@given(st.sets(st.text(alphabet="01", min_size=1, max_size=6), max_size=40))
+def test_prefix_check_is_sound(programs):
+    # levels by length, as the enumeration feeds them: every prefix pair
+    # is flagged, and one sorted level gives exactly the sorted-list count
+    by_length = {}
+    for program in sorted(programs):
+        by_length.setdefault(len(program), []).append(program)
+    reference = sorted_prefix_violations(programs)
+    if reference:
+        assert _prefix_check_count(by_length.values()) >= 1
+    assert _prefix_check_count([sorted(programs)]) == reference

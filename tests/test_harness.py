@@ -8,6 +8,7 @@ import os
 import pytest
 
 from mdimlab import constants as C
+from mdimlab import machine
 from mdimlab.cli import main
 from mdimlab.harness import (
     InvalidConfigError,
@@ -84,6 +85,23 @@ class TestMachineSuite:
         gated = [r for r in report.rows if r["status"] != "info"]
         assert report.pass_count + report.fail_count == len(gated)
 
+    def test_runs_each_program_once(self, monkeypatch):
+        # one exhaustive pass feeds the counts, the mass and both prefix checks
+        calls = 0
+        execute = machine._execute
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return execute(*args)
+
+        monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+        monkeypatch.setattr(machine, "_execute", counted)
+        cfg = config_from_mapping({"suite": "machine",
+                                   "machine": FAST_MACHINE})
+        assert run_suite(cfg).fail_count == 0
+        assert calls == sum(1 for _ in machine.iter_valid_programs(16)) == 1023
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -118,22 +136,6 @@ class TestRendering:
                                    "format": "csv", "out": str(out)})
         text = write_report(report, cfg)
         assert out.read_text(encoding="utf-8") == text
-
-
-class TestThreadCap:
-    def test_threaded_report_identical(self, monkeypatch):
-        cfg = config_from_mapping({
-            "suite": "kprofile",
-            "generators": [
-                {"kind": "rational", "values": ["1/3"]},
-                {"kind": "constant", "coords": ["1/2"]},
-            ],
-            "window": [1024, 4096],
-        })
-        serial = run_suite(cfg).to_json()
-        monkeypatch.setenv("MDIMLAB_THREADS", "3")
-        threaded = run_suite(cfg).to_json()
-        assert serial == threaded
 
 
 class TestCli:

@@ -7,6 +7,7 @@ import pytest
 
 from mdimlab import constants
 from mdimlab.codec import encode_point, RationalPoint
+from mdimlab.complexity import enumerated_points
 from mdimlab.machine import (
     HALTED,
     INVALID,
@@ -16,6 +17,7 @@ from mdimlab.machine import (
     apriori_mass,
     enumerate_halting,
     exact_k,
+    get_enumeration,
     iter_valid_programs,
     kraft_mass,
     run,
@@ -179,6 +181,17 @@ def test_apriori_mass_known_singleton():
 def test_resource_cap():
     with pytest.raises(ResourceExceededError):
         enumerate_halting(MachineConfig(16, 1000, item_cap=10))
+
+
+def test_resource_cap_on_warm_cache():
+    # the caches key on the whole config, so a cached build under the
+    # default cap must not serve a config whose cap it exceeds
+    capped = MachineConfig(16, 1000, item_cap=10)
+    enumerated_points(CFG)
+    with pytest.raises(ResourceExceededError):
+        get_enumeration(capped)
+    with pytest.raises(ResourceExceededError):
+        enumerated_points(capped)
 
 
 def test_valid_program_count_at_16():
