@@ -100,9 +100,6 @@ class DyadicRational:
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def mul_pow2(self, k: int) -> "DyadicRational":
-        return DyadicRational(self.num, self.exp - k)
-
     def floor_shift(self, r: int) -> int:
         """Exact floor(self * 2**r).  Works for negative values too."""
         s = r - self.exp
@@ -171,22 +168,18 @@ class RationalPoint:
             )
         )
 
-    @classmethod
-    def origin(cls, n: int) -> "RationalPoint":
-        return cls(tuple(DYADIC_ZERO for _ in range(n)))
-
-    def concat(self, other: "RationalPoint") -> "RationalPoint":
-        return RationalPoint(self.coords + other.coords)
-
 
 def distance_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
+    """Exact squared distance, summed in integers at the common exponent."""
     if p.dimension != q.dimension:
         raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for a, b in zip(p.coords, q.coords):
-        d = (a - b).to_fraction()
+    pairs = tuple(zip(p.coords, q.coords))
+    e = max(max(a.exp, b.exp) for a, b in pairs)
+    total = 0
+    for a, b in pairs:
+        d = (a.num << (e - a.exp)) - (b.num << (e - b.exp))
         total += d * d
-    return total
+    return Fraction(total, 1 << (2 * e))
 
 
 def encode_point(p: RationalPoint) -> str:

@@ -19,15 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import (
-    RationalPoint,
-    encode_int,
-    encode_point,
-    try_decode_exact_point,
-)
+from .codec import RationalPoint, encode_int, encode_point
 from .compressor import lz78_cost
 from .constants import GUARD_BITS
 from .geometry import Ball, DyadicCube, LdsRecord, cube_containing
@@ -45,7 +39,6 @@ class KBackend:
 
     kind: str
     config: MachineConfig | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact_machine", "compressor"):
@@ -55,11 +48,11 @@ class KBackend:
 
 
 def exact_machine(cfg: MachineConfig) -> KBackend:
-    return KBackend("exact_machine", cfg, "exhaustive enumeration minima")
+    return KBackend("exact_machine", cfg)
 
 
 def compressor_backend() -> KBackend:
-    return KBackend("compressor", None, "dictionary-coder length estimates")
+    return KBackend("compressor")
 
 
 @dataclass(frozen=True)
@@ -119,25 +112,12 @@ def point_representation(p: RationalPoint, r: int) -> str:
     return "".join(point_columns(p, r))
 
 
-# ---- enumerated output universe, decoded once -----------------------------
-
-_DECODED_CACHE: dict[MachineConfig, list[tuple[RationalPoint, int, str]]] = {}
+# ---- enumerated output universe ------------------------------------------
 
 
 def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]]:
     """All (point, K, encoding) triples the enumeration reaches, K-sorted."""
-    cached = _DECODED_CACHE.get(cfg)
-    if cached is None:
-        enum = get_enumeration(cfg)
-        enum.ensure_complete()
-        cached = []
-        for output, info in enum.outputs.items():
-            point = try_decode_exact_point(output)
-            if point is not None:
-                cached.append((point, info.k, output))
-        cached.sort(key=lambda t: (t[1], t[2]))
-        _DECODED_CACHE[cfg] = cached
-    return cached
+    return get_enumeration(cfg).points
 
 
 # ---- set and ball complexities --------------------------------------------

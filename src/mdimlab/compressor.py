@@ -19,8 +19,6 @@ processes agree bit for bit.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 # ASCII '0'/'1' to the byte values 0/1, so a bit indexes the child lists
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -117,28 +115,6 @@ def lz78_phrases(bits: str) -> list[str]:
     if current:
         phrases.append(current)
     return phrases
-
-
-def lz78_profile(bits: str, checkpoints: Iterable[int]) -> list[int]:
-    """Compressed sizes of the prefixes ending at each checkpoint.
-
-    Checkpoints must be nondecreasing positions within the string. The
-    whole string is parsed once; each reported value equals what
-    ``lz78_cost`` would return for that prefix on its own.
-    """
-    marks = list(checkpoints)
-    if any(b > a for a, b in zip(marks[1:], marks)):
-        raise ValueError("checkpoints must be nondecreasing")
-    if marks and (marks[0] < 0 or marks[-1] > len(bits)):
-        raise ValueError("checkpoint outside the string")
-    parser = Lz78Parser()
-    out = []
-    at = 0
-    for mark in marks:
-        parser.feed(bits[at:mark])
-        at = mark
-        out.append(parser.cost)
-    return out
 
 
 def conditional_cost(target: str, context: str) -> int:

@@ -14,6 +14,7 @@ certificate into a working left inverse.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -109,7 +110,7 @@ class SSelector:
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
 
-    @property
+    @functools.cached_property
     def complement(self) -> tuple[int, ...]:
         chosen = set(self.positions)
         return tuple(p for p in range(1, self.n + 1) if p not in chosen)
@@ -432,7 +433,10 @@ def scale_function(c: Fraction) -> ComputableFunction:
 
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + stretch)
-        return _as_point([_exact_dyadic(co.to_fraction() * c) for co in q.coords])
+        return _as_point([
+            _exact_dyadic(Fraction(co.num * c.numerator, c.denominator << co.exp))
+            for co in q.coords
+        ])
 
     return ComputableFunction(
         f"scale({c})",
@@ -451,8 +455,9 @@ def sum_function(n: int) -> ComputableFunction:
 
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + margin)
-        total = sum((co.to_fraction() for co in q.coords), Fraction(0))
-        return _as_point([_exact_dyadic(total)])
+        e = max(co.exp for co in q.coords)
+        total = sum(co.num << (e - co.exp) for co in q.coords)
+        return _as_point([DyadicRational(total, e)])
 
     return ComputableFunction(
         f"sum({n})",
@@ -483,15 +488,22 @@ def affine_function(
     row_norm = max(sum(abs(v) for v in row) for row in rows)
     # operator norm bound: |A| <= sqrt(|A|_1 |A|_inf)
     s = -(-_ceil_log2_frac(col_norm * row_norm) // 2) if col_norm else 0
+    # A and the offset as integer numerators over one common denominator
+    den = math.lcm(*(v.denominator for row in rows for v in row),
+                   *(c.denominator for c in shift))
+    int_rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                     for row in rows)
+    int_shift = tuple(c.numerator * (den // c.denominator) for c in shift)
 
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + s)
-        vals = [co.to_fraction() for co in q.coords]
-        out = [
-            sum(a * v for a, v in zip(row, vals)) + c
-            for row, c in zip(rows, shift)
-        ]
-        return _as_point([_exact_dyadic(v) for v in out])
+        e = max(co.exp for co in q.coords)
+        vals = [co.num << (e - co.exp) for co in q.coords]
+        return _as_point([
+            _exact_dyadic(Fraction(
+                sum(a * v for a, v in zip(row, vals)) + (c << e), den << e))
+            for row, c in zip(int_rows, int_shift)
+        ])
 
     inverse = (inverse_modulus,) if inverse_modulus else ()
     return ComputableFunction(
@@ -644,54 +656,64 @@ def left_inverse_synthesize(
                 "declared modulus too steep for the pinned working precision"
             )
         observed = w.query(p)
-        z = observed.coords[: f.k]
+        z = _as_point(observed.coords[: f.k])
         y = observed.coords[f.k :]
         pitch_gap = modulus.value(target_gap + 2)
         cells = (hi - lo) << pitch_gap
-        accept_sq = Fraction(1, 1 << (2 * (target_gap + 1)))
+        accept = Fraction(1, 1 << (target_gap + 1))
+        accept_sq = accept * accept
         slack = 2 * Fraction(1, 1 << p)
+        # squared pruning threshold by the box's squared radius in pitch
+        # units; every box of one shape shares it
+        thresholds_sq: dict[int, Fraction] = {}
+        origin = lo << pitch_gap
 
         def grid_point(indices):
-            return tuple(
-                DyadicRational((lo << pitch_gap) + i, pitch_gap) for i in indices
-            )
+            return tuple(DyadicRational(origin + i, pitch_gap) for i in indices)
 
         def image_distance_sq(q_coords):
             point = interleave(q_coords, sel, y)
             image = f.evaluate(_constant(point), p)
-            return distance_sq(image, _as_point(z))
+            return distance_sq(image, z)
 
         # best-first over half-open index boxes, ordered by minimal corner;
         # a box's minimal corner is its lexicographically least candidate,
         # so the first accepted singleton is the lex-least acceptor, and a
         # box is dropped only when the modulus proves it empty
-        heap = [(tuple(0 for _ in range(width)), tuple((0, cells) for _ in range(width)))]
+        heap = [((0,) * width, ((0, cells),) * width)]
         while heap:
-            _, ranges = heapq.heappop(heap)
+            corner, ranges = heapq.heappop(heap)
             sides = [b - a for a, b in ranges]
             if all(s == 1 for s in sides):
-                q = grid_point([a for a, _ in ranges])
+                q = grid_point(corner)
                 if image_distance_sq(q) <= accept_sq:
                     return _as_point(q)
                 continue
             centers = [(a + b) // 2 for a, b in ranges]
             q_mid = grid_point(centers)
-            radius_sq = sum(
-                (Fraction(max(c - a, b - c), 1 << pitch_gap)) ** 2
-                for (a, b), c in zip(ranges, centers)
+            radius = sum(
+                max(c - a, b - c) ** 2 for (a, b), c in zip(ranges, centers)
             )
-            variation = _modulus_variation_bound(modulus, radius_sq, p)
-            threshold = Fraction(1, 1 << (target_gap + 1)) + variation + slack
-            if image_distance_sq(q_mid) > threshold**2:
+            threshold_sq = thresholds_sq.get(radius)
+            if threshold_sq is None:
+                radius_sq = Fraction(radius, 1 << (2 * pitch_gap))
+                variation = _modulus_variation_bound(modulus, radius_sq, p)
+                threshold_sq = (accept + variation + slack) ** 2
+                thresholds_sq[radius] = threshold_sq
+            if image_distance_sq(q_mid) > threshold_sq:
                 continue
             axis = max(range(width), key=lambda i: sides[i])
             a, b = ranges[axis]
             mid = (a + b) // 2
-            for child in (
-                ranges[:axis] + ((a, mid),) + ranges[axis + 1 :],
-                ranges[:axis] + ((mid, b),) + ranges[axis + 1 :],
-            ):
-                heapq.heappush(heap, (tuple(lo_i for lo_i, _ in child), child))
+            # the lower half keeps the parent's minimal corner
+            heapq.heappush(
+                heap, (corner, ranges[:axis] + ((a, mid),) + ranges[axis + 1 :])
+            )
+            heapq.heappush(
+                heap,
+                (corner[:axis] + (mid,) + corner[axis + 1 :],
+                 ranges[:axis] + ((mid, b),) + ranges[axis + 1 :]),
+            )
         raise SearchExhaustedError(
             f"no candidate in {box}^{width} satisfies the certificate at r={r}"
         )

@@ -6,13 +6,13 @@ membership or intersection decisions.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import DyadicRational, RationalPoint, distance_sq, try_decode_exact_point
-from .machine import MachineConfig, output_universe
+from .codec import DyadicRational, RationalPoint, distance_sq
+from .machine import MachineConfig, get_enumeration
 
 
 class InternalGeometryError(RuntimeError):
@@ -84,17 +84,20 @@ class DyadicCube:
     def closure_distance_sq(self, p: RationalPoint) -> Fraction:
         """Exact squared distance from p to the cube's closure."""
         r = self.precision
-        side = Fraction(1, 1 << r)
-        total = Fraction(0)
+        # integer numerators over 2**e, e the finest exponent in play
+        e = max(r, max(c.exp for c in p.coords))
+        unit = e - r
+        total = 0
         for c, m in zip(p.coords, self.index):
-            v = c.to_fraction()
-            lo = m * side
-            hi = lo + side
+            v = c.num << (e - c.exp)
+            lo = m << unit
             if v < lo:
                 total += (lo - v) ** 2
-            elif v > hi:
-                total += (v - hi) ** 2
-        return total
+            else:
+                hi = (m + 1) << unit
+                if v > hi:
+                    total += (v - hi) ** 2
+        return Fraction(total, 1 << (2 * e))
 
 
 def cube_containing(q: RationalPoint, r: int) -> DyadicCube:
@@ -133,8 +136,9 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     n = ball.dimension
     s = r + ceil_half_log2(n)
     spacing = Fraction(1, 1 << s)
+    # floor(c * 2**s + 1/2), in integers
     rounded = [
-        math.floor(c.to_fraction() * (1 << s) + Fraction(1, 2))
+        ((c.num << (s + 1)) + (1 << c.exp)) >> (c.exp + 1)
         for c in ball.center.coords
     ]
     rad_sq = ball.radius * ball.radius
@@ -155,66 +159,46 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
 def _coord_key(v: int) -> tuple[int, int]:
     return (abs(v), 0 if v >= 0 else 1)
 
-_BALL_VOLUME_LOWER = {1: 2.0, 2: 3.14, 3: 4.18, 4: 4.92}
+
+@functools.cache
+def _zn_ball(n: int, m: int) -> list[tuple[int, ...]]:
+    """The points of Z^n with norm <= m, by (norm, positive-first lex)."""
+    ball = [
+        p
+        for p in itertools.product(range(-m, m + 1), repeat=n)
+        if sum(v * v for v in p) <= m * m
+    ]
+    ball.sort(
+        key=lambda p: (sum(v * v for v in p), tuple(_coord_key(v) for v in p))
+    )
+    return ball
 
 
-class _ZnOrder:
-    """Lazily extended enumeration of Z^n sorted by (norm, positive-first lex)."""
+def _zn_covering(count: int, n: int) -> list[tuple[int, ...]]:
+    """A ball of Z^n with at least ``count`` points, in enumeration order.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.points: list[tuple[int, ...]] = []
-        self.max_norm = -1  # complete through this max-norm radius
-
-    def _extend(self, target: int) -> None:
-        m = self.max_norm
-        while len(self.points) < target:
-            vol = _BALL_VOLUME_LOWER.get(self.n, 2.0)
-            guess = int(math.ceil((target / vol) ** (1.0 / self.n))) + 1
-            m = max(m * 2, guess, 1)
-            pool = [
-                p
-                for p in itertools.product(range(-m, m + 1), repeat=self.n)
-                if sum(v * v for v in p) <= m * m
-            ]
-            if len(pool) >= target:
-                pool.sort(
-                    key=lambda p: (
-                        sum(v * v for v in p),
-                        tuple(_coord_key(v) for v in p),
-                    )
-                )
-                self.points = pool
-                self.max_norm = m
-                return
-
-    def get(self, i: int) -> tuple[int, ...]:
-        if i >= len(self.points):
-            self._extend(i + 1)
-        return self.points[i]
-
-
-_ZN_CACHE: dict[int, _ZnOrder] = {}
+    Every point outside a ball is farther out than every point inside it,
+    so any such ball starts with the ``count`` first points of Z^n.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    m = 1
+    while len(_zn_ball(n, m)) < count:
+        m *= 2
+    return _zn_ball(n, m)
 
 
 def zn_enumeration(i: int, n: int) -> tuple[int, ...]:
     """The i-th point of Z^n by Euclidean norm, positive-before-negative lex."""
-    if i < 0 or n < 1:
-        raise ValueError("need i >= 0 and n >= 1")
-    order = _ZN_CACHE.get(n)
-    if order is None:
-        order = _ZN_CACHE[n] = _ZnOrder(n)
-    return order.get(i)
+    if i < 0:
+        raise ValueError("need i >= 0")
+    return _zn_covering(i + 1, n)[i]
 
 
 def zn_prefix(count: int, n: int) -> list[tuple[int, ...]]:
     if count < 0:
         raise ValueError("need count >= 0")
-    if count == 0:
-        return []
-    order = _ZN_CACHE.setdefault(n, _ZnOrder(n))
-    order.get(count - 1)
-    return order.points[:count]
+    return _zn_covering(count, n)[:count]
 
 
 @dataclass(frozen=True)
@@ -235,12 +219,9 @@ def dyadic_lds(
     is the t-th point of Z^n in enumeration order.  Blocks within a layer are
     disjoint because the cubes partition space.
     """
-    universe = output_universe(cfg)
-    decoded = []
-    for s in universe:
-        p = try_decode_exact_point(s)
-        if p is not None and p.dimension == n:
-            decoded.append((s, p))
+    decoded = [
+        (s, p) for p, _, s in get_enumeration(cfg).points if p.dimension == n
+    ]
     records = []
     for layer in range(r_max + 1):
         for t in range(t_max):

@@ -32,10 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .codec import encode_int, gamma_decode, gamma_encode, pair
+from .codec import (
+    RationalPoint,
+    encode_int,
+    gamma_decode,
+    gamma_encode,
+    pair,
+    try_decode_exact_point,
+)
 
 HALTED = "halted"
 OUT_OF_BUDGET = "out_of_budget"
@@ -269,6 +277,19 @@ class Enumeration:
     def kraft(self) -> Fraction:
         units = sum(info.mass_units for info in self.outputs.values())
         return Fraction(units, 1 << self.cfg.max_program_len)
+
+    @cached_property
+    def points(self) -> list[tuple[RationalPoint, int, str]]:
+        """Every output that decodes to a point, as (point, K, encoding)
+        triples sorted by K, then encoding."""
+        self.ensure_complete()
+        points = []
+        for output, info in self.outputs.items():
+            point = try_decode_exact_point(output)
+            if point is not None:
+                points.append((point, info.k, output))
+        points.sort(key=lambda t: (t[1], t[2]))
+        return points
 
     def _advance_one_level(self) -> None:
         p = self.levels[self._next_level]

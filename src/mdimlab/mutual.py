@@ -17,6 +17,8 @@ reads as slope 1.0.  Reported k and i values stay in raw emitted bits.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,42 +103,33 @@ def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
     return JOINT_FLAG_BITS + best
 
 
-# ---- caches ----------------------------------------------------------------
-# Oracles hash by identity; keeping them as dict keys pins the entries to
-# the exact oracle objects a sweep reuses across precisions.
+# ---- k_r memo --------------------------------------------------------------
+# Estimators sweep the same oracles over many precisions, so K_r is memoized
+# per oracle.  Most oracles hash by identity, so the memo holds them weakly:
+# an oracle's entries are freed with the oracle instead of pinning it for the
+# life of the process.  The key holds the whole backend, machine config
+# included.
 
-_KR_CACHE: dict = {}
-_PAIR_CACHE: dict = {}
-
-
-def _cfg_key(backend: KBackend):
-    cfg = backend.config
-    if cfg is None:
-        return backend.kind
-    return (backend.kind, cfg.max_program_len, cfg.step_budget, cfg.version_tag)
+_KR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _k_r_cached(x: PointOracle, r: int, backend: KBackend) -> int | None:
-    key = (x, r, _cfg_key(backend))
-    if key not in _KR_CACHE:
-        _KR_CACHE[key] = k_r(x, r, backend)
-    return _KR_CACHE[key]
+    memo = _KR_CACHE.setdefault(x, {})
+    key = (r, backend)
+    if key not in memo:
+        memo[key] = k_r(x, r, backend)
+    return memo[key]
 
 
 def k_r_pair(
     x: PointOracle, y: PointOracle, r: int, backend: KBackend
 ) -> int | None:
     """Complexity of the concatenated pair point at precision r."""
-    key = (frozenset((x, y)), r, _cfg_key(backend))
-    if key not in _PAIR_CACHE:
-        if backend.kind == "compressor":
-            value = pair_cost(
-                point_columns(x.query(r), r), point_columns(y.query(r), r)
-            )
-        else:
-            value = _k_r_cached(ProductOracle(x, y), r, backend)
-        _PAIR_CACHE[key] = value
-    return _PAIR_CACHE[key]
+    if backend.kind == "compressor":
+        return pair_cost(
+            point_columns(x.query(r), r), point_columns(y.query(r), r)
+        )
+    return k_r(ProductOracle(x, y), r, backend)
 
 
 # ---- mutual information of points at precision r ---------------------------
@@ -197,16 +190,14 @@ def j_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None
 # ---- slope extraction -------------------------------------------------------
 
 _REF_STREAM = hash_stream(REFERENCE_SEED, 0)
-_REF_RATIO_CACHE: dict[int, float] = {}
 
 
+@functools.cache
 def reference_ratio(length: int) -> float:
     """Measured code bits per input bit of the pinned reference stream."""
     if length <= 0:
         raise ValueError("length must be positive")
-    if length not in _REF_RATIO_CACHE:
-        _REF_RATIO_CACHE[length] = lz78_cost(_REF_STREAM.prefix(length)) / length
-    return _REF_RATIO_CACHE[length]
+    return lz78_cost(_REF_STREAM.prefix(length)) / length
 
 
 def _least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -14,7 +14,6 @@ from mdimlab.compressor import (
     conditional_cost,
     lz78_cost,
     lz78_phrases,
-    lz78_profile,
 )
 
 HAND_PARSED = [
@@ -50,22 +49,6 @@ def test_parser_incremental_matches_batch():
         parser.push(b)
     assert parser.cost == lz78_cost(bits)
     assert parser.length == len(bits)
-
-
-def test_profile_matches_fresh_recompute():
-    bits = "01101001100101101001011001101001" * 8
-    checkpoints = [0, 1, 17, 64, 130, 256]
-    profile = lz78_profile(bits, checkpoints)
-    assert profile == [lz78_cost(bits[:k]) for k in checkpoints]
-
-
-def test_profile_rejects_bad_checkpoints():
-    with pytest.raises(ValueError):
-        lz78_profile("0101", [2, 1])
-    with pytest.raises(ValueError):
-        lz78_profile("0101", [5])
-    with pytest.raises(ValueError):
-        lz78_profile("0101", [-1])
 
 
 @given(bits_strategy)

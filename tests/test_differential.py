@@ -8,6 +8,7 @@ enumeration (``machine.enumerate_halting``).  They are kept here, outside
 the package, as oracles for differential tests.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,15 +16,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdimlab.codec import DyadicRational
+from mdimlab.codec import DyadicRational, RationalPoint, distance_sq
 from mdimlab.compressor import Lz78Parser
+from mdimlab.functions import (
+    SSelector,
+    affine_function,
+    interleave,
+    left_inverse_synthesize,
+    linear_modulus,
+    scale_function,
+    sum_function,
+)
+from mdimlab.geometry import (
+    Ball,
+    DyadicCube,
+    ceil_half_log2,
+    lattice_point_in_ball,
+)
 from mdimlab.machine import (
     Enumeration,
     MachineConfig,
     PrefixCheck,
     enumerate_halting,
 )
-from mdimlab.oracles import diluted_stream, hash_stream, rational_stream
+from mdimlab.oracles import (
+    ConstantOracle,
+    diluted_stream,
+    hash_stream,
+    rational_stream,
+)
 
 
 # ---- slow references ---------------------------------------------------------
@@ -88,6 +109,60 @@ def diluted_reference(seed, rho, period, n, lane=0):
 
 def rational_bit_reference(value, i):
     return int(value * (1 << (i + 1))) & 1
+
+
+def distance_sq_reference(p, q):
+    return sum((a.to_fraction() - b.to_fraction()) ** 2
+               for a, b in zip(p.coords, q.coords))
+
+
+def closure_distance_sq_reference(cube, p):
+    side = Fraction(1, 1 << cube.precision)
+    total = Fraction(0)
+    for c, m in zip(p.coords, cube.index):
+        v = c.to_fraction()
+        lo = m * side
+        hi = lo + side
+        if v < lo:
+            total += (lo - v) ** 2
+        elif v > hi:
+            total += (v - hi) ** 2
+    return total
+
+
+def lattice_point_reference(ball, r):
+    """Round the center to the lattice with ``Fraction``; keep the nearest of 3**n."""
+    n = ball.dimension
+    s = r + ceil_half_log2(n)
+    rounded = [math.floor(c.to_fraction() * (1 << s) + Fraction(1, 2))
+               for c in ball.center.coords]
+    best = None
+    for offset in itertools.product((-1, 0, 1), repeat=n):
+        idx = tuple(m + o for m, o in zip(rounded, offset))
+        q = RationalPoint(tuple(DyadicRational(m, s) for m in idx))
+        d = distance_sq_reference(q, ball.center)
+        if d < ball.radius**2 and (best is None or (d, idx) < best):
+            best = (d, idx)
+    return RationalPoint(tuple(DyadicRational(m, s) for m in best[1]))
+
+
+def lex_first_acceptor(f, sel, m_prime, box, w, r):
+    """The left inverse's answer by scanning every grid point in index order."""
+    target_gap = m_prime.value(r)
+    p = target_gap + 3
+    pitch_gap = f.declared_modulus.value(target_gap + 2)
+    observed = w.query(p)
+    z = RationalPoint(observed.coords[: f.k])
+    y = observed.coords[f.k :]
+    lo, hi = box
+    accept_sq = Fraction(1, 1 << (2 * (target_gap + 1)))
+    cells = (hi - lo) << pitch_gap
+    for indices in itertools.product(range(cells), repeat=len(sel.positions)):
+        q = tuple(DyadicRational((lo << pitch_gap) + i, pitch_gap) for i in indices)
+        image = f.evaluate(ConstantOracle(RationalPoint(interleave(q, sel, y))), p)
+        if distance_sq_reference(image, z) <= accept_sq:
+            return RationalPoint(q)
+    return None
 
 
 def sorted_prefix_violations(programs):
@@ -285,3 +360,84 @@ def test_prefix_check_is_sound(programs):
     if reference:
         assert _prefix_check_count(by_length.values()) >= 1
     assert _prefix_check_count([sorted(programs)]) == reference
+
+
+# ---- exact geometry and evaluators --------------------------------------------
+
+dyadics = st.builds(DyadicRational, st.integers(-(1 << 40), 1 << 40),
+                    st.integers(0, 30))
+
+
+def _point(coords):
+    return RationalPoint(tuple(coords))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(dyadics, min_size=n, max_size=n),
+                        st.lists(dyadics, min_size=n, max_size=n))))
+def test_distance_sq_matches_fraction_sum(pair):
+    p, q = (_point(c) for c in pair)
+    assert distance_sq(p, q) == distance_sq_reference(p, q)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.integers(0, 20),
+                        st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+                        st.lists(dyadics, min_size=n, max_size=n))))
+def test_closure_distance_matches_fraction_formula(case):
+    r, index, coords = case
+    cube = DyadicCube(r, tuple(index))
+    p = _point(coords)
+    assert cube.closure_distance_sq(p) == closure_distance_sq_reference(cube, p)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 12), st.lists(dyadics, min_size=1, max_size=4))
+def test_lattice_point_matches_fraction_reference(r, coords):
+    ball = Ball.at_precision(_point(coords), r)
+    assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
+
+
+@pytest.mark.parametrize("matrix,offset,x", [
+    ((["1", "1/2"], ["0", "1"]), ["1/4", "0"], ("3/8", "-5/16")),
+    ((["2/3", "1/3"],), ["1/2"], ("1", "1")),
+    ((["-3", "1/1024"], ["0", "7/2"]), ["-1", "3/4"], ("0", "-1/8")),
+])
+def test_affine_evaluator_matches_fraction_formula(matrix, offset, x):
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    shift = [Fraction(v) for v in offset]
+    f = affine_function(rows, shift)
+    point = _point(DyadicRational.from_fraction(Fraction(v)) for v in x)
+    values = [Fraction(v) for v in x]
+    want = tuple(
+        DyadicRational.from_fraction(sum(a * v for a, v in zip(row, values)) + c)
+        for row, c in zip(rows, shift)
+    )
+    assert f.evaluate(ConstantOracle(point), 5).coords == want
+
+
+def test_sum_and_scale_evaluators_match_fraction_formulas():
+    coords = (DyadicRational(-7, 3), DyadicRational(5), DyadicRational(9, 11))
+    got = sum_function(3).evaluate(ConstantOracle(_point(coords)), 4)
+    total = sum(c.to_fraction() for c in coords)
+    assert got.coords == (DyadicRational.from_fraction(total),)
+    for c in ("2", "-3/4", "1/1024"):
+        got = scale_function(Fraction(c)).evaluate(
+            ConstantOracle(_point(coords[:1])), 4)
+        want = DyadicRational.from_fraction(coords[0].to_fraction() * Fraction(c))
+        assert got.coords == (want,)
+
+
+@pytest.mark.parametrize("x", [("5/8", "-3/4"), ("-2", "0"), ("1/16", "17/16")])
+@pytest.mark.parametrize("r", [0, 1])
+def test_left_inverse_matches_full_grid_scan(x, r):
+    f = affine_function([["1", "1/2"], ["0", "1"]], ["1/4", "0"],
+                        (SSelector(2, (1, 2)), linear_modulus(1)))
+    sel, spec = f.declared_inverse_moduli[0]
+    box = (-2, 2)
+    g = left_inverse_synthesize(f, sel, spec, box=box)
+    point = _point(DyadicRational.from_fraction(Fraction(v)) for v in x)
+    w = ConstantOracle(f.evaluate(ConstantOracle(point), 30))
+    assert g.evaluate(w, r) == lex_first_acceptor(f, sel, spec, box, w, r)

@@ -203,6 +203,30 @@ def test_zn_enumeration_index_bound_sample():
             assert i < (2 * math.isqrt(s) + 1) ** n or s == 0 and i == 0
 
 
+def test_zn_order_matches_sorted_box():
+    # slow reference: sort a box that holds every point of the prefix
+    for n, w in ((1, 40), (2, 12), (3, 5)):
+        box = sorted(
+            itertools.product(range(-w, w + 1), repeat=n),
+            key=lambda p: (sum(v * v for v in p),
+                           tuple((abs(v), v < 0) for v in p)),
+        )
+        count = sum(1 for p in box if sum(v * v for v in p) <= w * w)
+        for c in (count, 1, 7, count // 2):
+            assert zn_prefix(c, n) == box[:c]
+        assert [zn_enumeration(i, n) for i in range(count)] == box[:count]
+
+
+def test_zn_rejects_dimension_zero():
+    with pytest.raises(ValueError):
+        zn_enumeration(0, 0)
+    for count in (0, 1, 5):
+        with pytest.raises(ValueError):
+            zn_prefix(count, 0)
+    with pytest.raises(ValueError):
+        zn_prefix(-1, 1)
+
+
 def test_dyadic_lds_blocks():
     cfg = MachineConfig(24, 256)
     records = dyadic_lds(2, 9, cfg, n=1)

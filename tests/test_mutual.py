@@ -1,11 +1,14 @@
 """Mutual information profiles and the slope-based dimension estimator."""
 
+import gc
+import weakref
+
 import pytest
 
 from mdimlab import constants as C
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.complexity import compressor_backend, exact_machine, point_columns
-from mdimlab.machine import MachineConfig
+from mdimlab.machine import MachineConfig, ResourceExceededError
 from mdimlab.mutual import (
     dim_estimate,
     i_r,
@@ -141,3 +144,37 @@ class TestMdimEstimate:
             assert row["r"] == r
             assert row["i_r"] == (row["k_r_x"] + row["k_r_y"]
                                   - row["k_r_xy"])
+
+
+class TestKrMemo:
+    def test_warm_memo_respects_item_cap(self):
+        # the memo keys on the whole machine config, so K_r values memoized
+        # under the default cap must not answer for a config whose cap the
+        # enumeration exceeds
+        x = _const(0, 0)
+        warm = dim_estimate(x, backend=exact_machine(MachineConfig(20, 10000)))
+        assert warm.k_values == (20,) * len(C.EXACT_GRID)
+        with pytest.raises(ResourceExceededError):
+            dim_estimate(
+                x, backend=exact_machine(MachineConfig(20, 10000, item_cap=10))
+            )
+
+    def test_unreachable_memo_respects_item_cap(self):
+        # at (16, 1000) no output decodes to a point: the first call fails
+        # after memoizing an unreachable K_r, which must not answer either
+        x = _const(0, 0)
+        with pytest.raises(ValueError, match="not reachable"):
+            dim_estimate(x, backend=exact_machine(MachineConfig(16, 1000)))
+        with pytest.raises(ResourceExceededError):
+            dim_estimate(
+                x, backend=exact_machine(MachineConfig(16, 1000, item_cap=10))
+            )
+
+    def test_memo_does_not_keep_oracles_alive(self):
+        x = make_oracle(D12)
+        ref = weakref.ref(x)
+        dim_estimate(x)
+        mdim_estimate(x, x)
+        del x
+        gc.collect()
+        assert ref() is None
