@@ -87,17 +87,20 @@ class DyadicCube:
         # integer numerators over 2**e, e the finest exponent in play
         e = max(r, max(c.exp for c in p.coords))
         unit = e - r
-        total = 0
-        for c, m in zip(p.coords, self.index):
-            v = c.num << (e - c.exp)
-            lo = m << unit
-            if v < lo:
-                total += (lo - v) ** 2
-            else:
-                hi = (m + 1) << unit
-                if v > hi:
-                    total += (v - hi) ** 2
+        total = sum(
+            _gap_sq(c.num << (e - c.exp), m << unit, (m + 1) << unit)
+            for c, m in zip(p.coords, self.index)
+        )
         return Fraction(total, 1 << (2 * e))
+
+
+def _gap_sq(v: int, lo: int, hi: int) -> int:
+    """Squared distance from v to the closed interval [lo, hi]."""
+    if v < lo:
+        return (lo - v) ** 2
+    if v > hi:
+        return (v - hi) ** 2
+    return 0
 
 
 def cube_containing(q: RationalPoint, r: int) -> DyadicCube:
@@ -108,52 +111,75 @@ def cubes_intersecting_ball(ball: Ball, r: int) -> list[DyadicCube]:
     """All precision-r cubes meeting an open ball of radius 2**-r.
 
     Requires the ball radius to equal the cube side; the result then has at
-    most 3**n members, all within one index step of the center's cube.
+    most 3**n members, all within one index step of the center's cube, in
+    ``itertools.product`` order of the offsets (-1, 0, 1).
+
+    The open ball meets a half-open cube iff it meets the cube's closure,
+    and that squared distance is a sum of one term per axis.  Each term
+    depends only on that axis's offset, so the three terms of each axis are
+    computed once, as integers over 2**(2e) with e the finest exponent in
+    play, and the hits are built one axis at a time.  A partial sum that
+    reaches the radius bound is dropped: the terms are non-negative, so it
+    can never come back under it.
     """
     if ball.radius != Fraction(1, 1 << r):
         raise ValueError("ball radius must equal the cube side 2**-r")
-    base = cube_containing(ball.center, r)
-    rad_sq = ball.radius * ball.radius
-    hits = []
-    for offset in itertools.product((-1, 0, 1), repeat=ball.dimension):
-        idx = tuple(m + o for m, o in zip(base.index, offset))
-        cube = DyadicCube(r, idx)
-        # open ball meets the half-open cube iff it meets the closure
-        if cube.closure_distance_sq(ball.center) < rad_sq:
-            hits.append(cube)
-    return hits
+    e = max(r, max(c.exp for c in ball.center.coords))
+    unit = e - r
+    limit = 1 << (2 * unit)
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for c in ball.center.coords:
+        v = c.num << (e - c.exp)
+        base = v >> unit
+        terms = [
+            (m, _gap_sq(v, m << unit, (m + 1) << unit))
+            for m in (base - 1, base, base + 1)
+        ]
+        partial = [
+            (idx + (m,), total + term)
+            for idx, total in partial
+            for m, term in terms
+            if total + term < limit
+        ]
+    return [DyadicCube(r, idx) for idx, _ in partial]
 
 
 def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     """A point of the lattice 2**-(r + ceil(log2(sqrt(n)))) Z^n inside the ball.
 
-    Rounds the center to the lattice and scans the 3**n surrounding points.
-    The spacing makes the scaled ball radius exceed sqrt(n)/2, so a lattice
-    point always lies strictly inside; failure indicates a bug, not bad input.
+    Rounds the center to the lattice and returns, among the 3**n points
+    within one step of it, the one nearest the center that comes first in
+    lex order of its indices.  The squared distance is a sum of one term
+    per axis that depends only on that axis's index, so the minimum is
+    taken axis by axis: each axis keeps its nearest index, the lower one on
+    a tie, which is the lex-first point of least distance.  The spacing
+    makes the scaled ball radius exceed sqrt(n)/2, so a lattice point
+    always lies strictly inside; failure indicates a bug, not bad input.
     """
     if ball.radius != Fraction(1, 1 << r):
         raise ValueError("ball radius must equal 2**-r")
     n = ball.dimension
     s = r + ceil_half_log2(n)
-    spacing = Fraction(1, 1 << s)
-    # floor(c * 2**s + 1/2), in integers
-    rounded = [
-        ((c.num << (s + 1)) + (1 << c.exp)) >> (c.exp + 1)
-        for c in ball.center.coords
-    ]
-    rad_sq = ball.radius * ball.radius
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for offset in itertools.product((-1, 0, 1), repeat=n):
-        idx = tuple(m + o for m, o in zip(rounded, offset))
-        q = RationalPoint(tuple(DyadicRational(m, s) for m in idx))
-        d = distance_sq(q, ball.center)
-        if d < rad_sq and (best is None or (d, idx) < best):
-            best = (d, idx)
-    if best is None:
-        raise InternalGeometryError(
-            f"no lattice point at spacing {spacing} inside {ball}"
+    # integer numerators over 2**e, e the finest exponent in play
+    e = max(s, max(c.exp for c in ball.center.coords))
+    k = e - s
+    total = 0
+    idx = []
+    for c in ball.center.coords:
+        v = c.num << (e - c.exp)
+        rounded = ((v << 1) + (1 << k)) >> (k + 1)  # floor(c * 2**s + 1/2)
+        # min keeps the first of equal terms, so a tie takes the lower index
+        m = min(
+            (rounded - 1, rounded, rounded + 1),
+            key=lambda j: ((j << k) - v) ** 2,
         )
-    return RationalPoint(tuple(DyadicRational(m, s) for m in best[1]))
+        total += ((m << k) - v) ** 2
+        idx.append(m)
+    if total >= 1 << (2 * (e - r)):
+        raise InternalGeometryError(
+            f"no lattice point at spacing {Fraction(1, 1 << s)} inside {ball}"
+        )
+    return RationalPoint(tuple(DyadicRational(m, s) for m in idx))
 
 
 def _coord_key(v: int) -> tuple[int, int]:
@@ -182,10 +208,20 @@ def _zn_covering(count: int, n: int) -> list[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    return _zn_ball(n, _zn_radius(n, count.bit_length()))
+
+
+@functools.cache
+def _zn_radius(n: int, bits: int) -> int:
+    """The least power of two m whose ball holds (1 << bits) - 1 points of Z^n.
+
+    Keyed by bit length, so a call pays one lookup here, not one per
+    doubling of m.
+    """
     m = 1
-    while len(_zn_ball(n, m)) < count:
+    while len(_zn_ball(n, m)) < (1 << bits) - 1:
         m *= 2
-    return _zn_ball(n, m)
+    return m
 
 
 def zn_enumeration(i: int, n: int) -> tuple[int, ...]:

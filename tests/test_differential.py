@@ -2,14 +2,16 @@
 
 Each reference below is the straightforward version of a hot path: the
 dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
-``Fraction`` formulas behind the diluted and rational bit streams, and the
+``Fraction`` formulas behind the diluted and rational bit streams, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
-enumeration (``machine.enumerate_halting``).  They are kept here, outside
-the package, as oracles for differential tests.
+enumeration (``machine.enumerate_halting``), and the full 3**n candidate
+scans behind the lattice point and the cube cover of a ball.  They are
+kept here, outside the package, as oracles for differential tests.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,8 @@ from mdimlab.geometry import (
     Ball,
     DyadicCube,
     ceil_half_log2,
+    cube_containing,
+    cubes_intersecting_ball,
     lattice_point_in_ball,
 )
 from mdimlab.machine import (
@@ -144,6 +148,17 @@ def lattice_point_reference(ball, r):
         if d < ball.radius**2 and (best is None or (d, idx) < best):
             best = (d, idx)
     return RationalPoint(tuple(DyadicRational(m, s) for m in best[1]))
+
+
+def cover_reference(ball, r):
+    """Scan the 3**n neighbours of the center's cube; keep hits in product order."""
+    base = cube_containing(ball.center, r)
+    hits = []
+    for offset in itertools.product((-1, 0, 1), repeat=ball.dimension):
+        cube = DyadicCube(r, tuple(m + o for m, o in zip(base.index, offset)))
+        if closure_distance_sq_reference(cube, ball.center) < ball.radius**2:
+            hits.append(cube)
+    return hits
 
 
 def lex_first_acceptor(f, sel, m_prime, box, w, r):
@@ -398,6 +413,42 @@ def test_closure_distance_matches_fraction_formula(case):
 def test_lattice_point_matches_fraction_reference(r, coords):
     ball = Ball.at_precision(_point(coords), r)
     assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 12), st.lists(dyadics, min_size=1, max_size=4))
+def test_cube_cover_matches_fraction_scan(r, coords):
+    ball = Ball.at_precision(_point(coords), r)
+    assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
+
+
+def _tie_center(rng, kind, n, r):
+    """A center whose every coordinate sits where a comparison can tie.
+
+    A lattice midpoint (2k+1)/2**(s+1) is equally near two lattice points,
+    and a cube boundary k/2**r is at distance 0 from one neighbour cube and
+    exactly 2**-r from the next, the open ball's radius.
+    """
+    s = r + ceil_half_log2(n)
+    coords = []
+    for _ in range(n):
+        axis = rng.choice(("midpoint", "boundary")) if kind == "mixed" else kind
+        if axis == "midpoint":
+            coords.append(DyadicRational(2 * rng.randrange(-64, 64) + 1, s + 1))
+        else:
+            coords.append(DyadicRational(rng.randrange(-64, 64), r))
+    return _point(coords)
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "boundary", "mixed"])
+def test_geometry_tie_cases_match_references(kind):
+    rng = random.Random(f"ties:{kind}")
+    for _ in range(600):
+        n = rng.randrange(1, 5)
+        r = rng.randrange(0, 13)
+        ball = Ball.at_precision(_tie_center(rng, kind, n, r), r)
+        assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
+        assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
 
 
 @pytest.mark.parametrize("matrix,offset,x", [
