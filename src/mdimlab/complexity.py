@@ -1,10 +1,11 @@
-"""Precision-indexed complexity over pluggable estimation backends.
+"""Precision-indexed complexity over two estimation backends.
 
 Two backends answer "how many bits does it take to name this object":
 
 * ``exact_machine``: exhaustive shortest-program search over the bounded
   reference machine's enumeration.  Exact and machine-relative, but only
-  objects the enumeration reaches exist.
+  objects the enumeration reaches exist, so it answers pointwise K_r,
+  minimizer sets and the bound checkers, not slope estimates.
 * ``compressor``: the emitted code length of the built-in dictionary
   compressor over a fixed-width binary representation of the object.
   Deterministic and cheap at long inputs; this is what the dimension
@@ -12,7 +13,9 @@ Two backends answer "how many bits does it take to name this object":
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
-of the open radius-2**-r ball around it.
+of the open radius-2**-r ball around it.  ``ball_points`` holds the one rule
+for that ball on the exact machine: a surrogate centered at a deep
+approximant of the point.
 """
 
 from __future__ import annotations
@@ -148,21 +151,28 @@ def _points_in_region(
     ]
 
 
+def ball_points(
+    x: PointOracle, r: int, cfg: MachineConfig
+) -> list[tuple[RationalPoint, int, str]]:
+    """Enumerated (point, K, encoding) triples within 2**-r of x, K-sorted.
+
+    The open ball is centered at the approximant x.query(r + margin), which
+    stands in for the ideal point.
+    """
+    center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
+    return _points_in_region(Ball.at_precision(center, r), cfg)
+
+
 def k_r(x: PointOracle, r: int, backend: KBackend) -> int | None:
     """Bits to name some rational within 2**-r of the oracle's point.
 
-    Exact backend: minimum K over enumerated outputs decoding into the open
-    ball around a deep approximant of the point.  Compressor backend: code
-    length of the truncated fixed-width representation at precision r.
+    Exact backend: minimum K over the enumerated outputs in ``ball_points``
+    (None if there are none).  Compressor backend: code length of the
+    truncated fixed-width representation at precision r.
     """
     if backend.kind == "compressor":
         return lz78_cost(point_representation(x.query(r), r))
-    center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
-    ball = Ball.at_precision(center, r)
-    inside = _points_in_region(ball, backend.config)
-    if not inside:
-        return None
-    return min(k for _, k, _ in inside)
+    return min((k for _, k, _ in ball_points(x, r, backend.config)), default=None)
 
 
 def minimizers(

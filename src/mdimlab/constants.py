@@ -91,10 +91,6 @@ COMPRESSOR_GRID = tuple(1024 * (1 << k) for k in range(7))
 WINDOW_DIM = 4
 WINDOW_MUTUAL = 5
 
-# precision grid and window for exact-machine-backed profiles
-EXACT_GRID = tuple(range(2, 9))
-WINDOW_EXACT = 3
-
 # layout flag bits spent by the joint code choosing among the four pair
 # layouts (two argument orders, plain or differenced second block)
 JOINT_FLAG_BITS = 2

@@ -6,8 +6,9 @@ membership or intersection decisions.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,59 +183,48 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     return RationalPoint(tuple(DyadicRational(m, s) for m in idx))
 
 
-def _coord_key(v: int) -> tuple[int, int]:
-    return (abs(v), 0 if v >= 0 else 1)
+# n -> (the points of Z^n with squared norm below the bound, in enumeration
+# order; the bound)
+_ZN_ORDER: dict[int, tuple[list[tuple[int, ...]], int]] = {}
 
 
-@functools.cache
-def _zn_ball(n: int, m: int) -> list[tuple[int, ...]]:
-    """The points of Z^n with norm <= m, by (norm, positive-first lex)."""
-    ball = [
-        p
-        for p in itertools.product(range(-m, m + 1), repeat=n)
-        if sum(v * v for v in p) <= m * m
-    ]
-    ball.sort(
-        key=lambda p: (sum(v * v for v in p), tuple(_coord_key(v) for v in p))
-    )
-    return ball
+def _zn_points(count: int, n: int) -> list[tuple[int, ...]]:
+    """At least the ``count`` first points of Z^n, in enumeration order.
 
-
-def _zn_covering(count: int, n: int) -> list[tuple[int, ...]]:
-    """A ball of Z^n with at least ``count`` points, in enumeration order.
-
-    Every point outside a ball is farther out than every point inside it,
-    so any such ball starts with the ``count`` first points of Z^n.
+    The list grows by whole bands of squared norm [b, 4b), so each band is
+    sorted once.  Its box is scanned in ``product`` order of the values
+    0, 1, -1, 2, -2, ..., which is the positive-first lex order, so a
+    stable sort by squared norm alone gives the enumeration order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _zn_ball(n, _zn_radius(n, count.bit_length()))
-
-
-@functools.cache
-def _zn_radius(n: int, bits: int) -> int:
-    """The least power of two m whose ball holds (1 << bits) - 1 points of Z^n.
-
-    Keyed by bit length, so a call pays one lookup here, not one per
-    doubling of m.
-    """
-    m = 1
-    while len(_zn_ball(n, m)) < (1 << bits) - 1:
-        m *= 2
-    return m
+    points, bound = _ZN_ORDER.get(n, ([], 0))
+    while len(points) < count:
+        low, bound = bound, max(1, 4 * bound)
+        m = math.isqrt(bound - 1)
+        values = [0] + [v for k in range(1, m + 1) for v in (k, -k)]
+        band = [
+            (s, p)
+            for p in itertools.product(values, repeat=n)
+            if low <= (s := sum(v * v for v in p)) < bound
+        ]
+        band.sort(key=operator.itemgetter(0))
+        points.extend(p for _, p in band)
+    _ZN_ORDER[n] = (points, bound)
+    return points
 
 
 def zn_enumeration(i: int, n: int) -> tuple[int, ...]:
     """The i-th point of Z^n by Euclidean norm, positive-before-negative lex."""
     if i < 0:
         raise ValueError("need i >= 0")
-    return _zn_covering(i + 1, n)[i]
+    return _zn_points(i + 1, n)[i]
 
 
 def zn_prefix(count: int, n: int) -> list[tuple[int, ...]]:
     if count < 0:
         raise ValueError("need count >= 0")
-    return _zn_covering(count, n)[:count]
+    return _zn_points(count, n)[:count]
 
 
 @dataclass(frozen=True)

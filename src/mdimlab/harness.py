@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -23,17 +24,14 @@ from typing import Mapping
 from . import constants as C
 from .codec import DyadicRational, RationalPoint, distance_sq
 from .complexity import (
-    KBackend,
     check_ball_count_bound,
     check_cube_count_bound,
     check_lds_coding_bound,
     check_precision_improvement,
-    compressor_backend,
     enumerated_points,
-    exact_machine,
 )
 from .complexity import point_columns
-from .functions import ImageOracle, library_function
+from .functions import ComputableFunction, ImageOracle, library_function
 from .geometry import (
     Ball,
     DyadicCube,
@@ -45,7 +43,7 @@ from .geometry import (
 )
 from .machine import MachineConfig, PrefixCheck, get_enumeration
 from .mutual import dim_estimate, mdim_estimate, pair_cost
-from .oracles import ConstantOracle, ProductOracle, make_oracle
+from .oracles import ConstantOracle, PointOracle, ProductOracle, make_oracle
 
 
 class InvalidConfigError(ValueError):
@@ -68,13 +66,16 @@ SUITE_NAMES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on; equal configs give identical reports."""
+    """Everything a run depends on; equal configs give identical reports.
+
+    ``generators`` and ``functions`` pair each config spec with the oracle
+    or library function built from it when the config was read.
+    """
 
     suite: str
     machine: MachineConfig
-    backend: KBackend
-    generators: tuple[Mapping, ...] = ()
-    functions: tuple[Mapping, ...] = ()
+    generators: tuple[tuple[Mapping, PointOracle], ...] = ()
+    functions: tuple[tuple[Mapping, ComputableFunction], ...] = ()
     window: tuple[int, int] | None = None
     seed: int = 0
     out_format: str = "json"
@@ -166,45 +167,81 @@ def _finish(suite: str, rows: list[dict], constants: dict) -> SuiteReport:
 # ---- config loading ---------------------------------------------------------
 
 
+@contextmanager
+def _field(name: str):
+    """Report a malformed config value as an InvalidConfigError naming it."""
+    try:
+        yield
+    except (ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
+        raise InvalidConfigError(f"invalid {name}: {exc!r}") from exc
+
+
+def _built(data: Mapping, name: str, build) -> tuple:
+    """(spec, build(spec)) for each spec of the config list ``name``."""
+    specs = data.get(name, [])
+    if not isinstance(specs, (list, tuple)):
+        raise InvalidConfigError(f"{name} must be a list")
+    built = []
+    for i, spec in enumerate(specs):
+        with _field(f"{name}[{i}]"):
+            built.append((spec, build(spec)))
+    return tuple(built)
+
+
+def _build_function(spec: Mapping) -> ComputableFunction:
+    return library_function(spec["name"], spec.get("params"))
+
+
 def config_from_mapping(data: Mapping) -> ExperimentConfig:
+    """Validate a plain-data config and build everything it names.
+
+    Every malformed value is rejected here, before any suite work.
+    """
     suite = data.get("suite")
     if suite not in SUITE_NAMES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
+    backend = data.get("backend", "compressor")
+    if backend != "compressor":
+        raise InvalidConfigError(
+            f"unknown backend: {backend!r}; the estimators run on the "
+            "compressor only"
+        )
     m = data.get("machine", {})
+    if not isinstance(m, Mapping):
+        raise InvalidConfigError("machine must be an object")
     version_tag = str(m.get("version_tag", C.MACHINE_VERSION))
     if version_tag not in C.PINNED_VERSIONS:
         raise InvalidConfigError(
             f"no pinned constants for version_tag {version_tag!r}; "
             f"pinned: {', '.join(sorted(C.PINNED_VERSIONS))}"
         )
-    machine = MachineConfig(
-        max_program_len=int(m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN)),
-        step_budget=int(m.get("step_budget", C.BOUNDS_STEP_BUDGET)),
-        version_tag=version_tag,
-    )
-    backend_kind = data.get("backend", "compressor")
-    if backend_kind == "compressor":
-        backend = compressor_backend()
-    elif backend_kind == "exact_machine":
-        backend = exact_machine(machine)
-    else:
-        raise InvalidConfigError(f"unknown backend: {backend_kind!r}")
+    with _field("machine"):
+        machine = MachineConfig(
+            max_program_len=int(
+                m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN)
+            ),
+            step_budget=int(m.get("step_budget", C.BOUNDS_STEP_BUDGET)),
+            version_tag=version_tag,
+        )
     window = data.get("window")
     if window is not None:
+        with _field("window"):
+            window = tuple(int(v) for v in window)
         if len(window) != 2 or window[0] > window[1]:
             raise InvalidConfigError("window must be [lo, hi] with lo <= hi")
-        window = (int(window[0]), int(window[1]))
+    with _field("seed"):
+        seed = int(data.get("seed", 0))
     fmt = data.get("format", "json")
     if fmt not in ("json", "csv"):
         raise InvalidConfigError(f"unknown output format: {fmt!r}")
     return ExperimentConfig(
         suite=suite,
         machine=machine,
-        backend=backend,
-        generators=tuple(data.get("generators", ())),
-        functions=tuple(data.get("functions", ())),
+        generators=_built(data, "generators", make_oracle),
+        functions=_built(data, "functions", _build_function),
         window=window,
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         out_format=fmt,
         out_path=data.get("out"),
     )
@@ -223,13 +260,12 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_mapping(data)
 
 
-def _grid(cfg: ExperimentConfig) -> tuple[int, ...] | None:
-    """Estimator grid filtered to the config window, None for the default."""
+def _grid(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """The estimator grid, filtered to the config window if there is one."""
     if cfg.window is None:
-        return None
+        return C.COMPRESSOR_GRID
     lo, hi = cfg.window
-    base = C.COMPRESSOR_GRID if cfg.backend.kind == "compressor" else C.EXACT_GRID
-    grid = tuple(r for r in base if lo <= r <= hi)
+    grid = tuple(r for r in C.COMPRESSOR_GRID if lo <= r <= hi)
     if not grid:
         raise InvalidConfigError("window excludes every grid precision")
     return grid
@@ -420,16 +456,14 @@ def _coding_suite(cfg: ExperimentConfig) -> SuiteReport:
 # ---- profile and estimator suites -------------------------------------------
 
 
-DEFAULT_PROFILE_GENERATORS = tuple(spec for _, spec, _ in C.CALIBRATION_SET)
-
-
 def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
-    specs = cfg.generators or DEFAULT_PROFILE_GENERATORS
+    generators = cfg.generators or tuple(
+        (spec, make_oracle(spec)) for _, spec, _ in C.CALIBRATION_SET
+    )
     grid = _grid(cfg)
     rows = []
-    for idx, spec in enumerate(specs):
-        oracle = make_oracle(spec)
-        est = dim_estimate(oracle, window=grid, backend=cfg.backend)
+    for idx, (spec, oracle) in enumerate(generators):
+        est = dim_estimate(oracle, window=grid)
         name = spec.get("kind", "?") + f"#{idx}"
         rows += [
             _info("kprofile", f"{name} r={r}", k)
@@ -442,14 +476,13 @@ def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
-    backend = cfg.backend
     rows = []
     oracles = {}
     estimates = {}
     for name, spec, target in C.CALIBRATION_SET:
         oracle = make_oracle(spec)
         oracles[name] = (oracle, target)
-        est = dim_estimate(oracle, window=grid, backend=backend)
+        est = dim_estimate(oracle, window=grid)
         estimates[name] = est
         if name.startswith("random"):
             ok = est.lo >= C.RANDOM_DIM_MIN
@@ -467,7 +500,7 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
     worst_identity = 0.0
     for name, (oracle, _) in oracles.items():
         est = estimates[name]
-        prof = mdim_estimate(oracle, oracle, window=grid, backend=backend)
+        prof = mdim_estimate(oracle, oracle, window=grid)
         delta = max(abs(prof.slope_lo - est.lo), abs(prof.slope_hi - est.hi))
         worst_identity = max(worst_identity, delta)
         rows.append(_check("mdim_identity", name, round(delta, 6),
@@ -477,24 +510,19 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_check("mdim_range", name,
                            round(prof.slope_lo, 6), round(cap, 6), ok_range))
     other = make_oracle({"kind": "random", "seed": 8, "n": 1})
-    indep = mdim_estimate(oracles["random-7"][0], other,
-                          window=grid, backend=backend)
+    indep = mdim_estimate(oracles["random-7"][0], other, window=grid)
     rows.append(_check("mdim_independent", "random-7 : random-8",
                        round(indep.slope_hi, 6), C.MDIM_INDEPENDENT_MAX,
                        indep.slope_hi <= C.MDIM_INDEPENDENT_MAX))
-    sweep = grid or (C.COMPRESSOR_GRID if backend.kind == "compressor"
-                     else C.EXACT_GRID)
     sym_worst = 0
-    if backend.kind == "compressor":
-        a = oracles["random-7"][0]
-        b = oracles["diluted-1/2"][0]
-        for r in sweep:
-            cols_a = point_columns(a.query(r), r)
-            cols_b = point_columns(b.query(r), r)
-            sym_worst = max(
-                sym_worst, abs(pair_cost(cols_a, cols_b)
-                               - pair_cost(cols_b, cols_a))
-            )
+    a = oracles["random-7"][0]
+    b = oracles["diluted-1/2"][0]
+    for r in grid:
+        cols_a = point_columns(a.query(r), r)
+        cols_b = point_columns(b.query(r), r)
+        sym_worst = max(
+            sym_worst, abs(pair_cost(cols_a, cols_b) - pair_cost(cols_b, cols_a))
+        )
     rows.append(_check("mdim_symmetry", "random-7 : diluted-1/2 sweep",
                        sym_worst, C.MDIM_SYMMETRY_TOL,
                        sym_worst <= C.MDIM_SYMMETRY_TOL))
@@ -547,31 +575,29 @@ def _function_label(spec: Mapping) -> str:
 
 def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
-    backend = cfg.backend
     d12, r7, r8, r9, x2 = _shared_oracles()
     base_pairs = {
         1: [("diluted-1/2:self", d12, d12), ("random-7:random-8", r7, r8)],
         2: [("(diluted-1/2,random-9):diluted-1/2", x2, d12)],
     }
-    base_profiles = {}
-    rows = []
-    worst_margin = None
-    specs = cfg.functions or DEFAULT_DPI_FUNCTIONS
-    for spec in specs:
-        f = library_function(spec["name"], spec.get("params"))
+    functions = cfg.functions or tuple(
+        (spec, _build_function(spec)) for spec in DEFAULT_DPI_FUNCTIONS
+    )
+    for _, f in functions:
         if f.n not in base_pairs:
             raise InvalidConfigError(
                 f"no pinned generator pair of arity {f.n} for {f.name}"
             )
+    base_profiles = {}
+    rows = []
+    worst_margin = None
+    for spec, f in functions:
         factor = _holder_factor(f)
         for pair_name, x, y in base_pairs[f.n]:
             if pair_name not in base_profiles:
-                base_profiles[pair_name] = mdim_estimate(
-                    x, y, window=grid, backend=backend
-                )
+                base_profiles[pair_name] = mdim_estimate(x, y, window=grid)
             base = base_profiles[pair_name]
-            image = mdim_estimate(ImageOracle(f, x), y,
-                                  window=grid, backend=backend)
+            image = mdim_estimate(ImageOracle(f, x), y, window=grid)
             bound = factor * base.slope_hi + C.DPI_SLACK
             label = f"{_function_label(spec)} on {pair_name}"
             ok = image.slope_hi <= bound
@@ -596,9 +622,8 @@ def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
-    backend = cfg.backend
     d12, _, _, _, _ = _shared_oracles()
-    base = mdim_estimate(d12, d12, window=grid, backend=backend)
+    base = mdim_estimate(d12, d12, window=grid)
     ident = library_function("identity", {"n": 1})
     translate = library_function("affine", {
         "matrix": [["1"]], "offset": ["5/8"],
@@ -615,7 +640,7 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     rows = []
     worst = None
     for label, pair_oracle in configs:
-        prof = mdim_estimate(pair_oracle, d12, window=grid, backend=backend)
+        prof = mdim_estimate(pair_oracle, d12, window=grid)
         ok_lo = base.slope_lo <= prof.slope_lo + C.DPI_SLACK
         ok_hi = base.slope_hi <= prof.slope_hi + C.DPI_SLACK
         rows.append(_check("reverse_dpi_lo", label, round(base.slope_lo, 6),
@@ -631,15 +656,14 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
-    backend = cfg.backend
     d12, _, _, r9, x2 = _shared_oracles()
-    base1 = mdim_estimate(d12, d12, window=grid, backend=backend)
-    base2 = mdim_estimate(x2, x2, window=grid, backend=backend)
+    base1 = mdim_estimate(d12, d12, window=grid)
+    base2 = mdim_estimate(x2, x2, window=grid)
     rows = []
 
     ident = library_function("identity", {"n": 1})
     prof = mdim_estimate(ImageOracle(ident, d12), ImageOracle(ident, d12),
-                         window=grid, backend=backend)
+                         window=grid)
     rows.append(_check("conservation_identity", "id:id on diluted-1/2",
                        round(prof.slope_hi, 6),
                        round(base1.slope_hi + C.DPI_SLACK, 6),
@@ -647,7 +671,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
 
     half = library_function("scale", {"c": "1/2"})
     prof = mdim_estimate(ImageOracle(half, d12), ImageOracle(half, d12),
-                         window=grid, backend=backend)
+                         window=grid)
     rows.append(_check("conservation_contraction",
                        "scale(1/2) pair on diluted-1/2",
                        round(prof.slope_hi, 6),
@@ -663,7 +687,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
         "inverse_modulus": {"S": [1, 2], "s": 0},
     })
     prof = mdim_estimate(ImageOracle(swap_a, x2), ImageOracle(swap_b, x2),
-                         window=grid, backend=backend)
+                         window=grid)
     delta = max(abs(prof.slope_lo - base2.slope_lo),
                 abs(prof.slope_hi - base2.slope_hi))
     rows.append(_check("conservation_bilipschitz",
@@ -673,7 +697,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
 
     hilb = library_function("hilbert2d")
     prof = mdim_estimate(ImageOracle(hilb, d12), ImageOracle(ident, d12),
-                         window=grid, backend=backend)
+                         window=grid)
     bound = C.HILBERT_HOLDER_FACTOR * base1.slope_hi + C.DPI_SLACK
     rows.append(_check("conservation_holder",
                        "hilbert2d:identity factor 2 on diluted-1/2",
@@ -685,7 +709,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     z = make_oracle({"kind": "rational", "values": ["3/16"]})
     pw = ProductOracle(ImageOracle(s2, ProductOracle(d12, w)), w)
     pz = ProductOracle(ImageOracle(s2, ProductOracle(d12, z)), z)
-    prof = mdim_estimate(pw, pz, window=grid, backend=backend)
+    prof = mdim_estimate(pw, pz, window=grid)
     ok_lo = base1.slope_lo <= prof.slope_lo + C.DPI_SLACK
     ok_hi = base1.slope_hi <= prof.slope_hi + C.DPI_SLACK
     rows.append(_check("conservation_reverse_lo",
@@ -703,15 +727,16 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
-    backend = cfg.backend
-    spec = (cfg.generators[0] if cfg.generators
-            else {"kind": "random", "seed": 1, "n": 1})
-    x = make_oracle(spec)
+    if cfg.generators:
+        spec, x = cfg.generators[0]
+    else:
+        spec = {"kind": "random", "seed": 1, "n": 1}
+        x = make_oracle(spec)
     if x.dimension != 1:
         raise InvalidConfigError("counterexample needs a 1-coordinate point")
     hilb = library_function("hilbert2d")
     fx = ImageOracle(hilb, x)
-    dim_image = dim_estimate(fx, window=grid, backend=backend)
+    dim_image = dim_estimate(fx, window=grid)
     rows = []
     constants = {
         "dim_image_lo": round(dim_image.lo, 6),
@@ -721,8 +746,8 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_info("counterexample", "not a counterexample witness",
                           round(dim_image.hi, 6)))
         return _finish("counterexample", rows, constants)
-    mutual = mdim_estimate(x, fx, window=grid, backend=backend)
-    dim_x = dim_estimate(x, window=grid, backend=backend)
+    mutual = mdim_estimate(x, fx, window=grid)
+    dim_x = dim_estimate(x, window=grid)
     rows.append(_check("image_dimension", "dim(hilbert2d(x)).hi",
                        round(dim_image.hi, 6), C.COUNTEREXAMPLE_DIM_FLOOR,
                        dim_image.hi >= C.COUNTEREXAMPLE_DIM_FLOOR))

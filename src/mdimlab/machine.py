@@ -72,27 +72,25 @@ class MachineConfig:
 class RunResult:
     status: str  # one of HALTED, OUT_OF_BUDGET, INVALID
     output: str | None
-    steps_used: int
 
 
 @dataclass(frozen=True)
 class KReport:
     value: int
     witness: str
-    exhaustive: bool
 
 
 def run(program: str, given: str, cfg: MachineConfig) -> RunResult:
     """Execute one program.  A pure function of (program, given, cfg)."""
     if not program:
-        return RunResult(INVALID, None, 0)
+        return RunResult(INVALID, None)
     try:
         header_val, pos = gamma_decode(program)
     except ValueError:
-        return RunResult(INVALID, None, 0)
+        return RunResult(INVALID, None)
     payload_len = header_val - 1
     if len(program) - pos != payload_len:
-        return RunResult(INVALID, None, 0)
+        return RunResult(INVALID, None)
     return _execute(program[pos:], given, cfg.step_budget)
 
 
@@ -105,21 +103,21 @@ def _execute(payload: str, given: str, budget: int) -> RunResult:
     steps = 0
     while True:
         if pc == plen:
-            return RunResult(HALTED, "".join(out), steps)
+            return RunResult(HALTED, "".join(out))
         if pc + 3 > plen:  # partial fetch: the machine jams and never halts
-            return RunResult(OUT_OF_BUDGET, None, steps)
+            return RunResult(OUT_OF_BUDGET, None)
         op = int(payload[pc : pc + 3], 2)
         pc += 3
         if op == OP_EMIT0 or op == OP_EMIT1:
             if steps + 2 > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += 2
             out.append("1" if op == OP_EMIT1 else "0")
             out_len += 1
         elif op == OP_ECHO:
             cost = 1 + len(given)
             if steps + cost > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += cost
             out.append(given)
             out_len += len(given)
@@ -127,10 +125,10 @@ def _execute(payload: str, given: str, budget: int) -> RunResult:
             try:
                 k, pc = gamma_decode(payload, pc)
             except ValueError:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             cost = 1 + k * out_len
             if steps + cost > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += cost
             if out_len:
                 s = "".join(out)
@@ -140,11 +138,11 @@ def _execute(payload: str, given: str, budget: int) -> RunResult:
             try:
                 lit_len, pc = gamma_decode(payload, pc)
             except ValueError:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             if pc + lit_len > plen:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             if steps + 1 + lit_len > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += 1 + lit_len
             out.append(payload[pc : pc + lit_len])
             out_len += lit_len
@@ -153,23 +151,23 @@ def _execute(payload: str, given: str, budget: int) -> RunResult:
             try:
                 t, pc = gamma_decode(payload, pc)
             except ValueError:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += 1
             if counter != 0:
                 pc = t - 1
         elif op == OP_DEC:
             if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += 1
             if counter > 0:
                 counter -= 1
         else:  # OP_HALT
             if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None, steps)
+                return RunResult(OUT_OF_BUDGET, None)
             steps += 1
-            return RunResult(HALTED, "".join(out), steps)
+            return RunResult(HALTED, "".join(out))
 
 
 def header_len(payload_len: int) -> int:
@@ -350,7 +348,7 @@ def exact_k(target: str, given: str, cfg: MachineConfig) -> KReport | None:
     info = get_enumeration(cfg, given).lookup(target)
     if info is None:
         return None
-    return KReport(info.k, info.witness, True)
+    return KReport(info.k, info.witness)
 
 
 def kraft_mass(cfg: MachineConfig, given: str = "") -> Fraction:

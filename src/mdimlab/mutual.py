@@ -1,18 +1,19 @@
 """Mutual information of strings and of points, and dimension estimators.
 
 For binary strings, I(p:q) = K(q) - K(q|p).  For ideal points the engine
-works at precision r over rational approximants: the exact backend
-minimizes string mutual information over enumerated candidates in the two
-radius-2**-r balls, while the compressor backend evaluates the three-term
-identity K_r(x) + K_r(y) - K_r(x,y) on fixed-width truncated
-representatives.
+works at precision r over rational approximants.  On the exact machine,
+i_r minimizes string mutual information over the enumerated candidates in
+the two radius-2**-r balls, and j_r over their K-minimizers; on the
+compressor, i_r evaluates the three-term identity
+K_r(x) + K_r(y) - K_r(x,y) on fixed-width truncated representatives.
 
 Dimension and mutual-dimension estimates are least-squares slopes of the
-complexity profiles.  On the compressor backend the profile values are
-first rescaled by the measured cost-per-bit of a pinned reference stream
-at matching representation length; that cancels the coder's sublinear
-dictionary overhead, so one incompressible expansion bit per precision bit
-reads as slope 1.0.  Reported k and i values stay in raw emitted bits.
+compressor's complexity profiles; the exact machine reaches too few points
+to give a profile a slope.  The profile values are first rescaled by the
+measured cost-per-bit of a pinned reference stream at matching
+representation length; that cancels the coder's sublinear dictionary
+overhead, so one incompressible expansion bit per precision bit reads as
+slope 1.0.  Reported k and i values stay in raw emitted bits.
 """
 
 from __future__ import annotations
@@ -24,27 +25,22 @@ from typing import Sequence
 
 from .compressor import conditional_cost, lz78_cost
 from .complexity import (
-    BALL_CENTER_DEPTH_MARGIN,
     KBackend,
+    ball_points,
     compressor_backend,
     k_r,
-    minimizers,
     point_columns,
 )
 from .constants import (
     COMPRESSOR_GRID,
-    EXACT_GRID,
     GUARD_BITS,
     JOINT_FLAG_BITS,
     REFERENCE_SEED,
     WINDOW_DIM,
-    WINDOW_EXACT,
     WINDOW_MUTUAL,
 )
-from .codec import encode_point
-from .geometry import Ball
 from .machine import exact_k
-from .oracles import PointOracle, ProductOracle, hash_stream
+from .oracles import PointOracle, hash_stream
 
 
 # ---- mutual information of binary strings ---------------------------------
@@ -104,47 +100,33 @@ def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
 
 
 # ---- k_r memo --------------------------------------------------------------
-# Estimators sweep the same oracles over many precisions, so K_r is memoized
-# per oracle.  Most oracles hash by identity, so the memo holds them weakly:
-# an oracle's entries are freed with the oracle instead of pinning it for the
-# life of the process.  The key holds the whole backend, machine config
-# included.
+# Estimators sweep the same oracles over many precisions, so the compressor's
+# K_r is memoized per oracle.  Most oracles hash by identity, so the memo
+# holds them weakly: an oracle's entries are freed with the oracle instead of
+# pinning it for the life of the process.
 
+_COMPRESSOR = compressor_backend()
 _KR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _k_r_cached(x: PointOracle, r: int, backend: KBackend) -> int | None:
+def _k_r_cached(x: PointOracle, r: int) -> int:
     memo = _KR_CACHE.setdefault(x, {})
-    key = (r, backend)
-    if key not in memo:
-        memo[key] = k_r(x, r, backend)
-    return memo[key]
+    if r not in memo:
+        memo[r] = k_r(x, r, _COMPRESSOR)
+    return memo[r]
 
 
-def k_r_pair(
-    x: PointOracle, y: PointOracle, r: int, backend: KBackend
-) -> int | None:
-    """Complexity of the concatenated pair point at precision r."""
-    if backend.kind == "compressor":
-        return pair_cost(
-            point_columns(x.query(r), r), point_columns(y.query(r), r)
-        )
-    return k_r(ProductOracle(x, y), r, backend)
+def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:
+    """Compressor complexity of the pair point at precision r."""
+    return pair_cost(point_columns(x.query(r), r), point_columns(y.query(r), r))
 
 
 # ---- mutual information of points at precision r ---------------------------
 
 
-def _ball_candidates(x: PointOracle, r: int, backend: KBackend):
-    from .complexity import enumerated_points
-
-    center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
-    ball = Ball.at_precision(center, r)
-    return [
-        (q, enc)
-        for q, _, enc in enumerated_points(backend.config)
-        if q.dimension == ball.dimension and ball.contains(q)
-    ]
+def _least_mutual_info(encs_x, encs_y, backend: KBackend) -> int | None:
+    values = (mutual_info(a, b, backend) for a in encs_x for b in encs_y)
+    return min((v for v in values if v is not None), default=None)
 
 
 def i_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None:
@@ -155,36 +137,22 @@ def i_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None
     backend: the three-term identity on the truncated representatives.
     """
     if backend.kind == "compressor":
-        kx = _k_r_cached(x, r, backend)
-        ky = _k_r_cached(y, r, backend)
-        return kx + ky - k_r_pair(x, y, r, backend)
-    best: int | None = None
-    for _, enc_x in _ball_candidates(x, r, backend):
-        for _, enc_y in _ball_candidates(y, r, backend):
-            value = mutual_info(enc_x, enc_y, backend)
-            if value is not None and (best is None or value < best):
-                best = value
-    return best
+        return _k_r_cached(x, r) + _k_r_cached(y, r) - k_r_pair(x, y, r)
+    xs = [enc for _, _, enc in ball_points(x, r, backend.config)]
+    ys = [enc for _, _, enc in ball_points(y, r, backend.config)]
+    return _least_mutual_info(xs, ys, backend)
 
 
 def j_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None:
     """Like i_r but restricted to exact K-minimizer pairs of the two balls."""
     if backend.kind != "exact_machine":
         raise ValueError("minimizer-pair mutual information needs exact backend")
-    pairs = []
+    minimal = []
     for oracle in (x, y):
-        center = oracle.query(r + BALL_CENTER_DEPTH_MARGIN)
-        found = minimizers(Ball.at_precision(center, r), 0, backend)
-        if found is None:
-            return None
-        pairs.append(found.members)
-    best: int | None = None
-    for qx in pairs[0]:
-        for qy in pairs[1]:
-            value = mutual_info(encode_point(qx), encode_point(qy), backend)
-            if value is not None and (best is None or value < best):
-                best = value
-    return best
+        inside = ball_points(oracle, r, backend.config)
+        k_floor = min((k for _, k, _ in inside), default=None)
+        minimal.append([enc for _, k, enc in inside if k == k_floor])
+    return _least_mutual_info(*minimal, backend)
 
 
 # ---- slope extraction -------------------------------------------------------
@@ -221,13 +189,8 @@ def _window_slopes(
     )
 
 
-def _resolve_grid(window, backend: KBackend) -> tuple[int, ...]:
-    if window is not None:
-        grid = tuple(window)
-    elif backend.kind == "compressor":
-        grid = COMPRESSOR_GRID
-    else:
-        grid = EXACT_GRID
+def _resolve_grid(window) -> tuple[int, ...]:
+    grid = COMPRESSOR_GRID if window is None else tuple(window)
     if not grid:
         raise ValueError("window must be nonempty")
     return grid
@@ -277,67 +240,37 @@ class MutualProfile:
 
 
 def dim_estimate(
-    x: PointOracle,
-    window: Sequence[int] | None = None,
-    backend: KBackend | None = None,
+    x: PointOracle, window: Sequence[int] | None = None
 ) -> DimEstimate:
     """Estimated (dim, Dim) of the oracle's point over the given window."""
-    backend = backend or compressor_backend()
-    grid = _resolve_grid(window, backend)
-    raw = []
-    for r in grid:
-        value = _k_r_cached(x, r, backend)
-        if value is None:
-            raise ValueError(f"complexity not reachable at precision {r}")
-        raw.append(value)
-    if backend.kind == "compressor":
-        n = x.dimension
-        series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
-        width = WINDOW_DIM
-    else:
-        series = [float(v) for v in raw]
-        width = WINDOW_EXACT
-    slopes = _window_slopes(grid, series, width)
+    grid = _resolve_grid(window)
+    raw = [_k_r_cached(x, r) for r in grid]
+    n = x.dimension
+    series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
+    slopes = _window_slopes(grid, series, WINDOW_DIM)
     return DimEstimate(min(slopes), max(slopes), grid, tuple(raw), slopes)
 
 
 def mdim_estimate(
-    x: PointOracle,
-    y: PointOracle,
-    window: Sequence[int] | None = None,
-    backend: KBackend | None = None,
+    x: PointOracle, y: PointOracle, window: Sequence[int] | None = None
 ) -> MutualProfile:
     """Estimated mutual-dimension profile of two oracles over a window."""
-    backend = backend or compressor_backend()
-    grid = _resolve_grid(window, backend)
+    grid = _resolve_grid(window)
     k_x, k_y, k_xy, i_vals = [], [], [], []
     for r in grid:
-        kx = _k_r_cached(x, r, backend)
-        ky = _k_r_cached(y, r, backend)
-        kxy = k_r_pair(x, y, r, backend)
-        if kx is None or ky is None or kxy is None:
-            raise ValueError(f"complexity not reachable at precision {r}")
+        kx = _k_r_cached(x, r)
+        ky = _k_r_cached(y, r)
+        kxy = k_r_pair(x, y, r)
         k_x.append(kx)
         k_y.append(ky)
         k_xy.append(kxy)
-        if backend.kind == "compressor":
-            i_vals.append(kx + ky - kxy)
-        else:
-            value = i_r(x, y, r, backend)
-            if value is None:
-                raise ValueError(f"no candidate pairs at precision {r}")
-            i_vals.append(value)
-    if backend.kind == "compressor":
-        n_joint = x.dimension + y.dimension
-        series = [
-            v / reference_ratio(n_joint * (GUARD_BITS + r))
-            for v, r in zip(i_vals, grid)
-        ]
-        width = WINDOW_MUTUAL
-    else:
-        series = [float(v) for v in i_vals]
-        width = WINDOW_EXACT
-    slopes = _window_slopes(grid, series, width)
+        i_vals.append(kx + ky - kxy)
+    n_joint = x.dimension + y.dimension
+    series = [
+        v / reference_ratio(n_joint * (GUARD_BITS + r))
+        for v, r in zip(i_vals, grid)
+    ]
+    slopes = _window_slopes(grid, series, WINDOW_MUTUAL)
     return MutualProfile(
         grid,
         tuple(i_vals),

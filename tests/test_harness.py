@@ -57,7 +57,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = config_from_mapping({"suite": "machine"})
         assert cfg.machine.max_program_len == C.BOUNDS_MAX_PROGRAM_LEN
-        assert cfg.backend.kind == "compressor"
         assert cfg.seed == 0
         assert cfg.out_format == "json"
 
@@ -156,6 +155,44 @@ class TestCli:
         path = self._config_file(tmp_path, {"suite": "machine",
                                             "backend": "gzip"})
         assert main(["machine", "--config", path]) == 2
+
+    @pytest.mark.parametrize("suite, payload, field", [
+        ("kprofile", {"generators": [{"kind": "bogus"}]}, "generators[0]"),
+        ("kprofile", {"generators": [{"kind": "rational", "values": ["3/2"]}]},
+         "generators[0]"),
+        ("dpi", {"functions": [{"name": "scale"}]}, "functions[0]"),
+        ("dpi", {"functions": [{"name": "identity", "params": {"n": 1}},
+                               {"name": "nosuch"}]}, "functions[1]"),
+        ("dpi", {"functions": [{"name": "sum", "params": {"n": 3}}]},
+         "arity 3"),
+        ("mdim", {"window": ["a", 2048]}, "window"),
+        ("geometry", {"seed": "x"}, "seed"),
+        ("machine", {"machine": []}, "machine"),
+        ("machine", {"machine": {"max_program_len": -1}}, "machine"),
+        ("mdim", {"backend": "exact_machine"}, "backend"),
+        ("machine", {"backend": "exact_machine"}, "backend"),
+    ])
+    def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
+                                   suite, payload, field):
+        # rejected before any suite work: no report, no enumeration
+        monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+        path = self._config_file(tmp_path, {"suite": suite, **payload})
+        assert main([suite, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert machine._ENUM_CACHE == {}
+
+    def test_compressor_backend_report_unchanged(self, tmp_path, capsys):
+        base = {"suite": "mdim", "window": [1024, 16384]}
+        reports = []
+        for payload in (base, {**base, "backend": "compressor"}):
+            path = self._config_file(tmp_path, payload)
+            main(["mdim", "--config", path])
+            reports.append(capsys.readouterr().out)
+        assert json.loads(reports[0])["rows"]
+        assert reports[0] == reports[1]
 
     def test_unpinned_version_tag_exit(self, tmp_path, capsys):
         path = self._config_file(

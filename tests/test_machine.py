@@ -135,7 +135,7 @@ def test_out_of_budget_then_halted():
 
 def test_exact_k_of_empty_string():
     rep = exact_k("", "", CFG)
-    assert rep.value == 1 and rep.witness == "1" and rep.exhaustive
+    assert rep.value == 1 and rep.witness == "1"
 
 
 def test_exact_k_single_bits():

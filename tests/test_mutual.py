@@ -8,7 +8,7 @@ import pytest
 from mdimlab import constants as C
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.complexity import compressor_backend, exact_machine, point_columns
-from mdimlab.machine import MachineConfig, ResourceExceededError
+from mdimlab.machine import MachineConfig
 from mdimlab.mutual import (
     dim_estimate,
     i_r,
@@ -78,7 +78,7 @@ class TestGridMutual:
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
         from mdimlab.complexity import k_r
 
-        assert (k_r_pair(x, y, 1024, be)
+        assert (k_r_pair(x, y, 1024)
                 <= k_r(x, 1024, be) + k_r(y, 1024, be) + C.JOINT_FLAG_BITS)
 
     def test_exact_backend_frozen(self):
@@ -147,29 +147,6 @@ class TestMdimEstimate:
 
 
 class TestKrMemo:
-    def test_warm_memo_respects_item_cap(self):
-        # the memo keys on the whole machine config, so K_r values memoized
-        # under the default cap must not answer for a config whose cap the
-        # enumeration exceeds
-        x = _const(0, 0)
-        warm = dim_estimate(x, backend=exact_machine(MachineConfig(20, 10000)))
-        assert warm.k_values == (20,) * len(C.EXACT_GRID)
-        with pytest.raises(ResourceExceededError):
-            dim_estimate(
-                x, backend=exact_machine(MachineConfig(20, 10000, item_cap=10))
-            )
-
-    def test_unreachable_memo_respects_item_cap(self):
-        # at (16, 1000) no output decodes to a point: the first call fails
-        # after memoizing an unreachable K_r, which must not answer either
-        x = _const(0, 0)
-        with pytest.raises(ValueError, match="not reachable"):
-            dim_estimate(x, backend=exact_machine(MachineConfig(16, 1000)))
-        with pytest.raises(ResourceExceededError):
-            dim_estimate(
-                x, backend=exact_machine(MachineConfig(16, 1000, item_cap=10))
-            )
-
     def test_memo_does_not_keep_oracles_alive(self):
         x = make_oracle(D12)
         ref = weakref.ref(x)
