@@ -7,6 +7,7 @@ an unusable configuration, and 1 for any other runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -60,7 +61,22 @@ def _assemble(args: argparse.Namespace) -> ExperimentConfig:
         from dataclasses import replace
 
         cfg = replace(cfg, **overrides)
+    _check_out_path(cfg.out_path)
     return cfg
+
+
+def _check_out_path(path) -> None:
+    """Reject an ``out`` (config key or --out) the report cannot be written to."""
+    if path is None:
+        return
+    if not isinstance(path, str):
+        raise InvalidConfigError(f"out must be a file path, not {path!r}")
+    directory = os.path.dirname(path) or "."
+    if (os.path.isdir(path) or not os.path.isdir(directory)
+            or not os.access(directory, os.W_OK)):
+        raise InvalidConfigError(
+            f"out {path!r} is not a file in a writable directory"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

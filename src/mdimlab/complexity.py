@@ -1,15 +1,17 @@
-"""Precision-indexed complexity over two estimation backends.
+"""Precision-indexed complexity on the exact machine and the compressor.
 
-Two backends answer "how many bits does it take to name this object":
+Each function names the one way it counts "how many bits it takes to name
+this object":
 
-* ``exact_machine``: exhaustive shortest-program search over the bounded
-  reference machine's enumeration.  Exact and machine-relative, but only
-  objects the enumeration reaches exist, so it answers pointwise K_r,
+* the exact machine (functions taking a ``MachineConfig``): exhaustive
+  shortest-program search over the bounded reference machine's
+  enumeration.  Exact and machine-relative, but only objects the
+  enumeration reaches exist, so it answers pointwise K_r (``exact_k_r``),
   minimizer sets and the bound checkers, not slope estimates.
-* ``compressor``: the emitted code length of the built-in dictionary
-  compressor over a fixed-width binary representation of the object.
-  Deterministic and cheap at long inputs; this is what the dimension
-  estimators run on.
+* the compressor (``k_r``): the emitted code length of the built-in
+  dictionary compressor over a fixed-width binary representation of the
+  point.  Deterministic and cheap at long inputs; this is what the
+  dimension estimators run on.
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
@@ -37,28 +39,6 @@ BALL_CENTER_DEPTH_MARGIN = 16
 
 
 @dataclass(frozen=True)
-class KBackend:
-    """How K values are produced: exact enumeration or compression."""
-
-    kind: str
-    config: MachineConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact_machine", "compressor"):
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
-        if self.kind == "exact_machine" and self.config is None:
-            raise ValueError("exact_machine backend needs a machine config")
-
-
-def exact_machine(cfg: MachineConfig) -> KBackend:
-    return KBackend("exact_machine", cfg)
-
-
-def compressor_backend() -> KBackend:
-    return KBackend("compressor")
-
-
-@dataclass(frozen=True)
 class MinimizerSet:
     """Points of a region within d bits of the region's complexity."""
 
@@ -83,7 +63,7 @@ def _report(name: str, lhs: float, rhs: float, measured: float) -> BoundReport:
     return BoundReport(name, lhs, rhs, measured, lhs <= rhs)
 
 
-# ---- fixed-width point representation (compressor backend) ---------------
+# ---- fixed-width point representation (compressor) -----------------------
 
 
 def point_columns(
@@ -126,19 +106,10 @@ def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]
 # ---- set and ball complexities --------------------------------------------
 
 
-def k_of_set(points: Iterable[RationalPoint], backend: KBackend) -> int | None:
-    """Minimum backend-K over the members' encodings; None if unreachable."""
-    best: int | None = None
-    for q in points:
-        enc = encode_point(q)
-        if backend.kind == "compressor":
-            value: int | None = lz78_cost(enc)
-        else:
-            rep = exact_k(enc, "", backend.config)
-            value = None if rep is None else rep.value
-        if value is not None and (best is None or value < best):
-            best = value
-    return best
+def k_of_set(points: Iterable[RationalPoint], cfg: MachineConfig) -> int | None:
+    """Minimum exact K over the members' encodings; None if unreachable."""
+    values = (exact_k(encode_point(q), "", cfg) for q in points)
+    return min((rep.value for rep in values if rep is not None), default=None)
 
 
 def _points_in_region(
@@ -163,27 +134,27 @@ def ball_points(
     return _points_in_region(Ball.at_precision(center, r), cfg)
 
 
-def k_r(x: PointOracle, r: int, backend: KBackend) -> int | None:
+def k_r(x: PointOracle, r: int) -> int:
+    """Compressor K_r: code length of ``point_representation`` at precision r."""
+    return lz78_cost(point_representation(x.query(r), r))
+
+
+def exact_k_r(x: PointOracle, r: int, cfg: MachineConfig) -> int | None:
     """Bits to name some rational within 2**-r of the oracle's point.
 
-    Exact backend: minimum K over the enumerated outputs in ``ball_points``
-    (None if there are none).  Compressor backend: code length of the
-    truncated fixed-width representation at precision r.
+    The minimum K over the enumerated outputs in ``ball_points``; None if
+    there are none.
     """
-    if backend.kind == "compressor":
-        return lz78_cost(point_representation(x.query(r), r))
-    return min((k for _, k, _ in ball_points(x, r, backend.config)), default=None)
+    return min((k for _, k, _ in ball_points(x, r, cfg)), default=None)
 
 
 def minimizers(
-    region: Ball | DyadicCube, d: int, backend: KBackend
+    region: Ball | DyadicCube, d: int, cfg: MachineConfig
 ) -> MinimizerSet | None:
     """All enumerated points of the region within d bits of its K floor."""
-    if backend.kind != "exact_machine":
-        raise ValueError("minimizer search needs the exact backend")
     if d < 0:
         raise ValueError("slack must be nonnegative")
-    inside = _points_in_region(region, backend.config)
+    inside = _points_in_region(region, cfg)
     if not inside:
         return None
     k_floor = min(k for _, k, _ in inside)
@@ -302,9 +273,8 @@ def check_precision_improvement(
 
     if s < 0:
         raise ValueError("extra precision must be nonnegative")
-    backend = exact_machine(cfg)
-    base = k_r(x, r, backend)
-    refined = k_r(x, r + s, backend)
+    base = exact_k_r(x, r, cfg)
+    refined = exact_k_r(x, r + s, cfg)
     if base is None or refined is None:
         return None
     n = x.dimension

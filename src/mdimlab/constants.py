@@ -116,9 +116,8 @@ MDIM_IDENTITY_TOL = 0.1
 MDIM_INDEPENDENT_MAX = 0.1
 
 # the joint pair code is closed under argument swap, so the profile is
-# exactly symmetric and never exceeds either marginal
+# exactly symmetric
 MDIM_SYMMETRY_TOL = 0
-MDIM_EXCESS_LIMIT = 0
 MDIM_RANGE_SLACK = 0.1
 
 # slope-comparison slacks for the function suites

@@ -189,21 +189,19 @@ def iter_valid_programs(max_program_len: int) -> Iterator[str]:
             yield header + format(i, f"0{p}b")
 
 
-def iter_halting(cfg: MachineConfig, given: str = "") -> Iterator[tuple[str, str]]:
-    """Stream (program, output) for every halting program, length-lex order."""
-    for bits in iter_valid_programs(cfg.max_program_len):
-        res = run(bits, given, cfg)
-        if res.status == HALTED:
-            yield bits, res.output
-
-
 def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
+    """(program, output) for every halting program, in length-lex order."""
     total = sum(1 << p for p in valid_payload_lengths(cfg.max_program_len))
     if total > cfg.item_cap:
         raise ResourceExceededError(
             f"{total} programs exceed the configured cap {cfg.item_cap}"
         )
-    return list(iter_halting(cfg, given))
+    halted = []
+    for bits in iter_valid_programs(cfg.max_program_len):
+        res = run(bits, given, cfg)
+        if res.status == HALTED:
+            halted.append((bits, res.output))
+    return halted
 
 
 @dataclass

@@ -1,19 +1,20 @@
 """Mutual information of strings and of points, and dimension estimators.
 
-For binary strings, I(p:q) = K(q) - K(q|p).  For ideal points the engine
-works at precision r over rational approximants.  On the exact machine,
+For binary strings, I(p:q) = K(q) - K(q|p), on the exact machine: the
+conditional K runs the machine with p preloaded as the given string.  For
+ideal points the engine works at precision r over rational approximants:
 i_r minimizes string mutual information over the enumerated candidates in
-the two radius-2**-r balls, and j_r over their K-minimizers; on the
-compressor, i_r evaluates the three-term identity
-K_r(x) + K_r(y) - K_r(x,y) on fixed-width truncated representatives.
+the two radius-2**-r balls, and j_r over their K-minimizers.
 
 Dimension and mutual-dimension estimates are least-squares slopes of the
 compressor's complexity profiles; the exact machine reaches too few points
-to give a profile a slope.  The profile values are first rescaled by the
-measured cost-per-bit of a pinned reference stream at matching
-representation length; that cancels the coder's sublinear dictionary
-overhead, so one incompressible expansion bit per precision bit reads as
-slope 1.0.  Reported k and i values stay in raw emitted bits.
+to give a profile a slope.  The mutual profile is the three-term identity
+K_r(x) + K_r(y) - K_r(x,y) on fixed-width truncated representatives.  The
+profile values are first rescaled by the measured cost-per-bit of a pinned
+reference stream at matching representation length; that cancels the
+coder's sublinear dictionary overhead, so one incompressible expansion bit
+per precision bit reads as slope 1.0.  Reported k and i values stay in raw
+emitted bits.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compressor import conditional_cost, lz78_cost
-from .complexity import (
-    KBackend,
-    ball_points,
-    compressor_backend,
-    k_r,
-    point_columns,
-)
+from .compressor import lz78_cost
+from .complexity import ball_points, k_r, point_columns
 from .constants import (
     COMPRESSOR_GRID,
     GUARD_BITS,
@@ -39,30 +34,27 @@ from .constants import (
     WINDOW_DIM,
     WINDOW_MUTUAL,
 )
-from .machine import exact_k
+from .machine import MachineConfig, exact_k
 from .oracles import PointOracle, hash_stream
 
 
 # ---- mutual information of binary strings ---------------------------------
 
 
-def mutual_info(p: str, q: str, backend: KBackend) -> int | None:
+def mutual_info(p: str, q: str, cfg: MachineConfig) -> int | None:
     """I(p:q) = K(q) - K(q|p), in bits; may be slightly negative.
 
-    Exact backend: conditional K runs the machine with p preloaded as the
-    given string.  Compressor backend: K(q|p) is the extra code the coder
-    emits for q after parsing p.  None when the exact search finds nothing.
+    K(q|p) runs the machine with p preloaded as the given string.  None
+    when the exact search finds nothing.
     """
-    if backend.kind == "compressor":
-        return lz78_cost(q) - conditional_cost(q, p)
-    unconditional = exact_k(q, "", backend.config)
-    conditional = exact_k(q, p, backend.config)
+    unconditional = exact_k(q, "", cfg)
+    conditional = exact_k(q, p, cfg)
     if unconditional is None or conditional is None:
         return None
     return unconditional.value - conditional.value
 
 
-# ---- pair representation (compressor backend) ------------------------------
+# ---- pair representation (compressor) --------------------------------------
 
 
 def _xor_bits(a: str, b: str) -> str:
@@ -103,16 +95,16 @@ def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
 # Estimators sweep the same oracles over many precisions, so the compressor's
 # K_r is memoized per oracle.  Most oracles hash by identity, so the memo
 # holds them weakly: an oracle's entries are freed with the oracle instead of
-# pinning it for the life of the process.
+# pinning it for the life of the process.  A miss calls ``k_r`` through this
+# module's binding, so a wrapper rebound here sees every computed value.
 
-_COMPRESSOR = compressor_backend()
 _KR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _k_r_cached(x: PointOracle, r: int) -> int:
     memo = _KR_CACHE.setdefault(x, {})
     if r not in memo:
-        memo[r] = k_r(x, r, _COMPRESSOR)
+        memo[r] = k_r(x, r)
     return memo[r]
 
 
@@ -124,35 +116,30 @@ def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:
 # ---- mutual information of points at precision r ---------------------------
 
 
-def _least_mutual_info(encs_x, encs_y, backend: KBackend) -> int | None:
-    values = (mutual_info(a, b, backend) for a in encs_x for b in encs_y)
+def _least_mutual_info(encs_x, encs_y, cfg: MachineConfig) -> int | None:
+    values = (mutual_info(a, b, cfg) for a in encs_x for b in encs_y)
     return min((v for v in values if v is not None), default=None)
 
 
-def i_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None:
+def i_r(x: PointOracle, y: PointOracle, r: int, cfg: MachineConfig) -> int | None:
     """Least string mutual information forced by 2**-r proximity.
 
-    Exact backend: minimum of mutual_info over all enumerated candidate
-    pairs in the two balls (None if either ball is empty).  Compressor
-    backend: the three-term identity on the truncated representatives.
+    The minimum of mutual_info over all enumerated candidate pairs in the
+    two balls; None if either ball is empty.
     """
-    if backend.kind == "compressor":
-        return _k_r_cached(x, r) + _k_r_cached(y, r) - k_r_pair(x, y, r)
-    xs = [enc for _, _, enc in ball_points(x, r, backend.config)]
-    ys = [enc for _, _, enc in ball_points(y, r, backend.config)]
-    return _least_mutual_info(xs, ys, backend)
+    xs = [enc for _, _, enc in ball_points(x, r, cfg)]
+    ys = [enc for _, _, enc in ball_points(y, r, cfg)]
+    return _least_mutual_info(xs, ys, cfg)
 
 
-def j_r(x: PointOracle, y: PointOracle, r: int, backend: KBackend) -> int | None:
+def j_r(x: PointOracle, y: PointOracle, r: int, cfg: MachineConfig) -> int | None:
     """Like i_r but restricted to exact K-minimizer pairs of the two balls."""
-    if backend.kind != "exact_machine":
-        raise ValueError("minimizer-pair mutual information needs exact backend")
     minimal = []
     for oracle in (x, y):
-        inside = ball_points(oracle, r, backend.config)
+        inside = ball_points(oracle, r, cfg)
         k_floor = min((k for _, k, _ in inside), default=None)
         minimal.append([enc for _, k, enc in inside if k == k_floor])
-    return _least_mutual_info(*minimal, backend)
+    return _least_mutual_info(*minimal, cfg)
 
 
 # ---- slope extraction -------------------------------------------------------

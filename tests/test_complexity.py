@@ -9,9 +9,8 @@ from mdimlab.complexity import (
     check_cube_count_bound,
     check_lds_coding_bound,
     check_precision_improvement,
-    compressor_backend,
     enumerated_points,
-    exact_machine,
+    exact_k_r,
     k_of_precision,
     k_of_set,
     k_r,
@@ -31,16 +30,11 @@ def _pt(*fracs):
 
 
 class TestBackends:
-    def test_kinds(self):
-        assert compressor_backend().kind == "compressor"
-        assert exact_machine(BOUNDS).kind == "exact_machine"
-
     def test_precision_k_pins(self):
         for r, pinned in enumerate(C.K_INT):
             assert k_of_precision(r, BOUNDS) == pinned
 
     def test_point_k_pins(self):
-        be = exact_machine(BOUNDS)
         table = {
             "0": _pt((0, 0)),
             "1/2": _pt((1, 1)),
@@ -49,32 +43,29 @@ class TestBackends:
             "(0,0)": _pt((0, 0), (0, 0)),
         }
         for label, point in table.items():
-            assert k_of_set([point], be) == C.K_POINT[label], label
+            assert k_of_set([point], BOUNDS) == C.K_POINT[label], label
 
     def test_k_of_set_min_over_members(self):
-        be = exact_machine(BOUNDS)
         zero = _pt((0, 0))
         half = _pt((1, 1))
-        both = k_of_set([zero, half], be)
-        assert both == min(k_of_set([zero], be), k_of_set([half], be))
+        both = k_of_set([zero, half], BOUNDS)
+        assert both == min(k_of_set([zero], BOUNDS), k_of_set([half], BOUNDS))
 
     def test_unreachable_point_is_none(self):
-        be = exact_machine(BOUNDS)
-        assert k_of_set([_pt((1, 20))], be) is None
+        assert k_of_set([_pt((1, 20))], BOUNDS) is None
 
 
 class TestProfiles:
     def test_exact_profile_frozen(self):
-        be = exact_machine(BOUNDS)
         half = ConstantOracle(_pt((1, 1)))
-        assert [k_r(half, r, be) for r in range(5)] == [20, 24, 24, 24, 24]
+        assert ([exact_k_r(half, r, BOUNDS) for r in range(5)]
+                == [20, 24, 24, 24, 24])
         zero = ConstantOracle(_pt((0, 0)))
-        assert [k_r(zero, r, be) for r in range(5)] == [20] * 5
+        assert [exact_k_r(zero, r, BOUNDS) for r in range(5)] == [20] * 5
 
     def test_compressor_profile_nondecreasing_for_constant(self):
-        be = compressor_backend()
         zero = ConstantOracle(_pt((0, 0)))
-        values = [k_r(zero, r, be) for r in (0, 4, 16, 64)]
+        values = [k_r(zero, r) for r in (0, 4, 16, 64)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -106,26 +97,19 @@ class TestPointColumns:
 
 class TestMinimizers:
     def test_members_and_floor(self):
-        be = exact_machine(BOUNDS)
         ball = Ball.at_precision(_pt((0, 0)), 1)
-        found = minimizers(ball, 30, be)
+        found = minimizers(ball, 30, BOUNDS)
         assert found.k_floor == 20
         assert [q.coords[0].to_fraction() for q in found.members] == [0]
 
     def test_zero_slack_keeps_floor_only(self):
-        be = exact_machine(BOUNDS)
         ball = Ball(_pt((0, 0)), DyadicRational(3, 1).to_fraction())
-        wide = minimizers(ball, 30, be)
-        tight = minimizers(ball, 0, be)
+        wide = minimizers(ball, 30, BOUNDS)
+        tight = minimizers(ball, 0, BOUNDS)
         assert set(tight.members) <= set(wide.members)
         assert all(
-            k_of_set([q], be) == tight.k_floor for q in tight.members
+            k_of_set([q], BOUNDS) == tight.k_floor for q in tight.members
         )
-
-    def test_requires_exact_backend(self):
-        with pytest.raises(ValueError):
-            minimizers(Ball.at_precision(_pt((0, 0)), 1), 2,
-                       compressor_backend())
 
 
 class TestCountingBounds:

@@ -171,6 +171,9 @@ class TestCli:
         ("machine", {"machine": {"max_program_len": -1}}, "machine"),
         ("mdim", {"backend": "exact_machine"}, "backend"),
         ("machine", {"backend": "exact_machine"}, "backend"),
+        ("machine", {"machine": FAST_MACHINE, "out": 5}, "out"),
+        ("machine", {"machine": FAST_MACHINE, "out": "/nonexistent/x.json"},
+         "out"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -182,6 +185,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert field in captured.err
+        assert machine._ENUM_CACHE == {}
+
+    def test_unusable_out_flag_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+        path = self._config_file(
+            tmp_path, {"suite": "machine", "machine": FAST_MACHINE}
+        )
+        for out in (tmp_path / "missing" / "rep.json", tmp_path):
+            assert main(["machine", "--config", path, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: out ")
         assert machine._ENUM_CACHE == {}
 
     def test_compressor_backend_report_unchanged(self, tmp_path, capsys):

@@ -62,3 +62,33 @@ def test_scanner_flags_only_unused_names():
 def test_module_has_no_unused_imports(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def _constant_names(tree):
+    """Upper-case names bound at module level by an assignment."""
+    names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names |= {t.id for t in targets
+                  if isinstance(t, ast.Name) and t.id.isupper()}
+    return names
+
+
+def _reads(tree):
+    """Names loaded bare or as an attribute (``C.NAME``) anywhere in tree."""
+    return (
+        {n.id for n in ast.walk(tree)
+         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    )
+
+
+def test_every_constant_is_read():
+    constants = ast.parse((PACKAGE / "constants.py").read_text(encoding="utf-8"))
+    tests = Path(__file__).resolve().parent
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *tests.glob("*.py")]:
+        read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(_constant_names(constants) - read) == []

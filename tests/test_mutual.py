@@ -7,7 +7,7 @@ import pytest
 
 from mdimlab import constants as C
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
-from mdimlab.complexity import compressor_backend, exact_machine, point_columns
+from mdimlab.complexity import k_r, point_columns
 from mdimlab.machine import MachineConfig
 from mdimlab.mutual import (
     dim_estimate,
@@ -31,20 +31,8 @@ def _const(num, exp):
 
 
 class TestStringMutualInfo:
-    def test_empty_string_shares_nothing(self):
-        be = compressor_backend()
-        p = "0110100110010110" * 8
-        assert mutual_info(p, "", be) == 0
-        assert mutual_info("", p, be) == 0
-
-    def test_self_information_positive_for_structured(self):
-        be = compressor_backend()
-        p = "01" * 256
-        assert mutual_info(p, p, be) > 0
-
     def test_exact_backend_zero_output(self):
-        be = exact_machine(BOUNDS)
-        assert mutual_info("0", "0", be) == 0
+        assert mutual_info("0", "0", BOUNDS) == 0
 
 
 class TestPairCost:
@@ -62,37 +50,29 @@ class TestPairCost:
 
 class TestGridMutual:
     def test_compressor_identity_nonnegative(self):
-        be = compressor_backend()
         x = make_oracle(D12)
-        assert i_r(x, x, 1024, be) >= 0
+        assert mdim_estimate(x, x, window=(1024, 2048)).i_values[0] >= 0
 
     def test_compressor_symmetric(self):
-        be = compressor_backend()
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
-        assert i_r(x, y, 2048, be) == i_r(y, x, 2048, be)
+        window = (1024, 2048)
+        assert (mdim_estimate(x, y, window=window).i_values
+                == mdim_estimate(y, x, window=window).i_values)
 
     def test_pair_complexity_subadditive(self):
-        be = compressor_backend()
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
-        from mdimlab.complexity import k_r
-
         assert (k_r_pair(x, y, 1024)
-                <= k_r(x, 1024, be) + k_r(y, 1024, be) + C.JOINT_FLAG_BITS)
+                <= k_r(x, 1024) + k_r(y, 1024) + C.JOINT_FLAG_BITS)
 
     def test_exact_backend_frozen(self):
-        be = exact_machine(BOUNDS)
         zero = _const(0, 0)
         half = _const(1, 1)
-        assert [i_r(zero, zero, r, be) for r in range(3)] == [0, 12, 12]
-        assert [i_r(zero, half, r, be) for r in range(3)] == [0, 0, 0]
-        assert [j_r(zero, zero, r, be) for r in range(3)] == [12, 12, 12]
-        assert [j_r(half, half, r, be) for r in range(3)] == [12, 16, 16]
-
-    def test_j_r_needs_exact_backend(self):
-        with pytest.raises(ValueError):
-            j_r(_const(0, 0), _const(0, 0), 1, compressor_backend())
+        assert [i_r(zero, zero, r, BOUNDS) for r in range(3)] == [0, 12, 12]
+        assert [i_r(zero, half, r, BOUNDS) for r in range(3)] == [0, 0, 0]
+        assert [j_r(zero, zero, r, BOUNDS) for r in range(3)] == [12, 12, 12]
+        assert [j_r(half, half, r, BOUNDS) for r in range(3)] == [12, 16, 16]
 
 
 class TestReferenceRatio:
@@ -147,6 +127,18 @@ class TestMdimEstimate:
 
 
 class TestKrMemo:
+    @pytest.mark.parametrize("window", [(1024, 2048, 4096), (1536, 4096)])
+    def test_memo_matches_direct_k_r(self, window):
+        x = make_oracle(D12)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 1})
+        for _ in range(2):  # the second pass is answered from the memo
+            for oracle in (x, y):
+                est = dim_estimate(oracle, window=window)
+                assert est.k_values == tuple(k_r(oracle, r) for r in window)
+            prof = mdim_estimate(x, y, window=window)
+            assert prof.k_x_values == tuple(k_r(x, r) for r in window)
+            assert prof.k_y_values == tuple(k_r(y, r) for r in window)
+
     def test_memo_does_not_keep_oracles_alive(self):
         x = make_oracle(D12)
         ref = weakref.ref(x)
