@@ -1,7 +1,8 @@
 """Command line front end: run one named suite and emit its report.
 
 Exit status is 0 exactly when the suite recorded zero failing rows, 2 for
-an unusable configuration, and 1 for any other runtime error.
+an unusable configuration (a machine over its item cap included, which is
+refused before any program runs), and 1 for any other runtime error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .harness import (
     run_suite,
     write_report,
 )
+from .machine import ResourceExceededError
 
 EXIT_FAILURES = 1
 EXIT_BAD_CONFIG = 2
@@ -84,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble(args)
         report = run_suite(cfg)
-    except InvalidConfigError as exc:
+    except (InvalidConfigError, ResourceExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     text = write_report(report, cfg)

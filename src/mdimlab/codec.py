@@ -105,39 +105,6 @@ class DyadicRational:
         s = r - self.exp
         return self.num << s if s >= 0 else self.num >> -s
 
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exp, other.exp)
-        return DyadicRational(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.num, self.exp)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.num * other.num, self.exp + other.exp)
-
-    def _cmp_key(self, other: "DyadicRational") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other: "DyadicRational") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other: "DyadicRational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "DyadicRational") -> bool:
-        return other <= self
-
     def __repr__(self) -> str:
         return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
 

@@ -101,22 +101,6 @@ def lz78_cost(bits: str) -> int:
     return Lz78Parser().feed(bits).cost
 
 
-def lz78_phrases(bits: str) -> list[str]:
-    """The parse as a list of phrases; the last one may be partial."""
-    phrases = []
-    current = ""
-    seen = {""}
-    for bit in bits:
-        current += bit
-        if current not in seen:
-            seen.add(current)
-            phrases.append(current)
-            current = ""
-    if current:
-        phrases.append(current)
-    return phrases
-
-
 def conditional_cost(target: str, context: str) -> int:
     """Bits needed for ``target`` given a parse warmed up on ``context``."""
     parser = Lz78Parser().feed(context)

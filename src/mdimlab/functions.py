@@ -44,52 +44,28 @@ class SearchExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """Precision-transfer function r -> m(r), nondecreasing.
+    """Precision transfer m(r) = ceil((r + s) / alpha), nondecreasing.
 
-    Forms: linear m(r) = r + s; holder m(r) = ceil((r + s) / alpha);
-    table with explicit values for r = 0 .. len-1.
+    alpha = 1 is a Lipschitz modulus, m(r) = r + s; alpha in (0, 1) is a
+    Holder one, which costs a map a factor of 1 / alpha in mdim.
     """
 
-    form: str
     s: int = 0
     alpha: Fraction = Fraction(1)
-    entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.form not in ("linear", "holder", "table"):
-            raise ValueError(f"unknown modulus form: {self.form!r}")
-        if self.form == "holder" and not 0 < self.alpha <= 1:
+        if not 0 < self.alpha <= 1:
             raise ValueError("holder exponent must lie in (0, 1]")
-        if self.form == "table":
-            if not self.entries:
-                raise ValueError("table modulus needs entries")
-            if any(b < a for a, b in zip(self.entries, self.entries[1:])):
-                raise ValueError("modulus must be nondecreasing")
 
     def value(self, r: int) -> int:
         if r < 0:
             raise ValueError("precision must be nonnegative")
-        if self.form == "linear":
-            return r + self.s
-        if self.form == "holder":
-            num = (r + self.s) * self.alpha.denominator
-            den = self.alpha.numerator
-            return -(-num // den)
-        if r >= len(self.entries):
-            raise ValueError(f"table modulus undefined at precision {r}")
-        return self.entries[r]
+        alpha = self.alpha
+        return -(-(r + self.s) * alpha.denominator // alpha.numerator)
 
 
 def linear_modulus(s: int) -> ModulusSpec:
-    return ModulusSpec("linear", s=s)
-
-
-def holder_modulus(alpha: Fraction, s: int) -> ModulusSpec:
-    return ModulusSpec("holder", s=s, alpha=alpha)
-
-
-def table_modulus(entries: Sequence[int]) -> ModulusSpec:
-    return ModulusSpec("table", entries=tuple(entries))
+    return ModulusSpec(s)
 
 
 # ---- argument selection and interleaving ------------------------------------
@@ -378,24 +354,6 @@ def curve_digits(quads: Sequence[int]) -> tuple[int, int]:
     return int("".join(xbits), 2), int("".join(ybits), 2)
 
 
-def curve_cell_parameter(xb: int, yb: int, level: int) -> Fraction:
-    """Entry parameter of the level-k cell with corner (xb, yb) * 2**-k."""
-    if not 0 <= xb < (1 << level) or not 0 <= yb < (1 << level):
-        raise ValueError("cell indices out of range for the level")
-    state = _IDT
-    t = 0
-    for i in range(level - 1, -1, -1):
-        want = ((xb >> i) & 1, (yb >> i) & 1)
-        for d in range(4):
-            if _apply(state, _BASEQ[d]) == want:
-                break
-        else:
-            raise RuntimeError("quadrant walk lost its bijection")
-        t = (t << 2) | d
-        state = _compose(state, _CHILD[d])
-    return Fraction(t, 1 << (2 * level))
-
-
 # ---- function library ---------------------------------------------------------
 
 
@@ -558,7 +516,7 @@ def hilbert2d_function() -> ComputableFunction:
         1,
         2,
         evaluate,
-        declared_modulus=holder_modulus(Fraction(1, 2), 1),
+        declared_modulus=ModulusSpec(1, Fraction(1, 2)),
     )
 
 

@@ -189,13 +189,22 @@ def iter_valid_programs(max_program_len: int) -> Iterator[str]:
             yield header + format(i, f"0{p}b")
 
 
-def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
-    """(program, output) for every halting program, in length-lex order."""
-    total = sum(1 << p for p in valid_payload_lengths(cfg.max_program_len))
+def _capped_levels(cfg: MachineConfig) -> list[int]:
+    """The payload lengths of ``cfg``'s programs; raises before any program
+    runs when there are more programs than its item cap."""
+    levels = valid_payload_lengths(cfg.max_program_len)
+    total = sum(1 << p for p in levels)
     if total > cfg.item_cap:
         raise ResourceExceededError(
-            f"{total} programs exceed the configured cap {cfg.item_cap}"
+            f"machine max_program_len={cfg.max_program_len} has {total} "
+            f"programs, over the item cap {cfg.item_cap}"
         )
+    return levels
+
+
+def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
+    """(program, output) for every halting program, in length-lex order."""
+    _capped_levels(cfg)
     halted = []
     for bits in iter_valid_programs(cfg.max_program_len):
         res = run(bits, given, cfg)
@@ -258,12 +267,7 @@ class Enumeration:
     def __init__(self, cfg: MachineConfig, given: str):
         self.cfg = cfg
         self.given = given
-        self.levels = valid_payload_lengths(cfg.max_program_len)
-        total = sum(1 << p for p in self.levels)
-        if total > cfg.item_cap:
-            raise ResourceExceededError(
-                f"{total} programs exceed the configured cap {cfg.item_cap}"
-            )
+        self.levels = _capped_levels(cfg)
         self.outputs: dict[str, OutputInfo] = {}
         self.halting_count = 0
         self.prefix_check = PrefixCheck()

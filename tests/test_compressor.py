@@ -13,7 +13,6 @@ from mdimlab.compressor import (
     Lz78Parser,
     conditional_cost,
     lz78_cost,
-    lz78_phrases,
 )
 
 HAND_PARSED = [
@@ -34,12 +33,8 @@ bits_strategy = st.text(alphabet="01", max_size=400)
 @pytest.mark.parametrize("bits,cost,phrases", HAND_PARSED)
 def test_hand_parsed_costs(bits, cost, phrases):
     assert lz78_cost(bits) == cost
-    assert lz78_phrases(bits) == phrases
-
-
-def test_phrases_reassemble_input():
-    bits = "0011010111001010110100"
-    assert "".join(lz78_phrases(bits)) == bits
+    assert "".join(phrases) == bits
+    assert Lz78Parser().feed(bits).phrase_count == len(phrases)
 
 
 def test_parser_incremental_matches_batch():
@@ -61,11 +56,6 @@ def test_cost_nonnegative_and_zero_only_for_empty(bits):
 @given(bits_strategy, st.sampled_from("01"))
 def test_cost_monotone_under_extension(bits, extra):
     assert lz78_cost(bits + extra) >= lz78_cost(bits)
-
-
-@given(bits_strategy)
-def test_phrases_cover_input(bits):
-    assert "".join(lz78_phrases(bits)) == bits
 
 
 @settings(max_examples=50)

@@ -9,13 +9,12 @@ from mdimlab.functions import (
     ArityMismatchError,
     ComputableFunction,
     ImageOracle,
+    ModulusSpec,
     SSelector,
     SearchExhaustedError,
     UnknownFunctionError,
     consistency_check,
-    curve_cell_parameter,
     curve_digits,
-    holder_modulus,
     interleave,
     inverse_modulus_check,
     left_inverse_synthesize,
@@ -23,7 +22,6 @@ from mdimlab.functions import (
     linear_modulus,
     modulus_check,
     project,
-    table_modulus,
 )
 from mdimlab.oracles import ConstantOracle, ProductOracle
 
@@ -70,18 +68,19 @@ class TestModulusSpecs:
         assert [linear_modulus(2).value(r) for r in range(4)] == [2, 3, 4, 5]
 
     def test_holder_half(self):
-        m = holder_modulus(Fraction(1, 2), 1)
+        m = ModulusSpec(1, Fraction(1, 2))
         assert [m.value(r) for r in range(4)] == [2, 4, 6, 8]
 
-    def test_table_lookup_and_range(self):
-        m = table_modulus((1, 3, 5))
-        assert m.value(2) == 5
-        with pytest.raises(ValueError):
-            m.value(3)
+    def test_holder_two_thirds_rounds_up(self):
+        m = ModulusSpec(0, Fraction(2, 3))
+        assert [m.value(r) for r in range(5)] == [0, 2, 3, 5, 6]
 
-    def test_table_must_be_nondecreasing(self):
+    def test_exponent_must_lie_in_unit_interval(self):
+        for alpha in (Fraction(0), Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                ModulusSpec(0, alpha)
         with pytest.raises(ValueError):
-            table_modulus((3, 1))
+            linear_modulus(0).value(-1)
 
 
 class TestModulusCheck:
@@ -163,16 +162,6 @@ class TestCurveDigits:
                 quads = [(d >> (2 * (level - 1 - i))) & 3
                          for i in range(level)]
                 assert curve_digits(quads) == _reference_cell(level, d), d
-
-    def test_cell_parameter_inverts(self):
-        for level in range(1, 6):
-            for d in range(4**level):
-                quads = [(d >> (2 * (level - 1 - i))) & 3
-                         for i in range(level)]
-                xb, yb = curve_digits(quads)
-                assert curve_cell_parameter(xb, yb, level) == Fraction(
-                    d, 4**level
-                )
 
     def test_surjective_on_cells(self):
         for level in range(1, 6):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, suite dispatch, report rendering, CLI."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from mdimlab import constants as C
 from mdimlab import machine
 from mdimlab.cli import main
 from mdimlab.harness import (
+    SUITE_NAMES,
     InvalidConfigError,
     config_from_mapping,
     load_config,
@@ -102,6 +104,71 @@ class TestMachineSuite:
         assert calls == sum(1 for _ in machine.iter_valid_programs(16)) == 1023
 
 
+# sha256 of the json and csv report of every suite: the estimator and
+# geometry suites at their default config with seed 5, the machine suites
+# and coding-bounds at (24, 256); a refactor must leave each byte unchanged
+GOLDEN_MACHINE = {"max_program_len": 24, "step_budget": 256}
+GOLDEN_DIGESTS = {
+    "machine": (
+        "4d7b1121c5ea090465d83675f88642944fe3557cbdc586ebc98fb3bf0869d9a8",
+        "56ae5e79c33815273efb05b940ccc9d30196ee73dbf5cb22ea0fc32d206ed2d9",
+    ),
+    "kraft": (
+        "2b65a5593dcf440847f2e4faccf0a54df0a407473fabd47155b36db3074c32f8",
+        "6615a5a80e9f826612a199f2823c4eaaf3f6e43930b6b337a3afeb55b90b2bfe",
+    ),
+    "geometry": (
+        "d31e9aa986bb57a6025360034173ed3017c6a20ff1b05a388c5ca5f82d03c3af",
+        "dc3e01514e48aae084e0d1ae99c74cdf23102423917eaadb6abb91c71dc4c7e9",
+    ),
+    "coding-bounds": (
+        "953ecfb60c0111c4a48cf7619e5044b1ede3d6c7053d179e021852bce4310793",
+        "fa13904da130f0533ac457059351067a692afb2979f08f4897c6665a1fffccd2",
+    ),
+    "kprofile": (
+        "9d8800abd1b39490d462b656293e9aaf152e78afd1b2e5c995c17a912ce7abbe",
+        "0832eb40ca5b704fc7e46a4f52c7d05876572e4e236b383824acffece8256cb5",
+    ),
+    "mdim": (
+        "e147720bc937afcbe3ae3d3f605b7b86efe87afc9cfd8488574d03ddee2e94a6",
+        "562effa9345623e1e7bdfd41cc5a1681242fd4cb83fd18bae2cf9abbd7ef3bd9",
+    ),
+    "dpi": (
+        "e96b3c0f4828407c10cb913655434d33a52aa1f4b79a37e01f21dcf721deac21",
+        "aa93ac0d2f1d5763d328fc285729969a7e65d31cf1e1e878c4b09c5b8953595c",
+    ),
+    "reverse-dpi": (
+        "fbbc5ff890fade100b9487ac4008ebd0a0583a3f3c81a9647057e64e07ed46ad",
+        "da00b93944bbbc092d1bfd0e1135a0bcdd66cee0ba5deda0f4430b4c05828169",
+    ),
+    "conservation": (
+        "a1e57f57348132853c3dcac7de3650c861195c40d60271e168c07e238ba2d9ab",
+        "96ba18d2083e9a6b496242dc41ece979507884f8f27bcdbeac574a02850d4bcb",
+    ),
+    "counterexample": (
+        "47526c646906ff9928cabb3a504c623850e87085f48f36ebaac3b73638ac0396",
+        "9e9e7f698e1b953ea1c42a6f6c7983307f3fbf2eeb46d05111109fd34e389704",
+    ),
+}
+
+
+def test_golden_digests_cover_every_suite():
+    assert set(GOLDEN_DIGESTS) == set(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_DIGESTS))
+def test_report_golden_digest(suite):
+    payload = {"suite": suite, "seed": 5}
+    if suite in ("machine", "kraft", "coding-bounds"):
+        payload["machine"] = GOLDEN_MACHINE
+    report = run_suite(config_from_mapping(payload))
+    digests = tuple(
+        hashlib.sha256(report.render(fmt).encode()).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert digests == GOLDEN_DIGESTS[suite]
+
+
 @pytest.fixture(scope="module")
 def report():
     cfg = config_from_mapping({"suite": "machine", "machine": FAST_MACHINE})
@@ -174,6 +241,10 @@ class TestCli:
         ("machine", {"machine": FAST_MACHINE, "out": 5}, "out"),
         ("machine", {"machine": FAST_MACHINE, "out": "/nonexistent/x.json"},
          "out"),
+        ("machine", {"machine": {"max_program_len": 40}}, "item cap"),
+        ("kraft", {"machine": {"max_program_len": 40}}, "item cap"),
+        ("kprofile", {"window": [1024, 1024]}, "window"),
+        ("mdim", {"window": [5000, 6000]}, "window"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -184,8 +255,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert field in captured.err
         assert machine._ENUM_CACHE == {}
+
+    def test_unreachable_precision_exit(self, tmp_path, capsys):
+        # refused before the sweep: this machine has no program printing 1
+        path = self._config_file(
+            tmp_path, {"suite": "coding-bounds",
+                       "machine": {"max_program_len": 12}}
+        )
+        assert main(["coding-bounds", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: precision 1 ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("generator", [
+        {"kind": "rational", "values": ["1/3"]},
+        {"kind": "constant", "coords": ["3/8"]},
+    ])
+    def test_exact_point_is_not_a_witness(self, tmp_path, capsys, generator):
+        path = self._config_file(
+            tmp_path, {"suite": "counterexample", "generators": [generator],
+                       "window": [1024, 4096]}
+        )
+        assert main(["counterexample", "--config", path]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["detail"], r["status"]) for r in rows] == [
+            ("not a counterexample witness", "info")
+        ]
 
     def test_unusable_out_flag_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})
