@@ -134,7 +134,7 @@ class ComputableFunction:
     n: int
     k: int
     evaluator: Callable[[PointOracle, int], RationalPoint]
-    declared_modulus: ModulusSpec | None = None
+    declared_modulus: ModulusSpec
     declared_inverse_moduli: tuple[tuple[SSelector, ModulusSpec], ...] = ()
 
     def evaluate(self, x: PointOracle, r: int) -> RationalPoint:
@@ -597,8 +597,6 @@ def left_inverse_synthesize(
     """
     if sel.n != f.n:
         raise ArityMismatchError("selector arity must match the function")
-    if f.declared_modulus is None:
-        raise ValueError("synthesis needs the function's forward modulus")
     modulus = f.declared_modulus
     width = len(sel.positions)
     rest = f.n - width

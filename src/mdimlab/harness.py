@@ -549,8 +549,6 @@ DEFAULT_DPI_FUNCTIONS = (
 def _holder_factor(f) -> int:
     """ceil(1 / alpha) of the declared modulus: a Holder map scales mdim
     by at most that factor; a Lipschitz one (alpha = 1) does not."""
-    if f.declared_modulus is None:
-        return 1
     alpha = f.declared_modulus.alpha
     return -(-alpha.denominator // alpha.numerator)
 
@@ -592,16 +590,15 @@ def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
             label = f"{_function_label(spec)} on {pair_name}"
             rows.append(_at_most("dpi_slope", label, image.slope_hi, bound))
             margins.append(bound - image.slope_hi)
-            if f.declared_modulus is not None:
-                for j, r in enumerate(image.r_grid):
-                    target = f.declared_modulus.value(r + 1)
-                    later = [jj for jj, rr in enumerate(base.r_grid)
-                             if rr >= target]
-                    if not later:
-                        continue
-                    slack = base.i_values[later[0]] - image.i_values[j]
-                    rows.append(_info("dpi_finite_scale",
-                                      f"{label} r={r}", slack))
+            for j, r in enumerate(image.r_grid):
+                target = f.declared_modulus.value(r + 1)
+                later = [jj for jj, rr in enumerate(base.r_grid)
+                         if rr >= target]
+                if not later:
+                    continue
+                slack = base.i_values[later[0]] - image.i_values[j]
+                rows.append(_info("dpi_finite_scale",
+                                  f"{label} r={r}", slack))
     return _finish("dpi", rows, {"worst_margin": round(min(margins), 6)})
 
 
@@ -699,6 +696,23 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     })
 
 
+def _is_exact_point(spec: Mapping) -> bool:
+    """Whether a generator spec names a point it can write down exactly."""
+    if spec.get("kind") == "product":
+        return all(_is_exact_point(f) for f in spec["factors"])
+    return spec.get("kind") in ("rational", "constant")
+
+
+def _ordering(image_hi: float, param_hi: float, mutual_hi: float) -> str:
+    """``image_hi ? 1 ? param_hi ? mutual_hi`` to 4 places, each ``?`` the
+    relation that holds between its printed neighbours."""
+    a, b, c = (f"{v:.4f}" for v in (image_hi, param_hi, mutual_hi))
+    first = ">" if float(a) > 1 else "<="
+    second = ">=" if 1 >= float(b) else "<"
+    third = ">=" if float(b) >= float(c) else "<"
+    return f"{a} {first} 1 {second} {b} {third} {c}"
+
+
 def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
     grid = _grid(cfg)
     if cfg.generators:
@@ -717,7 +731,7 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         "dim_image_hi": round(dim_image.hi, 6),
     }
     # an exact point has dimension 0, so it cannot witness the gap
-    if spec.get("kind") in ("rational", "constant"):
+    if _is_exact_point(spec):
         rows.append(_info("counterexample", "not a counterexample witness",
                           round(dim_image.hi, 6)))
         return _finish("counterexample", rows, constants)
@@ -730,8 +744,7 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
                          mutual.slope_hi, C.COUNTEREXAMPLE_MUTUAL_CEIL))
     rows.append(_info("ordering",
                       "image dim vs 1 vs parameter Dim vs mutual",
-                      f"{dim_image.hi:.4f} > 1 >= {dim_x.hi:.4f} "
-                      f">= {mutual.slope_hi:.4f}"))
+                      _ordering(dim_image.hi, dim_x.hi, mutual.slope_hi)))
     constants.update({
         "mutual_slope_hi": round(mutual.slope_hi, 6),
         "dim_parameter_hi": round(dim_x.hi, 6),

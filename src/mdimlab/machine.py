@@ -24,8 +24,10 @@ The counter starts at the length of the conditional input, which is the only
 way input length can influence control flow.  Falling off the payload end
 exactly is a clean halt; any fetch past the end jams the machine, which is
 reported as ``out_of_budget`` since a jammed machine never halts under any
-budget.  Each instruction costs 1 step plus the number of bits it appends, so
-``step_budget`` bounds both time and output size and halting is decidable.
+budget.  One cost rule: each instruction is charged 1 step plus the number of
+bits it appends, once, before it takes effect, so ``step_budget`` bounds both
+time and output size and halting is decidable.  A run returns its output, or
+None when it never halts; ``run`` turns that into a ``RunResult``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ from typing import Iterable, Iterator
 
 from .codec import (
     RationalPoint,
-    encode_int,
     gamma_decode,
     gamma_encode,
-    pair,
     try_decode_exact_point,
 )
 
@@ -50,6 +50,7 @@ OUT_OF_BUDGET = "out_of_budget"
 INVALID = "invalid"
 
 OP_EMIT0, OP_EMIT1, OP_ECHO, OP_REPEAT, OP_LIT, OP_JNZ, OP_DEC, OP_HALT = range(8)
+_OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 
 
 class ResourceExceededError(RuntimeError):
@@ -91,83 +92,68 @@ def run(program: str, given: str, cfg: MachineConfig) -> RunResult:
     payload_len = header_val - 1
     if len(program) - pos != payload_len:
         return RunResult(INVALID, None)
-    return _execute(program[pos:], given, cfg.step_budget)
+    output = _execute(program[pos:], given, cfg.step_budget)
+    if output is None:
+        return RunResult(OUT_OF_BUDGET, None)
+    return RunResult(HALTED, output)
 
 
-def _execute(payload: str, given: str, budget: int) -> RunResult:
+def _execute(payload: str, given: str, budget: int) -> str | None:
+    """Run a payload; return its output, or None for a run that never halts.
+
+    Each instruction is fetched, its operand (if any) decoded, then charged
+    1 step plus the bits it appends, once, before it takes effect.  A
+    partial fetch or truncated operand, a literal past the payload end, or
+    a charge over ``budget`` returns None.
+    """
     plen = len(payload)
-    out: list[str] = []
-    out_len = 0
+    out = ""
     pc = 0
     counter = len(given)
     steps = 0
-    while True:
-        if pc == plen:
-            return RunResult(HALTED, "".join(out))
-        if pc + 3 > plen:  # partial fetch: the machine jams and never halts
-            return RunResult(OUT_OF_BUDGET, None)
-        op = int(payload[pc : pc + 3], 2)
-        pc += 3
-        if op == OP_EMIT0 or op == OP_EMIT1:
-            if steps + 2 > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += 2
-            out.append("1" if op == OP_EMIT1 else "0")
-            out_len += 1
+    while pc != plen:
+        try:
+            op = _OPCODES[payload[pc : pc + 3]]
+            pc += 3
+            if OP_REPEAT <= op <= OP_JNZ:
+                arg, pc = gamma_decode(payload, pc)
+        except (KeyError, ValueError):
+            return None
+        if op <= OP_EMIT1:
+            appended = 1
         elif op == OP_ECHO:
-            cost = 1 + len(given)
-            if steps + cost > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += cost
-            out.append(given)
-            out_len += len(given)
+            appended = len(given)
         elif op == OP_REPEAT:
-            try:
-                k, pc = gamma_decode(payload, pc)
-            except ValueError:
-                return RunResult(OUT_OF_BUDGET, None)
-            cost = 1 + k * out_len
-            if steps + cost > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += cost
-            if out_len:
-                s = "".join(out)
-                out = [s * (k + 1)]
-                out_len *= k + 1
+            appended = arg * len(out)
         elif op == OP_LIT:
-            try:
-                lit_len, pc = gamma_decode(payload, pc)
-            except ValueError:
-                return RunResult(OUT_OF_BUDGET, None)
-            if pc + lit_len > plen:
-                return RunResult(OUT_OF_BUDGET, None)
-            if steps + 1 + lit_len > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += 1 + lit_len
-            out.append(payload[pc : pc + lit_len])
-            out_len += lit_len
-            pc += lit_len
+            if pc + arg > plen:
+                return None
+            appended = arg
+        else:
+            appended = 0
+        steps += 1 + appended
+        if steps > budget:
+            return None
+        if op == OP_EMIT0:
+            out += "0"
+        elif op == OP_EMIT1:
+            out += "1"
+        elif op == OP_ECHO:
+            out += given
+        elif op == OP_REPEAT:
+            out *= arg + 1
+        elif op == OP_LIT:
+            out += payload[pc : pc + arg]
+            pc += arg
         elif op == OP_JNZ:
-            try:
-                t, pc = gamma_decode(payload, pc)
-            except ValueError:
-                return RunResult(OUT_OF_BUDGET, None)
-            if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += 1
-            if counter != 0:
-                pc = t - 1
+            if counter:
+                pc = arg - 1
         elif op == OP_DEC:
-            if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += 1
-            if counter > 0:
+            if counter:
                 counter -= 1
         else:  # OP_HALT
-            if steps + 1 > budget:
-                return RunResult(OUT_OF_BUDGET, None)
-            steps += 1
-            return RunResult(HALTED, "".join(out))
+            return out
+    return out
 
 
 def header_len(payload_len: int) -> int:
@@ -306,14 +292,14 @@ class Enumeration:
         outputs = self.outputs
         payloads = map(format, range(1 << p), repeat(f"0{p}b")) if p else ("",)
         for payload in payloads:
-            res = _execute(payload, given, budget)
-            if res.status != HALTED:
+            output = _execute(payload, given, budget)
+            if output is None:
                 continue
             self.halting_count += 1
             bits = header + payload
-            info = outputs.get(res.output)
+            info = outputs.get(output)
             if info is None:
-                outputs[res.output] = OutputInfo(len(bits), bits, units)
+                outputs[output] = OutputInfo(len(bits), bits, units)
             else:
                 info.mass_units += units
             yield bits
@@ -376,38 +362,3 @@ def output_universe(cfg: MachineConfig, given: str = "") -> dict[str, OutputInfo
     enum.ensure_complete()
     return enum.outputs
 
-
-@dataclass(frozen=True)
-class SymmetryRow:
-    x: str
-    y: str
-    k_xy: int
-    k_x: int
-    k_y_given: int
-    delta: int
-
-
-def symmetry_of_information_report(
-    cfg: MachineConfig, sample_size: int = 4
-) -> list[SymmetryRow]:
-    """Measure |K(x,y) - K(x) - K(y | <x, K(x)>)| over cheap output pairs.
-
-    Pairs whose joint encoding is out of enumeration range are skipped; the
-    caller compares the surviving deltas against a pinned alarm threshold.
-    """
-    universe = output_universe(cfg)
-    sample = sorted(universe, key=lambda s: (universe[s].k, s))[:sample_size]
-    rows = []
-    for x in sample:
-        for y in sample:
-            k_xy = exact_k(pair(x, y), "", cfg)
-            if k_xy is None:
-                continue
-            k_x = universe[x].k
-            hint = pair(x, encode_int(k_x))
-            k_y_given = exact_k(y, hint, cfg)
-            if k_y_given is None:
-                continue
-            delta = abs(k_xy.value - k_x - k_y_given.value)
-            rows.append(SymmetryRow(x, y, k_xy.value, k_x, k_y_given.value, delta))
-    return rows

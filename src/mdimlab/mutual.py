@@ -191,7 +191,6 @@ class DimEstimate:
     hi: float
     r_grid: tuple[int, ...]
     k_values: tuple[int, ...]
-    slopes: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -206,25 +205,6 @@ class MutualProfile:
     k_y_values: tuple[int, ...]
     k_xy_values: tuple[int, ...]
 
-    def rows(self) -> list[dict]:
-        """CSV-ready records, one per grid precision."""
-        return [
-            {
-                "r": r,
-                "i_r": i,
-                "k_r_x": kx,
-                "k_r_y": ky,
-                "k_r_xy": kxy,
-            }
-            for r, i, kx, ky, kxy in zip(
-                self.r_grid,
-                self.i_values,
-                self.k_x_values,
-                self.k_y_values,
-                self.k_xy_values,
-            )
-        ]
-
 
 def dim_estimate(
     x: PointOracle, window: Sequence[int] | None = None
@@ -235,7 +215,7 @@ def dim_estimate(
     n = x.dimension
     series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
     slopes = _window_slopes(grid, series, WINDOW_DIM)
-    return DimEstimate(min(slopes), max(slopes), grid, tuple(raw), slopes)
+    return DimEstimate(min(slopes), max(slopes), grid, tuple(raw))
 
 
 def mdim_estimate(

@@ -274,6 +274,7 @@ class TestCli:
     @pytest.mark.parametrize("generator", [
         {"kind": "rational", "values": ["1/3"]},
         {"kind": "constant", "coords": ["3/8"]},
+        {"kind": "product", "factors": [{"kind": "rational", "values": ["1/3"]}]},
     ])
     def test_exact_point_is_not_a_witness(self, tmp_path, capsys, generator):
         path = self._config_file(
@@ -285,6 +286,25 @@ class TestCli:
         assert [(r["detail"], r["status"]) for r in rows] == [
             ("not a counterexample witness", "info")
         ]
+
+    def test_ordering_states_true_relations(self, tmp_path, capsys):
+        # a diluted point at rho 1/4 has an image of dimension below 1, so
+        # the first link reads "<=" and the report states no false relation
+        path = self._config_file(
+            tmp_path, {"suite": "counterexample", "window": [1024, 4096],
+                       "generators": [{"kind": "diluted", "seed": 7,
+                                       "rho": "1/4", "n": 1}]}
+        )
+        assert main(["counterexample", "--config", path]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        (text,) = [r["value"] for r in rows if r["check"] == "ordering"]
+        a, first, one, second, b, third, c = text.split()
+        assert one == "1" and first == "<="
+        holds = {">": float.__gt__, "<=": float.__le__,
+                 ">=": float.__ge__, "<": float.__lt__}
+        for left, rel, right in ((a, first, one), (one, second, b),
+                                 (b, third, c)):
+            assert holds[rel](float(left), float(right)), text
 
     def test_unusable_out_flag_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})

@@ -1,12 +1,14 @@
 """Bounded machine tests: statuses, exhaustiveness, Kraft, pinned constants."""
 
+import hashlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from mdimlab import constants
-from mdimlab.codec import encode_point, RationalPoint
+from mdimlab.codec import encode_int, encode_point, pair, RationalPoint
 from mdimlab.complexity import enumerated_points
 from mdimlab.machine import (
     HALTED,
@@ -20,8 +22,8 @@ from mdimlab.machine import (
     get_enumeration,
     iter_valid_programs,
     kraft_mass,
+    output_universe,
     run,
-    symmetry_of_information_report,
 )
 
 CFG = MachineConfig(16, 1000)
@@ -44,6 +46,28 @@ def test_partial_opcode_fetch_jams():
     for budget in (1, 10, 10_000):
         res = run("0100", "", MachineConfig(16, budget))
         assert res.status == OUT_OF_BUDGET
+
+
+# sha256 of "given budget program status output" over every valid program
+# of at most 18 bits, under each given and budget below; pinned on the
+# machine as it stood before its executor was rewritten
+GOLDEN_VERDICT_DIGEST = (
+    "7b3186f85ac43f3c1dff655ae78ea6c0746fbd8a5bfb43c919113333da34dca7"
+)
+
+
+def test_golden_verdicts():
+    # every enumeration calls the same executor, so only a pinned digest of
+    # run's own verdicts can catch a change in what a program does
+    digest = hashlib.sha256()
+    for given in ("", "1", "0110", "01111", "011011011"):
+        for budget in (3, 50, 256, 1000):
+            cfg = MachineConfig(18, budget)
+            for program in iter_valid_programs(18):
+                res = run(program, given, cfg)
+                digest.update(f"{given} {budget} {program} {res.status} "
+                              f"{res.output}\n".encode())
+    assert digest.hexdigest() == GOLDEN_VERDICT_DIGEST
 
 
 def test_first_halting_program():
@@ -196,6 +220,42 @@ def test_resource_cap_on_warm_cache():
 
 def test_valid_program_count_at_16():
     assert sum(1 for _ in iter_valid_programs(16)) == 1023
+
+
+@dataclass(frozen=True)
+class SymmetryRow:
+    x: str
+    y: str
+    k_xy: int
+    k_x: int
+    k_y_given: int
+    delta: int
+
+
+def symmetry_of_information_report(
+    cfg: MachineConfig, sample_size: int = 4
+) -> list[SymmetryRow]:
+    """Measure |K(x,y) - K(x) - K(y | <x, K(x)>)| over cheap output pairs.
+
+    Pairs whose joint encoding is out of enumeration range are skipped; the
+    caller compares the surviving deltas against a pinned alarm threshold.
+    """
+    universe = output_universe(cfg)
+    sample = sorted(universe, key=lambda s: (universe[s].k, s))[:sample_size]
+    rows = []
+    for x in sample:
+        for y in sample:
+            k_xy = exact_k(pair(x, y), "", cfg)
+            if k_xy is None:
+                continue
+            k_x = universe[x].k
+            hint = pair(x, encode_int(k_x))
+            k_y_given = exact_k(y, hint, cfg)
+            if k_y_given is None:
+                continue
+            delta = abs(k_xy.value - k_x - k_y_given.value)
+            rows.append(SymmetryRow(x, y, k_xy.value, k_x, k_y_given.value, delta))
+    return rows
 
 
 def test_symmetry_of_information_report():

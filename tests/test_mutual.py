@@ -114,16 +114,14 @@ class TestMdimEstimate:
         assert round(prof.slope_lo, 6) == 0.522884
         assert round(prof.slope_hi, 6) == 0.523540
 
-    def test_rows_schema(self):
+    def test_three_term_identity(self):
+        # i_r = K_r(x) + K_r(y) - K_r(x, y) at every grid precision
         x = make_oracle(D12)
         prof = mdim_estimate(x, x, window=SHORT)
-        rows = prof.rows()
-        assert len(rows) == len(SHORT)
-        assert set(rows[0]) == {"r", "i_r", "k_r_x", "k_r_y", "k_r_xy"}
-        for row, r in zip(rows, SHORT):
-            assert row["r"] == r
-            assert row["i_r"] == (row["k_r_x"] + row["k_r_y"]
-                                  - row["k_r_xy"])
+        assert prof.r_grid == tuple(SHORT)
+        for j in range(len(SHORT)):
+            assert prof.i_values[j] == (prof.k_x_values[j] + prof.k_y_values[j]
+                                        - prof.k_xy_values[j])
 
 
 class TestKrMemo:
