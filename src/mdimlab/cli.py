@@ -8,7 +8,6 @@ refused before any program runs), and 1 for any other runtime error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .harness import (
@@ -20,7 +19,6 @@ from .harness import (
     run_suite,
     write_report,
 )
-from .machine import ResourceExceededError
 
 EXIT_FAILURES = 1
 EXIT_BAD_CONFIG = 2
@@ -44,41 +42,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.suite != args.suite:
-            raise InvalidConfigError(
-                f"config is for suite {cfg.suite!r}, not {args.suite!r}"
-            )
-    else:
-        cfg = config_from_mapping({"suite": args.suite})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.fmt is not None:
-        overrides["out_format"] = args.fmt
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    _check_out_path(cfg.out_path)
-    return cfg
-
-
-def _check_out_path(path) -> None:
-    """Reject an ``out`` (config key or --out) the report cannot be written to."""
-    if path is None:
-        return
-    if not isinstance(path, str):
-        raise InvalidConfigError(f"out must be a file path, not {path!r}")
-    directory = os.path.dirname(path) or "."
-    if (os.path.isdir(path) or not os.path.isdir(directory)
-            or not os.access(directory, os.W_OK)):
+    """Parse the config once, each given flag replacing its config key."""
+    flags = {"seed": args.seed, "format": args.fmt, "out": args.out}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if not args.config:
+        return config_from_mapping({"suite": args.suite, **flags})
+    cfg = load_config(args.config, flags)
+    if cfg.suite != args.suite:
         raise InvalidConfigError(
-            f"out {path!r} is not a file in a writable directory"
+            f"config is for suite {cfg.suite!r}, not {args.suite!r}"
         )
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble(args)
         report = run_suite(cfg)
-    except (InvalidConfigError, ResourceExceededError) as exc:
+    except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     text = write_report(report, cfg)

@@ -28,7 +28,13 @@ from typing import Iterable, Sequence
 
 from .codec import RationalPoint, encode_int, encode_point
 from .compressor import lz78_cost
-from .constants import GUARD_BITS
+from .constants import (
+    BALL_COUNT_CONSTANT,
+    CUBE_COUNT_CONSTANT,
+    GUARD_BITS,
+    LDS_CODING_CONSTANT,
+    PRECISION_IMPROVEMENT_CONSTANT,
+)
 from .geometry import Ball, DyadicCube, LdsRecord, cube_containing
 from .machine import MachineConfig, apriori_mass, exact_k, get_enumeration
 from .oracles import PointOracle
@@ -178,10 +184,8 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
 
     The count in any precision-r cube must stay within 2**(d + K(r) + c);
     the report carries the minimal c that works, and holds against the
-    pinned per-version constant.
+    pinned constant.
     """
-    from .constants import CUBE_COUNT_CONSTANT
-
     kr = k_of_precision(r, cfg)
     by_cube: dict[tuple, list[int]] = {}
     for q, k, _ in enumerated_points(cfg):
@@ -193,7 +197,7 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
         count = sum(1 for k in ks if k <= floor + d)
         worst = max(worst, math.log2(count))
     measured = worst - d - kr
-    rhs = d + kr + CUBE_COUNT_CONSTANT[cfg.version_tag]
+    rhs = d + kr + CUBE_COUNT_CONSTANT
     return _report(f"cube_count[r={r},d={d}]", worst, rhs, measured)
 
 
@@ -204,8 +208,6 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     are sampled at every enumerated point, the adversarial choice available
     at desk scale.
     """
-    from .constants import BALL_COUNT_CONSTANT
-
     kr = k_of_precision(r, cfg)
     pts = enumerated_points(cfg)
     worst = float("-inf")
@@ -220,7 +222,7 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
         count = sum(1 for k in ks if k <= floor + d)
         worst = max(worst, math.log2(count))
     measured = worst - d - 2 * kr
-    rhs = d + 2 * kr + BALL_COUNT_CONSTANT[cfg.version_tag]
+    rhs = d + 2 * kr + BALL_COUNT_CONSTANT
     return _report(f"ball_count[r={r},d={d}]", worst, rhs, measured)
 
 
@@ -233,8 +235,6 @@ def check_lds_coding_bound(
     under-approximation, so each measured constant upper-bounds the true
     one.  Zero-mass blocks are skipped: their right-hand side is infinite.
     """
-    from .constants import LDS_CODING_CONSTANT
-
     enum = get_enumeration(cfg)
     enum.ensure_complete()
     reports = []
@@ -248,7 +248,7 @@ def check_lds_coding_bound(
         kr = k_of_precision(rec.layer, cfg)
         log_inv_mass = math.log2(mass.denominator) - math.log2(mass.numerator)
         measured = k_block - log_inv_mass - kr
-        rhs = log_inv_mass + kr + LDS_CODING_CONSTANT[cfg.version_tag]
+        rhs = log_inv_mass + kr + LDS_CODING_CONSTANT
         reports.append(
             _report(
                 f"lds_coding[layer={rec.layer},block={rec.block}]",
@@ -269,8 +269,6 @@ def check_precision_improvement(
     coordinate plus a constant.  None when either complexity is out of the
     enumeration's reach.
     """
-    from .constants import PRECISION_IMPROVEMENT_CONSTANT
-
     if s < 0:
         raise ValueError("extra precision must be nonnegative")
     base = exact_k_r(x, r, cfg)
@@ -279,5 +277,5 @@ def check_precision_improvement(
         return None
     n = x.dimension
     measured = refined - base - n * s
-    rhs = base + n * s + PRECISION_IMPROVEMENT_CONSTANT[cfg.version_tag]
+    rhs = base + n * s + PRECISION_IMPROVEMENT_CONSTANT
     return _report(f"precision_improvement[r={r},s={s}]", refined, rhs, measured)

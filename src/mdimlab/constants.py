@@ -1,15 +1,15 @@
-"""Pinned regression constants, keyed by machine version tag.
+"""Pinned regression constants of machine version ``v0``.
 
-Every value below was measured once on the named machine version and then
+Every value below was measured once on this machine version and then
 frozen.  A mismatch means the machine semantics, the wire format, or an
-estimator changed; bump the version tag and re-pin rather than editing values
-in place.
+estimator changed; such a change re-pins each value it moves and says why.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+# the one machine version; a config may still name it as machine.version_tag
 MACHINE_VERSION = "v0"
 
 # ---- bounded machine, version v0 ----------------------------------------
@@ -62,16 +62,10 @@ K_INT = (8, 16, 20, 20, 24, 24, 24)
 # (cube/ball: r <= 4, d <= 4; lds: layers <= 3, n <= 2, plus the
 # singleton-block family over every enumerated point; precision: the
 # reachable constant points, r <= 2, s <= 3)
-CUBE_COUNT_CONSTANT = {"v0": -8.0}
-BALL_COUNT_CONSTANT = {"v0": -15.0}
-LDS_CODING_CONSTANT = {"v0": -5.24511249783653}
-PRECISION_IMPROVEMENT_CONSTANT = {"v0": 7}
-
-# version tags with every bound constant pinned; a config naming any other
-# tag is rejected before a suite runs
-PINNED_VERSIONS = frozenset(CUBE_COUNT_CONSTANT).intersection(
-    BALL_COUNT_CONSTANT, LDS_CODING_CONSTANT, PRECISION_IMPROVEMENT_CONSTANT
-)
+CUBE_COUNT_CONSTANT = -8.0
+BALL_COUNT_CONSTANT = -15.0
+LDS_CODING_CONSTANT = -5.24511249783653
+PRECISION_IMPROVEMENT_CONSTANT = 7
 
 # ---- compressor-backed estimator, version v0 -----------------------------
 

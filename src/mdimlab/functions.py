@@ -369,6 +369,15 @@ def _exact_dyadic(value: Fraction) -> DyadicRational:
     return DyadicRational.from_fraction(value)
 
 
+def _dyadic_coefficient(name: str, value) -> Fraction:
+    """``value`` as a Fraction, refused unless dyadic: the exact evaluators
+    return dyadic points only for dyadic coefficients."""
+    value = Fraction(value)
+    if value.denominator & (value.denominator - 1):
+        raise ValueError(f"{name} = {value} is not dyadic")
+    return value
+
+
 def identity_function(n: int = 1) -> ComputableFunction:
     return ComputableFunction(
         "identity",
@@ -383,7 +392,7 @@ def identity_function(n: int = 1) -> ComputableFunction:
 
 
 def scale_function(c: Fraction) -> ComputableFunction:
-    c = Fraction(c)
+    c = _dyadic_coefficient("scale factor c", c)
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     stretch = _ceil_log2_frac(abs(c))
@@ -434,8 +443,10 @@ def affine_function(
     offset: Sequence[Fraction],
     inverse_modulus: tuple[SSelector, ModulusSpec] | None = None,
 ) -> ComputableFunction:
-    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    shift = tuple(Fraction(v) for v in offset)
+    rows = tuple(tuple(_dyadic_coefficient(f"affine matrix[{i}][{j}]", v)
+                       for j, v in enumerate(row)) for i, row in enumerate(matrix))
+    shift = tuple(_dyadic_coefficient(f"affine offset[{i}]", v)
+                  for i, v in enumerate(offset))
     k = len(rows)
     if k == 0 or len(shift) != k:
         raise ValueError("matrix and offset shapes disagree")

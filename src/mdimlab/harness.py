@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +43,13 @@ from .geometry import (
     dyadic_lds,
     lattice_point_in_ball,
 )
-from .machine import MachineConfig, PrefixCheck, get_enumeration
+from .machine import (
+    MachineConfig,
+    PrefixCheck,
+    ResourceExceededError,
+    capped_levels,
+    get_enumeration,
+)
 from .mutual import dim_estimate, mdim_estimate, pair_cost
 from .oracles import ConstantOracle, PointOracle, ProductOracle, make_oracle
 
@@ -51,33 +58,20 @@ class InvalidConfigError(ValueError):
     """The experiment description cannot be run as given."""
 
 
-SUITE_NAMES = (
-    "machine",
-    "kraft",
-    "geometry",
-    "coding-bounds",
-    "kprofile",
-    "mdim",
-    "dpi",
-    "reverse-dpi",
-    "conservation",
-    "counterexample",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on; equal configs give identical reports.
 
     ``generators`` and ``functions`` pair each config spec with the oracle
-    or library function built from it when the config was read.
+    or library function built from it when the config was read; ``grid``
+    holds the estimator precisions the config's window keeps.
     """
 
     suite: str
     machine: MachineConfig
     generators: tuple[tuple[Mapping, PointOracle], ...] = ()
     functions: tuple[tuple[Mapping, ComputableFunction], ...] = ()
-    window: tuple[int, int] | None = None
+    grid: tuple[int, ...] = C.COMPRESSOR_GRID
     seed: int = 0
     out_format: str = "json"
     out_path: str | None = None
@@ -126,11 +120,7 @@ class SuiteReport:
         return buf.getvalue()
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise InvalidConfigError(f"unknown output format: {fmt!r}")
+        return self.to_csv() if fmt == "csv" else self.to_json()
 
 
 def _plain(value):
@@ -200,11 +190,27 @@ def _build_function(spec: Mapping) -> ComputableFunction:
     return library_function(spec["name"], spec.get("params"))
 
 
+_CONFIG_KEYS = ("suite", "backend", "machine", "generators", "functions",
+                "window", "seed", "format", "out")
+_MACHINE_KEYS = ("max_program_len", "step_budget", "version_tag")
+
+
+def _reject_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise InvalidConfigError(
+                f"unknown {where} key {key!r}; accepted: {', '.join(known)}"
+            )
+
+
 def config_from_mapping(data: Mapping) -> ExperimentConfig:
     """Validate a plain-data config and build everything it names.
 
-    Every malformed value is rejected here, before any suite work.
+    This is the only place outside input becomes an ``ExperimentConfig``:
+    every malformed value or unknown key is rejected here, before any
+    suite work.
     """
+    _reject_unknown(data, _CONFIG_KEYS, "config")
     suite = data.get("suite")
     if suite not in SUITE_NAMES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
@@ -217,11 +223,12 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     m = data.get("machine", {})
     if not isinstance(m, Mapping):
         raise InvalidConfigError("machine must be an object")
-    version_tag = str(m.get("version_tag", C.MACHINE_VERSION))
-    if version_tag not in C.PINNED_VERSIONS:
+    _reject_unknown(m, _MACHINE_KEYS, "machine")
+    version_tag = m.get("version_tag", C.MACHINE_VERSION)
+    if version_tag != C.MACHINE_VERSION:
         raise InvalidConfigError(
             f"no pinned constants for version_tag {version_tag!r}; "
-            f"pinned: {', '.join(sorted(C.PINNED_VERSIONS))}"
+            f"pinned: {C.MACHINE_VERSION}"
         )
     with _field("machine"):
         machine = MachineConfig(
@@ -229,32 +236,53 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
                 m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN)
             ),
             step_budget=int(m.get("step_budget", C.BOUNDS_STEP_BUDGET)),
-            version_tag=version_tag,
         )
+    try:
+        capped_levels(machine)
+    except ResourceExceededError as exc:
+        raise InvalidConfigError(str(exc)) from exc
+    grid = C.COMPRESSOR_GRID
     window = data.get("window")
     if window is not None:
         with _field("window"):
             window = tuple(int(v) for v in window)
         if len(window) != 2 or window[0] > window[1]:
             raise InvalidConfigError("window must be [lo, hi] with lo <= hi")
+        grid = tuple(r for r in grid if window[0] <= r <= window[1])
+        if len(grid) < 2:
+            raise InvalidConfigError(
+                f"window keeps {len(grid)} grid precision(s); a slope needs two"
+            )
     with _field("seed"):
         seed = int(data.get("seed", 0))
     fmt = data.get("format", "json")
     if fmt not in ("json", "csv"):
         raise InvalidConfigError(f"unknown output format: {fmt!r}")
+    out = data.get("out")
+    if out is not None:
+        if not isinstance(out, str):
+            raise InvalidConfigError(f"out must be a file path, not {out!r}")
+        directory = os.path.dirname(out) or "."
+        if (os.path.isdir(out) or not os.path.isdir(directory)
+                or not os.access(directory, os.W_OK)):
+            raise InvalidConfigError(
+                f"out {out!r} is not a file in a writable directory"
+            )
     return ExperimentConfig(
         suite=suite,
         machine=machine,
         generators=_built(data, "generators", make_oracle),
         functions=_built(data, "functions", _build_function),
-        window=window,
+        grid=grid,
         seed=seed,
         out_format=fmt,
-        out_path=data.get("out"),
+        out_path=out,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
+    """Parse the JSON config at ``path``; each of ``flags`` replaces the
+    file's value for its key before the check."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -264,20 +292,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfigError("config must be a JSON object")
-    return config_from_mapping(data)
-
-
-def _grid(cfg: ExperimentConfig) -> tuple[int, ...]:
-    """The estimator grid, filtered to the config window if there is one."""
-    if cfg.window is None:
-        return C.COMPRESSOR_GRID
-    lo, hi = cfg.window
-    grid = tuple(r for r in C.COMPRESSOR_GRID if lo <= r <= hi)
-    if len(grid) < 2:
-        raise InvalidConfigError(
-            f"window keeps {len(grid)} grid precision(s); a slope needs two"
-        )
-    return grid
+    return config_from_mapping({**data, **(flags or {})})
 
 
 # ---- machine suite ----------------------------------------------------------
@@ -437,11 +452,10 @@ def _coding_suite(cfg: ExperimentConfig) -> SuiteReport:
         for kind, values in measured.items()
     }
     constants.update({
-        "pinned_cube_constant": C.CUBE_COUNT_CONSTANT[mc.version_tag],
-        "pinned_ball_constant": C.BALL_COUNT_CONSTANT[mc.version_tag],
-        "pinned_lds_constant": C.LDS_CODING_CONSTANT[mc.version_tag],
-        "pinned_precision_constant":
-            C.PRECISION_IMPROVEMENT_CONSTANT[mc.version_tag],
+        "pinned_cube_constant": C.CUBE_COUNT_CONSTANT,
+        "pinned_ball_constant": C.BALL_COUNT_CONSTANT,
+        "pinned_lds_constant": C.LDS_CODING_CONSTANT,
+        "pinned_precision_constant": C.PRECISION_IMPROVEMENT_CONSTANT,
     })
     return _finish("coding-bounds", rows, constants)
 
@@ -453,10 +467,9 @@ def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
     generators = cfg.generators or tuple(
         (spec, make_oracle(spec)) for _, spec, _ in C.CALIBRATION_SET
     )
-    grid = _grid(cfg)
     rows = []
     for idx, (spec, oracle) in enumerate(generators):
-        est = dim_estimate(oracle, window=grid)
+        est = dim_estimate(oracle, window=cfg.grid)
         name = spec.get("kind", "?") + f"#{idx}"
         rows += [
             _info("kprofile", f"{name} r={r}", k)
@@ -468,14 +481,13 @@ def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 
 def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
-    grid = _grid(cfg)
     rows = []
     oracles = {}
     estimates = {}
     for name, spec, target in C.CALIBRATION_SET:
         oracle = make_oracle(spec)
         oracles[name] = (oracle, target)
-        est = dim_estimate(oracle, window=grid)
+        est = dim_estimate(oracle, window=cfg.grid)
         estimates[name] = est
         if name.startswith("random"):
             ok = est.lo >= C.RANDOM_DIM_MIN
@@ -491,7 +503,7 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
     worst_identity = 0.0
     for name, (oracle, _) in oracles.items():
         est = estimates[name]
-        prof = mdim_estimate(oracle, oracle, window=grid)
+        prof = mdim_estimate(oracle, oracle, window=cfg.grid)
         delta = max(abs(prof.slope_lo - est.lo), abs(prof.slope_hi - est.hi))
         worst_identity = max(worst_identity, delta)
         rows.append(_at_most("mdim_identity", name, delta,
@@ -501,13 +513,13 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_check("mdim_range", name,
                            round(prof.slope_lo, 6), round(cap, 6), ok_range))
     other = make_oracle({"kind": "random", "seed": 8, "n": 1})
-    indep = mdim_estimate(oracles["random-7"][0], other, window=grid)
+    indep = mdim_estimate(oracles["random-7"][0], other, window=cfg.grid)
     rows.append(_at_most("mdim_independent", "random-7 : random-8",
                          indep.slope_hi, C.MDIM_INDEPENDENT_MAX))
     sym_worst = 0
     a = oracles["random-7"][0]
     b = oracles["diluted-1/2"][0]
-    for r in grid:
+    for r in cfg.grid:
         cols_a = point_columns(a.query(r), r)
         cols_b = point_columns(b.query(r), r)
         sym_worst = max(
@@ -562,7 +574,6 @@ def _function_label(spec: Mapping) -> str:
 
 
 def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
-    grid = _grid(cfg)
     d12, r7, r8, r9, x2 = _shared_oracles()
     base_pairs = {
         1: [("diluted-1/2:self", d12, d12), ("random-7:random-8", r7, r8)],
@@ -583,9 +594,9 @@ def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
         factor = _holder_factor(f)
         for pair_name, x, y in base_pairs[f.n]:
             if pair_name not in base_profiles:
-                base_profiles[pair_name] = mdim_estimate(x, y, window=grid)
+                base_profiles[pair_name] = mdim_estimate(x, y, window=cfg.grid)
             base = base_profiles[pair_name]
-            image = mdim_estimate(ImageOracle(f, x), y, window=grid)
+            image = mdim_estimate(ImageOracle(f, x), y, window=cfg.grid)
             bound = factor * base.slope_hi + C.DPI_SLACK
             label = f"{_function_label(spec)} on {pair_name}"
             rows.append(_at_most("dpi_slope", label, image.slope_hi, bound))
@@ -613,9 +624,8 @@ def _reverse_rows(check: str, label: str, base, prof) -> list[dict]:
 
 
 def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
-    grid = _grid(cfg)
     d12, _, _, _, _ = _shared_oracles()
-    base = mdim_estimate(d12, d12, window=grid)
+    base = mdim_estimate(d12, d12, window=cfg.grid)
     ident = library_function("identity", {"n": 1})
     translate = library_function("affine", {
         "matrix": [["1"]], "offset": ["5/8"],
@@ -632,7 +642,7 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     rows = []
     margins = []
     for label, pair_oracle in configs:
-        prof = mdim_estimate(pair_oracle, d12, window=grid)
+        prof = mdim_estimate(pair_oracle, d12, window=cfg.grid)
         rows += _reverse_rows("reverse_dpi", label, base, prof)
         margins += [prof.slope_lo + C.DPI_SLACK - base.slope_lo,
                     prof.slope_hi + C.DPI_SLACK - base.slope_hi]
@@ -640,21 +650,20 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 
 def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
-    grid = _grid(cfg)
     d12, _, _, r9, x2 = _shared_oracles()
-    base1 = mdim_estimate(d12, d12, window=grid)
-    base2 = mdim_estimate(x2, x2, window=grid)
+    base1 = mdim_estimate(d12, d12, window=cfg.grid)
+    base2 = mdim_estimate(x2, x2, window=cfg.grid)
     rows = []
 
     ident = library_function("identity", {"n": 1})
     prof = mdim_estimate(ImageOracle(ident, d12), ImageOracle(ident, d12),
-                         window=grid)
+                         window=cfg.grid)
     rows.append(_at_most("conservation_identity", "id:id on diluted-1/2",
                          prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
 
     half = library_function("scale", {"c": "1/2"})
     prof = mdim_estimate(ImageOracle(half, d12), ImageOracle(half, d12),
-                         window=grid)
+                         window=cfg.grid)
     rows.append(_at_most("conservation_contraction",
                          "scale(1/2) pair on diluted-1/2",
                          prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
@@ -668,7 +677,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
         "inverse_modulus": {"S": [1, 2], "s": 0},
     })
     prof = mdim_estimate(ImageOracle(swap_a, x2), ImageOracle(swap_b, x2),
-                         window=grid)
+                         window=cfg.grid)
     delta = max(abs(prof.slope_lo - base2.slope_lo),
                 abs(prof.slope_hi - base2.slope_hi))
     rows.append(_at_most("conservation_bilipschitz",
@@ -677,7 +686,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
 
     hilb = library_function("hilbert2d")
     prof = mdim_estimate(ImageOracle(hilb, d12), ImageOracle(ident, d12),
-                         window=grid)
+                         window=cfg.grid)
     rows.append(_at_most("conservation_holder",
                          "hilbert2d:identity factor 2 on diluted-1/2",
                          prof.slope_hi,
@@ -688,7 +697,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     z = make_oracle({"kind": "rational", "values": ["3/16"]})
     pw = ProductOracle(ImageOracle(s2, ProductOracle(d12, w)), w)
     pz = ProductOracle(ImageOracle(s2, ProductOracle(d12, z)), z)
-    prof = mdim_estimate(pw, pz, window=grid)
+    prof = mdim_estimate(pw, pz, window=cfg.grid)
     rows += _reverse_rows("conservation_reverse",
                           "sum pairs w=5/8 z=3/16 on diluted-1/2", base1, prof)
     return _finish("conservation", rows, {
@@ -714,7 +723,6 @@ def _ordering(image_hi: float, param_hi: float, mutual_hi: float) -> str:
 
 
 def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
-    grid = _grid(cfg)
     if cfg.generators:
         spec, x = cfg.generators[0]
     else:
@@ -724,7 +732,7 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         raise InvalidConfigError("counterexample needs a 1-coordinate point")
     hilb = library_function("hilbert2d")
     fx = ImageOracle(hilb, x)
-    dim_image = dim_estimate(fx, window=grid)
+    dim_image = dim_estimate(fx, window=cfg.grid)
     rows = []
     constants = {
         "dim_image_lo": round(dim_image.lo, 6),
@@ -735,8 +743,8 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_info("counterexample", "not a counterexample witness",
                           round(dim_image.hi, 6)))
         return _finish("counterexample", rows, constants)
-    mutual = mdim_estimate(x, fx, window=grid)
-    dim_x = dim_estimate(x, window=grid)
+    mutual = mdim_estimate(x, fx, window=cfg.grid)
+    dim_x = dim_estimate(x, window=cfg.grid)
     rows.append(_check("image_dimension", "dim(hilbert2d(x)).hi",
                        round(dim_image.hi, 6), C.COUNTEREXAMPLE_DIM_FLOOR,
                        dim_image.hi >= C.COUNTEREXAMPLE_DIM_FLOOR))
@@ -768,12 +776,11 @@ _SUITES = {
     "counterexample": _counterexample_suite,
 }
 
+SUITE_NAMES = tuple(_SUITES)
+
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
-    runner = _SUITES.get(cfg.suite)
-    if runner is None:
-        raise InvalidConfigError(f"unknown suite: {cfg.suite!r}")
-    return runner(cfg)
+    return _SUITES[cfg.suite](cfg)
 
 
 def write_report(report: SuiteReport, cfg: ExperimentConfig) -> str:

@@ -1,6 +1,6 @@
 """A tiny self-delimiting bytecode machine with exhaustive bounded search.
 
-Program format (frozen; bumping it requires a new ``version_tag``):
+Program format (frozen; every pinned constant in ``constants`` depends on it):
 
     [Elias gamma code of P+1][P payload bits]
 
@@ -53,16 +53,19 @@ OP_EMIT0, OP_EMIT1, OP_ECHO, OP_REPEAT, OP_LIT, OP_JNZ, OP_DEC, OP_HALT = range(
 _OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 
 
+# most programs one enumeration may run; about 4.2 million, which admits
+# every max_program_len up to 30
+ITEM_CAP = 1 << 22
+
+
 class ResourceExceededError(RuntimeError):
-    """An enumeration would exceed the configured item cap."""
+    """An enumeration would run more programs than ``ITEM_CAP``."""
 
 
 @dataclass(frozen=True)
 class MachineConfig:
     max_program_len: int
     step_budget: int
-    version_tag: str = "v0"
-    item_cap: int = 1 << 22
 
     def __post_init__(self) -> None:
         if self.max_program_len < 0 or self.step_budget < 1:
@@ -175,22 +178,22 @@ def iter_valid_programs(max_program_len: int) -> Iterator[str]:
             yield header + format(i, f"0{p}b")
 
 
-def _capped_levels(cfg: MachineConfig) -> list[int]:
+def capped_levels(cfg: MachineConfig) -> list[int]:
     """The payload lengths of ``cfg``'s programs; raises before any program
-    runs when there are more programs than its item cap."""
+    runs when there are more programs than ``ITEM_CAP``."""
     levels = valid_payload_lengths(cfg.max_program_len)
     total = sum(1 << p for p in levels)
-    if total > cfg.item_cap:
+    if total > ITEM_CAP:
         raise ResourceExceededError(
             f"machine max_program_len={cfg.max_program_len} has {total} "
-            f"programs, over the item cap {cfg.item_cap}"
+            f"programs, over the item cap {ITEM_CAP}"
         )
     return levels
 
 
 def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
     """(program, output) for every halting program, in length-lex order."""
-    _capped_levels(cfg)
+    capped_levels(cfg)
     halted = []
     for bits in iter_valid_programs(cfg.max_program_len):
         res = run(bits, given, cfg)
@@ -253,7 +256,7 @@ class Enumeration:
     def __init__(self, cfg: MachineConfig, given: str):
         self.cfg = cfg
         self.given = given
-        self.levels = _capped_levels(cfg)
+        self.levels = capped_levels(cfg)
         self.outputs: dict[str, OutputInfo] = {}
         self.halting_count = 0
         self.prefix_check = PrefixCheck()

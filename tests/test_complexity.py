@@ -122,7 +122,7 @@ class TestCountingBounds:
                 if rep.measured_constant is not None:
                     worst = (rep.measured_constant if worst is None
                              else max(worst, rep.measured_constant))
-        assert worst == C.CUBE_COUNT_CONSTANT["v0"]
+        assert worst == C.CUBE_COUNT_CONSTANT
 
     def test_ball_bound_sweep_reproduces_pin(self):
         worst = None
@@ -133,7 +133,7 @@ class TestCountingBounds:
                 if rep.measured_constant is not None:
                     worst = (rep.measured_constant if worst is None
                              else max(worst, rep.measured_constant))
-        assert worst == C.BALL_COUNT_CONSTANT["v0"]
+        assert worst == C.BALL_COUNT_CONSTANT
 
 
 class TestCodingBound:
@@ -146,7 +146,7 @@ class TestCodingBound:
                 if worst is None or rep.measured_constant > worst:
                     worst = rep.measured_constant
         assert worst is not None
-        assert worst <= C.LDS_CODING_CONSTANT["v0"]
+        assert worst <= C.LDS_CODING_CONSTANT
 
     def test_singleton_family_reproduces_pin(self):
         singles = [
@@ -158,32 +158,7 @@ class TestCodingBound:
             assert rep.holds, rep.name
             if worst is None or rep.measured_constant > worst:
                 worst = rep.measured_constant
-        assert worst == C.LDS_CODING_CONSTANT["v0"]
-
-
-class TestVersionedConstants:
-    def test_checks_read_constants_of_config_version(self, monkeypatch):
-        # a second tag pinned 100 above v0 must move every right-hand side
-        # by exactly 100, so the checks read cfg.version_tag
-        for table in (C.CUBE_COUNT_CONSTANT, C.BALL_COUNT_CONSTANT,
-                      C.LDS_CODING_CONSTANT, C.PRECISION_IMPROVEMENT_CONSTANT):
-            monkeypatch.setitem(table, "vtest", table["v0"] + 100)
-        v0 = MachineConfig(20, 256)
-        vtest = MachineConfig(20, 256, version_tag="vtest")
-        point, _, enc = enumerated_points(v0)[0]
-        block = [LdsRecord(0, 0, frozenset({enc}))]
-        oracle = ConstantOracle(point)
-
-        def rhs(cfg):
-            return (
-                check_cube_count_bound(0, 0, cfg).rhs,
-                check_ball_count_bound(0, 0, cfg).rhs,
-                check_lds_coding_bound(block, cfg)[0].rhs,
-                check_precision_improvement(oracle, 0, 1, cfg).rhs,
-            )
-
-        for base, shifted in zip(rhs(v0), rhs(vtest)):
-            assert shifted == pytest.approx(base + 100)
+        assert worst == C.LDS_CODING_CONSTANT
 
 
 class TestPrecisionImprovement:
@@ -202,4 +177,4 @@ class TestPrecisionImprovement:
                     if worst is None or rep.measured_constant > worst:
                         worst = rep.measured_constant
         assert checked > 0
-        assert worst == C.PRECISION_IMPROVEMENT_CONSTANT["v0"]
+        assert worst == C.PRECISION_IMPROVEMENT_CONSTANT

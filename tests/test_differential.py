@@ -453,7 +453,7 @@ def test_geometry_tie_cases_match_references(kind):
 
 @pytest.mark.parametrize("matrix,offset,x", [
     ((["1", "1/2"], ["0", "1"]), ["1/4", "0"], ("3/8", "-5/16")),
-    ((["2/3", "1/3"],), ["1/2"], ("1", "1")),
+    ((["3/4", "-1/4"],), ["1/2"], ("1", "1/8")),
     ((["-3", "1/1024"], ["0", "7/2"]), ["-1", "3/4"], ("0", "-1/8")),
 ])
 def test_affine_evaluator_matches_fraction_formula(matrix, offset, x):
@@ -467,6 +467,17 @@ def test_affine_evaluator_matches_fraction_formula(matrix, offset, x):
         for row, c in zip(rows, shift)
     )
     assert f.evaluate(ConstantOracle(point), 5).coords == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: affine_function([["2/3", "1/3"]], ["1/2"]),
+    lambda: affine_function([["1", "0"]], ["1/5"]),
+    lambda: scale_function(Fraction(1, 3)),
+], ids=["affine-matrix", "affine-offset", "scale"])
+def test_non_dyadic_coefficient_is_rejected(build):
+    # the evaluators are exact on the dyadic grid only
+    with pytest.raises(ValueError, match="is not dyadic"):
+        build()
 
 
 def test_sum_and_scale_evaluators_match_fraction_formulas():

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -52,15 +54,23 @@ class TestConfig:
                                  "machine": {"version_tag": "v9"}})
 
     def test_pinned_version_tag(self):
-        cfg = config_from_mapping({"suite": "coding-bounds",
-                                   "machine": {"version_tag": "v0"}})
-        assert cfg.machine.version_tag == "v0"
+        config_from_mapping({"suite": "coding-bounds",
+                             "machine": {"version_tag": "v0"}})
 
     def test_defaults(self):
         cfg = config_from_mapping({"suite": "machine"})
         assert cfg.machine.max_program_len == C.BOUNDS_MAX_PROGRAM_LEN
         assert cfg.seed == 0
         assert cfg.out_format == "json"
+
+    def test_readme_example_parses(self):
+        # every key and value of the documented example is accepted, so the
+        # README cannot drift from the parser
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (example,) = re.findall(r"```json\n(.*?)```",
+                                readme.read_text(encoding="utf-8"), re.S)
+        data = json.loads(example)
+        assert config_from_mapping(data).suite == data["suite"]
 
 
 class TestMachineSuite:
@@ -245,6 +255,15 @@ class TestCli:
         ("kraft", {"machine": {"max_program_len": 40}}, "item cap"),
         ("kprofile", {"window": [1024, 1024]}, "window"),
         ("mdim", {"window": [5000, 6000]}, "window"),
+        ("machine", {"machine": {"max_program_len": 16, "step_budgett": 5},
+                     "formatt": "csv"}, "'formatt'"),
+        ("machine", {"machine": {"max_program_len": 16, "step_budgett": 5}},
+         "'step_budgett'"),
+        ("machine", {"window": [5000, 6000]}, "window"),
+        ("dpi", {"functions": [{"name": "scale", "params": {"c": "1/3"}}]},
+         "functions[0]"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1/3", "0"]], "offset": ["0"]}}]}, "functions[0]"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -317,6 +336,28 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: out ")
         assert machine._ENUM_CACHE == {}
+
+    def test_seed_flag_replaces_config_seed(self, tmp_path, capsys):
+        reports = []
+        for payload, flags in (({"suite": "geometry", "seed": 1},
+                                ["--seed", "5"]),
+                               ({"suite": "geometry", "seed": 5}, [])):
+            path = self._config_file(tmp_path, payload)
+            assert main(["geometry", "--config", path, *flags]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_format_and_out_flags_replace_config(self, tmp_path, capsys):
+        path = self._config_file(
+            tmp_path, {"suite": "machine", "machine": FAST_MACHINE,
+                       "format": "json"}
+        )
+        out = tmp_path / "rep.csv"
+        assert main(["machine", "--config", path,
+                     "--format", "csv", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("check,detail,value,bound,status\n")
+        assert out.read_text(encoding="utf-8") == text
 
     def test_compressor_backend_report_unchanged(self, tmp_path, capsys):
         base = {"suite": "mdim", "window": [1024, 16384]}

