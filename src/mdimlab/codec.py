@@ -195,3 +195,11 @@ def unpair(bits: str) -> tuple[str, str]:
     if alen < 0 or pos + alen > len(bits):
         raise MalformedPairError(f"declared first length {alen} overruns input")
     return bits[pos : pos + alen], bits[pos + alen :]
+
+
+def json_int(name: str, value) -> int:
+    """``value`` if it is a JSON integer; integer config fields refuse the
+    floats, booleans and strings that ``int()`` would quietly coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value

@@ -187,15 +187,9 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     pinned constant.
     """
     kr = k_of_precision(r, cfg)
-    by_cube: dict[tuple, list[int]] = {}
-    for q, k, _ in enumerated_points(cfg):
-        cube = cube_containing(q, r)
-        by_cube.setdefault((cube.precision, cube.index), []).append(k)
-    worst = float("-inf")
-    for ks in by_cube.values():
-        floor = min(ks)
-        count = sum(1 for k in ks if k <= floor + d)
-        worst = max(worst, math.log2(count))
+    cubes = {cube_containing(q, r) for q, _, _ in enumerated_points(cfg)}
+    worst = max((math.log2(len(minimizers(cube, d, cfg).members))
+                 for cube in cubes), default=float("-inf"))
     measured = worst - d - kr
     rhs = d + kr + CUBE_COUNT_CONSTANT
     return _report(f"cube_count[r={r},d={d}]", worst, rhs, measured)
@@ -209,18 +203,10 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     at desk scale.
     """
     kr = k_of_precision(r, cfg)
-    pts = enumerated_points(cfg)
-    worst = float("-inf")
-    for center, _, _ in pts:
-        ball = Ball.at_precision(center, r)
-        ks = [
-            k
-            for q, k, _ in pts
-            if q.dimension == center.dimension and ball.contains(q)
-        ]
-        floor = min(ks)
-        count = sum(1 for k in ks if k <= floor + d)
-        worst = max(worst, math.log2(count))
+    worst = max((
+        math.log2(len(minimizers(Ball.at_precision(q, r), d, cfg).members))
+        for q, _, _ in enumerated_points(cfg)
+    ), default=float("-inf"))
     measured = worst - d - 2 * kr
     rhs = d + 2 * kr + BALL_COUNT_CONSTANT
     return _report(f"ball_count[r={r},d={d}]", worst, rhs, measured)

@@ -10,6 +10,12 @@ with explicit slack for evaluator error.  The library includes a
 space-filling curve whose image has twice the information density of its
 parameter, plus a constructive search that turns an inverse-modulus
 certificate into a working left inverse.
+
+The library is dyadic by construction: a coefficient is checked dyadic
+once, when its function is built, and the evaluators build each output
+from integer numerators without a ``Fraction``.  ``Fraction`` remains
+where a value need not be dyadic: Holder exponents, the sampled checks
+and the left-inverse thresholds.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint, distance_sq
+from .codec import DyadicRational, RationalPoint, distance_sq, json_int
 from .geometry import ceil_half_log2
 from .oracles import ConstantOracle, PointOracle
 
@@ -365,17 +371,14 @@ def _ceil_log2_frac(value: Fraction) -> int:
     return s
 
 
-def _exact_dyadic(value: Fraction) -> DyadicRational:
-    return DyadicRational.from_fraction(value)
-
-
-def _dyadic_coefficient(name: str, value) -> Fraction:
-    """``value`` as a Fraction, refused unless dyadic: the exact evaluators
-    return dyadic points only for dyadic coefficients."""
+def _dyadic_coefficient(name: str, value) -> DyadicRational:
+    """``value`` as a DyadicRational, refused unless dyadic: the exact
+    evaluators return dyadic points only for dyadic coefficients."""
     value = Fraction(value)
-    if value.denominator & (value.denominator - 1):
-        raise ValueError(f"{name} = {value} is not dyadic")
-    return value
+    try:
+        return DyadicRational.from_fraction(value)
+    except ValueError:
+        raise ValueError(f"{name} = {value} is not dyadic") from None
 
 
 def identity_function(n: int = 1) -> ComputableFunction:
@@ -392,7 +395,8 @@ def identity_function(n: int = 1) -> ComputableFunction:
 
 
 def scale_function(c: Fraction) -> ComputableFunction:
-    c = _dyadic_coefficient("scale factor c", c)
+    c = Fraction(c)
+    factor = _dyadic_coefficient("scale factor c", c)
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     stretch = _ceil_log2_frac(abs(c))
@@ -401,7 +405,7 @@ def scale_function(c: Fraction) -> ComputableFunction:
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + stretch)
         return _as_point([
-            _exact_dyadic(Fraction(co.num * c.numerator, c.denominator << co.exp))
+            DyadicRational(co.num * factor.num, co.exp + factor.exp)
             for co in q.coords
         ])
 
@@ -453,24 +457,23 @@ def affine_function(
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("matrix rows must share a length")
-    col_norm = max(sum(abs(rows[i][j]) for i in range(k)) for j in range(n))
-    row_norm = max(sum(abs(v) for v in row) for row in rows)
+    # A and the offset as integer numerators at one common exponent
+    ec = max(v.exp for v in (*shift, *(v for row in rows for v in row)))
+    int_rows = tuple(tuple(v.num << (ec - v.exp) for v in row) for row in rows)
+    int_shift = tuple(c.num << (ec - c.exp) for c in shift)
+    col_norm = max(sum(abs(row[j]) for row in int_rows) for j in range(n))
+    row_norm = max(sum(map(abs, row)) for row in int_rows)
     # operator norm bound: |A| <= sqrt(|A|_1 |A|_inf)
-    s = -(-_ceil_log2_frac(col_norm * row_norm) // 2) if col_norm else 0
-    # A and the offset as integer numerators over one common denominator
-    den = math.lcm(*(v.denominator for row in rows for v in row),
-                   *(c.denominator for c in shift))
-    int_rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row)
-                     for row in rows)
-    int_shift = tuple(c.numerator * (den // c.denominator) for c in shift)
+    norm_sq = Fraction(col_norm * row_norm, 1 << (2 * ec))
+    s = -(-_ceil_log2_frac(norm_sq) // 2) if col_norm else 0
 
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + s)
         e = max(co.exp for co in q.coords)
         vals = [co.num << (e - co.exp) for co in q.coords]
         return _as_point([
-            _exact_dyadic(Fraction(
-                sum(a * v for a, v in zip(row, vals)) + (c << e), den << e))
+            DyadicRational(sum(a * v for a, v in zip(row, vals)) + (c << e),
+                           e + ec)
             for row, c in zip(int_rows, int_shift)
         ])
 
@@ -513,10 +516,8 @@ def hilbert2d_function() -> ComputableFunction:
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         level = r + 3
         q = x.query(2 * r + 4)
-        t = q.coords[0].to_fraction()
         cells = 1 << (2 * level)
-        idx = (t * cells).__floor__()
-        idx = min(max(idx, 0), cells - 1)
+        idx = min(max(q.coords[0].floor_shift(2 * level), 0), cells - 1)
         bits = format(idx, f"0{2 * level}b")
         quads = [int(bits[i : i + 2], 2) for i in range(0, 2 * level, 2)]
         xb, yb = curve_digits(quads)
@@ -531,29 +532,29 @@ def hilbert2d_function() -> ComputableFunction:
     )
 
 
+def _selector(n: int, positions) -> SSelector:
+    return SSelector(n, tuple(json_int("S position", p) for p in positions))
+
+
 def library_function(name: str, params: Mapping | None = None) -> ComputableFunction:
     """Build a library function from a plain-data description."""
     params = dict(params or {})
     if name == "identity":
-        return identity_function(int(params.get("n", 1)))
+        return identity_function(json_int("n", params.get("n", 1)))
     if name == "scale":
-        return scale_function(Fraction(params["c"]))
+        return scale_function(params["c"])
     if name == "sum":
-        return sum_function(int(params["n"]))
+        return sum_function(json_int("n", params["n"]))
     if name == "affine":
         inverse = None
         if "inverse_modulus" in params:
             spec = params["inverse_modulus"]
-            sel = SSelector(len(params["matrix"][0]), tuple(spec["S"]))
-            inverse = (sel, linear_modulus(int(spec["s"])))
-        return affine_function(
-            [[Fraction(v) for v in row] for row in params["matrix"]],
-            [Fraction(v) for v in params["offset"]],
-            inverse,
-        )
+            sel = _selector(len(params["matrix"][0]), spec["S"])
+            inverse = (sel, linear_modulus(json_int("s", spec["s"])))
+        return affine_function(params["matrix"], params["offset"], inverse)
     if name == "projection":
-        sel = SSelector(int(params["n"]), tuple(params["S"]))
-        return projection_function(sel)
+        return projection_function(
+            _selector(json_int("n", params["n"]), params["S"]))
     if name == "hilbert2d":
         return hilbert2d_function()
     raise UnknownFunctionError(f"no library function named {name!r}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import constants as C
-from .codec import DyadicRational, RationalPoint, distance_sq
+from .codec import DyadicRational, RationalPoint, distance_sq, json_int
 from .complexity import (
     check_ball_count_bound,
     check_cube_count_bound,
@@ -31,7 +31,6 @@ from .complexity import (
     check_precision_improvement,
     enumerated_points,
     k_of_precision,
-    point_columns,
 )
 from .functions import ComputableFunction, ImageOracle, library_function
 from .geometry import (
@@ -50,7 +49,7 @@ from .machine import (
     capped_levels,
     get_enumeration,
 )
-from .mutual import dim_estimate, mdim_estimate, pair_cost
+from .mutual import dim_estimate, k_r_pair, mdim_estimate
 from .oracles import ConstantOracle, PointOracle, ProductOracle, make_oracle
 
 
@@ -232,10 +231,13 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
         )
     with _field("machine"):
         machine = MachineConfig(
-            max_program_len=int(
-                m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN)
+            max_program_len=json_int(
+                "max_program_len",
+                m.get("max_program_len", C.BOUNDS_MAX_PROGRAM_LEN),
             ),
-            step_budget=int(m.get("step_budget", C.BOUNDS_STEP_BUDGET)),
+            step_budget=json_int(
+                "step_budget", m.get("step_budget", C.BOUNDS_STEP_BUDGET)
+            ),
         )
     try:
         capped_levels(machine)
@@ -245,7 +247,7 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     window = data.get("window")
     if window is not None:
         with _field("window"):
-            window = tuple(int(v) for v in window)
+            window = tuple(json_int("window bound", v) for v in window)
         if len(window) != 2 or window[0] > window[1]:
             raise InvalidConfigError("window must be [lo, hi] with lo <= hi")
         grid = tuple(r for r in grid if window[0] <= r <= window[1])
@@ -254,7 +256,7 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
                 f"window keeps {len(grid)} grid precision(s); a slope needs two"
             )
     with _field("seed"):
-        seed = int(data.get("seed", 0))
+        seed = json_int("seed", data.get("seed", 0))
     fmt = data.get("format", "json")
     if fmt not in ("json", "csv"):
         raise InvalidConfigError(f"unknown output format: {fmt!r}")
@@ -469,7 +471,7 @@ def _kprofile_suite(cfg: ExperimentConfig) -> SuiteReport:
     )
     rows = []
     for idx, (spec, oracle) in enumerate(generators):
-        est = dim_estimate(oracle, window=cfg.grid)
+        est = dim_estimate(oracle, cfg.grid)
         name = spec.get("kind", "?") + f"#{idx}"
         rows += [
             _info("kprofile", f"{name} r={r}", k)
@@ -487,7 +489,7 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
     for name, spec, target in C.CALIBRATION_SET:
         oracle = make_oracle(spec)
         oracles[name] = (oracle, target)
-        est = dim_estimate(oracle, window=cfg.grid)
+        est = dim_estimate(oracle, cfg.grid)
         estimates[name] = est
         if name.startswith("random"):
             ok = est.lo >= C.RANDOM_DIM_MIN
@@ -503,7 +505,7 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
     worst_identity = 0.0
     for name, (oracle, _) in oracles.items():
         est = estimates[name]
-        prof = mdim_estimate(oracle, oracle, window=cfg.grid)
+        prof = mdim_estimate(oracle, oracle, cfg.grid)
         delta = max(abs(prof.slope_lo - est.lo), abs(prof.slope_hi - est.hi))
         worst_identity = max(worst_identity, delta)
         rows.append(_at_most("mdim_identity", name, delta,
@@ -513,18 +515,14 @@ def _mdim_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_check("mdim_range", name,
                            round(prof.slope_lo, 6), round(cap, 6), ok_range))
     other = make_oracle({"kind": "random", "seed": 8, "n": 1})
-    indep = mdim_estimate(oracles["random-7"][0], other, window=cfg.grid)
+    indep = mdim_estimate(oracles["random-7"][0], other, cfg.grid)
     rows.append(_at_most("mdim_independent", "random-7 : random-8",
                          indep.slope_hi, C.MDIM_INDEPENDENT_MAX))
     sym_worst = 0
     a = oracles["random-7"][0]
     b = oracles["diluted-1/2"][0]
     for r in cfg.grid:
-        cols_a = point_columns(a.query(r), r)
-        cols_b = point_columns(b.query(r), r)
-        sym_worst = max(
-            sym_worst, abs(pair_cost(cols_a, cols_b) - pair_cost(cols_b, cols_a))
-        )
+        sym_worst = max(sym_worst, abs(k_r_pair(a, b, r) - k_r_pair(b, a, r)))
     rows.append(_at_most("mdim_symmetry", "random-7 : diluted-1/2 sweep",
                          sym_worst, C.MDIM_SYMMETRY_TOL))
     constants = {
@@ -594,9 +592,9 @@ def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
         factor = _holder_factor(f)
         for pair_name, x, y in base_pairs[f.n]:
             if pair_name not in base_profiles:
-                base_profiles[pair_name] = mdim_estimate(x, y, window=cfg.grid)
+                base_profiles[pair_name] = mdim_estimate(x, y, cfg.grid)
             base = base_profiles[pair_name]
-            image = mdim_estimate(ImageOracle(f, x), y, window=cfg.grid)
+            image = mdim_estimate(ImageOracle(f, x), y, cfg.grid)
             bound = factor * base.slope_hi + C.DPI_SLACK
             label = f"{_function_label(spec)} on {pair_name}"
             rows.append(_at_most("dpi_slope", label, image.slope_hi, bound))
@@ -625,7 +623,7 @@ def _reverse_rows(check: str, label: str, base, prof) -> list[dict]:
 
 def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     d12, _, _, _, _ = _shared_oracles()
-    base = mdim_estimate(d12, d12, window=cfg.grid)
+    base = mdim_estimate(d12, d12, cfg.grid)
     ident = library_function("identity", {"n": 1})
     translate = library_function("affine", {
         "matrix": [["1"]], "offset": ["5/8"],
@@ -642,7 +640,7 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
     rows = []
     margins = []
     for label, pair_oracle in configs:
-        prof = mdim_estimate(pair_oracle, d12, window=cfg.grid)
+        prof = mdim_estimate(pair_oracle, d12, cfg.grid)
         rows += _reverse_rows("reverse_dpi", label, base, prof)
         margins += [prof.slope_lo + C.DPI_SLACK - base.slope_lo,
                     prof.slope_hi + C.DPI_SLACK - base.slope_hi]
@@ -651,19 +649,19 @@ def _reverse_dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     d12, _, _, r9, x2 = _shared_oracles()
-    base1 = mdim_estimate(d12, d12, window=cfg.grid)
-    base2 = mdim_estimate(x2, x2, window=cfg.grid)
+    base1 = mdim_estimate(d12, d12, cfg.grid)
+    base2 = mdim_estimate(x2, x2, cfg.grid)
     rows = []
 
     ident = library_function("identity", {"n": 1})
     prof = mdim_estimate(ImageOracle(ident, d12), ImageOracle(ident, d12),
-                         window=cfg.grid)
+                         cfg.grid)
     rows.append(_at_most("conservation_identity", "id:id on diluted-1/2",
                          prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
 
     half = library_function("scale", {"c": "1/2"})
     prof = mdim_estimate(ImageOracle(half, d12), ImageOracle(half, d12),
-                         window=cfg.grid)
+                         cfg.grid)
     rows.append(_at_most("conservation_contraction",
                          "scale(1/2) pair on diluted-1/2",
                          prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
@@ -677,7 +675,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
         "inverse_modulus": {"S": [1, 2], "s": 0},
     })
     prof = mdim_estimate(ImageOracle(swap_a, x2), ImageOracle(swap_b, x2),
-                         window=cfg.grid)
+                         cfg.grid)
     delta = max(abs(prof.slope_lo - base2.slope_lo),
                 abs(prof.slope_hi - base2.slope_hi))
     rows.append(_at_most("conservation_bilipschitz",
@@ -686,7 +684,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
 
     hilb = library_function("hilbert2d")
     prof = mdim_estimate(ImageOracle(hilb, d12), ImageOracle(ident, d12),
-                         window=cfg.grid)
+                         cfg.grid)
     rows.append(_at_most("conservation_holder",
                          "hilbert2d:identity factor 2 on diluted-1/2",
                          prof.slope_hi,
@@ -697,7 +695,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     z = make_oracle({"kind": "rational", "values": ["3/16"]})
     pw = ProductOracle(ImageOracle(s2, ProductOracle(d12, w)), w)
     pz = ProductOracle(ImageOracle(s2, ProductOracle(d12, z)), z)
-    prof = mdim_estimate(pw, pz, window=cfg.grid)
+    prof = mdim_estimate(pw, pz, cfg.grid)
     rows += _reverse_rows("conservation_reverse",
                           "sum pairs w=5/8 z=3/16 on diluted-1/2", base1, prof)
     return _finish("conservation", rows, {
@@ -732,7 +730,7 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         raise InvalidConfigError("counterexample needs a 1-coordinate point")
     hilb = library_function("hilbert2d")
     fx = ImageOracle(hilb, x)
-    dim_image = dim_estimate(fx, window=cfg.grid)
+    dim_image = dim_estimate(fx, cfg.grid)
     rows = []
     constants = {
         "dim_image_lo": round(dim_image.lo, 6),
@@ -743,8 +741,8 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
         rows.append(_info("counterexample", "not a counterexample witness",
                           round(dim_image.hi, 6)))
         return _finish("counterexample", rows, constants)
-    mutual = mdim_estimate(x, fx, window=cfg.grid)
-    dim_x = dim_estimate(x, window=cfg.grid)
+    mutual = mdim_estimate(x, fx, cfg.grid)
+    dim_x = dim_estimate(x, cfg.grid)
     rows.append(_check("image_dimension", "dim(hilbert2d(x)).hi",
                        round(dim_image.hi, 6), C.COUNTEREXAMPLE_DIM_FLOOR,
                        dim_image.hi >= C.COUNTEREXAMPLE_DIM_FLOOR))

@@ -27,7 +27,6 @@ from typing import Sequence
 from .compressor import lz78_cost
 from .complexity import ball_points, k_r, point_columns
 from .constants import (
-    COMPRESSOR_GRID,
     GUARD_BITS,
     JOINT_FLAG_BITS,
     REFERENCE_SEED,
@@ -176,13 +175,6 @@ def _window_slopes(
     )
 
 
-def _resolve_grid(window) -> tuple[int, ...]:
-    grid = COMPRESSOR_GRID if window is None else tuple(window)
-    if not grid:
-        raise ValueError("window must be nonempty")
-    return grid
-
-
 @dataclass(frozen=True)
 class DimEstimate:
     """Window of local slopes of K_r against r: lo ~ dim, hi ~ Dim."""
@@ -206,11 +198,8 @@ class MutualProfile:
     k_xy_values: tuple[int, ...]
 
 
-def dim_estimate(
-    x: PointOracle, window: Sequence[int] | None = None
-) -> DimEstimate:
-    """Estimated (dim, Dim) of the oracle's point over the given window."""
-    grid = _resolve_grid(window)
+def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> DimEstimate:
+    """Estimated (dim, Dim) of the oracle's point over the precision grid."""
     raw = [_k_r_cached(x, r) for r in grid]
     n = x.dimension
     series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
@@ -219,10 +208,9 @@ def dim_estimate(
 
 
 def mdim_estimate(
-    x: PointOracle, y: PointOracle, window: Sequence[int] | None = None
+    x: PointOracle, y: PointOracle, grid: tuple[int, ...]
 ) -> MutualProfile:
-    """Estimated mutual-dimension profile of two oracles over a window."""
-    grid = _resolve_grid(window)
+    """Estimated mutual-dimension profile of two oracles over the grid."""
     k_x, k_y, k_xy, i_vals = [], [], [], []
     for r in grid:
         kx = _k_r_cached(x, r)

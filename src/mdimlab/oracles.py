@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint
+from .codec import DyadicRational, RationalPoint, json_int
 from .geometry import ceil_half_log2
 
 
@@ -231,10 +231,12 @@ def make_oracle(spec: Mapping) -> PointOracle:
     """
     kind = spec.get("kind")
     if kind == "random":
-        return random_oracle(int(spec["seed"]), int(spec.get("n", 1)))
+        return random_oracle(json_int("seed", spec["seed"]),
+                             json_int("n", spec.get("n", 1)))
     if kind == "diluted":
         return diluted_oracle(
-            int(spec["seed"]), Fraction(spec["rho"]), int(spec.get("n", 1))
+            json_int("seed", spec["seed"]), Fraction(spec["rho"]),
+            json_int("n", spec.get("n", 1)),
         )
     if kind == "rational":
         return rational_oracle([Fraction(v) for v in spec["values"]])

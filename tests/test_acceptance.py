@@ -119,7 +119,7 @@ def test_criterion_06_estimator_calibration(acceptance_verdicts):
     t0 = time.monotonic()
     failures = []
     for name, spec, target in C.CALIBRATION_SET:
-        est = dim_estimate(make_oracle(spec))
+        est = dim_estimate(make_oracle(spec), C.COMPRESSOR_GRID)
         if name.startswith("random"):
             if est.lo < C.RANDOM_DIM_MIN:
                 failures.append(name)

@@ -23,6 +23,8 @@ from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
     SSelector,
     affine_function,
+    curve_digits,
+    hilbert2d_function,
     interleave,
     left_inverse_synthesize,
     linear_modulus,
@@ -485,11 +487,36 @@ def test_sum_and_scale_evaluators_match_fraction_formulas():
     got = sum_function(3).evaluate(ConstantOracle(_point(coords)), 4)
     total = sum(c.to_fraction() for c in coords)
     assert got.coords == (DyadicRational.from_fraction(total),)
-    for c in ("2", "-3/4", "1/1024"):
+    for c in ("2", "-3/4", "-2", "1/1024"):
         got = scale_function(Fraction(c)).evaluate(
             ConstantOracle(_point(coords[:1])), 4)
         want = DyadicRational.from_fraction(coords[0].to_fraction() * Fraction(c))
         assert got.coords == (want,)
+
+
+def hilbert2d_reference(t: Fraction, r: int) -> tuple[DyadicRational, ...]:
+    """Entry corner of the level r + 3 cell holding floor(t * 4**level),
+    the index clamped to the curve's cells."""
+    level = r + 3
+    cells = 4**level
+    idx = min(max(math.floor(t * cells), 0), cells - 1)
+    quads = [(idx >> (2 * (level - 1 - i))) & 3 for i in range(level)]
+    xb, yb = curve_digits(quads)
+    return DyadicRational(xb, level), DyadicRational(yb, level)
+
+
+# below 0, at 0 and 1, above 1, on cell boundaries of every level, and
+# just inside either end
+@pytest.mark.parametrize("t", ["-3", "-1/64", "-1/1099511627776", "0", "1",
+                               "5/4", "7", "1/4", "1/64", "63/64",
+                               "12345/65536", "1099511627775/1099511627776",
+                               "3/1099511627776"])
+@pytest.mark.parametrize("r", [0, 1, 5])
+def test_hilbert2d_matches_fraction_reference(t, r):
+    t = Fraction(t)
+    point = _point((DyadicRational.from_fraction(t),))
+    got = hilbert2d_function().evaluate(ConstantOracle(point), r)
+    assert got.coords == hilbert2d_reference(t, r)
 
 
 @pytest.mark.parametrize("x", [("5/8", "-3/4"), ("-2", "0"), ("1/16", "17/16")])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdimlab import functions
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.functions import (
     ArityMismatchError,
@@ -236,6 +237,36 @@ class TestLibrary:
         f = library_function("sum", {"n": 2})
         with pytest.raises(ArityMismatchError):
             f.evaluate(_const((1, 1)), 3)
+
+
+LIBRARY_SPECS = [
+    ("identity", {"n": 2}),
+    ("scale", {"c": "-3/4"}),
+    ("scale", {"c": "2"}),
+    ("sum", {"n": 3}),
+    ("affine", {"matrix": [["1", "1/1024"], ["0", "-3"]],
+                "offset": ["1/4", "-5/8"]}),
+    ("projection", {"n": 3, "S": [1, 3]}),
+    ("hilbert2d", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", LIBRARY_SPECS,
+                         ids=[name for name, _ in LIBRARY_SPECS])
+def test_library_evaluators_build_no_fraction(monkeypatch, name, params):
+    # the build step checks every coefficient once; after it, the
+    # evaluators compute on dyadic numerators alone
+    f = library_function(name, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an evaluator went through Fraction")
+
+    monkeypatch.setattr(functions, "Fraction", refuse)
+    monkeypatch.setattr(DyadicRational, "from_fraction", refuse)
+    monkeypatch.setattr(DyadicRational, "to_fraction", refuse)
+    x = _const(*(((-1) ** i * (2 * i + 3), i + 3) for i in range(f.n)))
+    for r in (0, 3, 9):
+        assert f.evaluate(x, r).dimension == f.k
 
 
 class TestLeftInverse:

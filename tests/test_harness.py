@@ -264,6 +264,17 @@ class TestCli:
          "functions[0]"),
         ("dpi", {"functions": [{"name": "affine", "params": {
             "matrix": [["1/3", "0"]], "offset": ["0"]}}]}, "functions[0]"),
+        ("machine", {"machine": {"max_program_len": 16.9,
+                                 "step_budget": True}}, "max_program_len"),
+        ("dpi", {"functions": [{"name": "sum", "params": {"n": 2.7}}]},
+         "functions[0]"),
+        ("dpi", {"functions": [{"name": "projection",
+                                "params": {"n": 2, "S": [1.5]}}]},
+         "functions[0]"),
+        ("geometry", {"seed": "5"}, "seed"),
+        ("mdim", {"window": [1024, 4096.0]}, "window"),
+        ("kprofile", {"generators": [{"kind": "random", "seed": 7.5}]},
+         "generators[0]"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):

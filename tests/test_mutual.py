@@ -51,14 +51,14 @@ class TestPairCost:
 class TestGridMutual:
     def test_compressor_identity_nonnegative(self):
         x = make_oracle(D12)
-        assert mdim_estimate(x, x, window=(1024, 2048)).i_values[0] >= 0
+        assert mdim_estimate(x, x, (1024, 2048)).i_values[0] >= 0
 
     def test_compressor_symmetric(self):
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
         window = (1024, 2048)
-        assert (mdim_estimate(x, y, window=window).i_values
-                == mdim_estimate(y, x, window=window).i_values)
+        assert (mdim_estimate(x, y, window).i_values
+                == mdim_estimate(y, x, window).i_values)
 
     def test_pair_complexity_subadditive(self):
         x = make_oracle(D12)
@@ -87,22 +87,22 @@ class TestReferenceRatio:
 
 class TestDimEstimate:
     def test_window_overrides_grid(self):
-        est = dim_estimate(make_oracle(D12), window=SHORT)
+        est = dim_estimate(make_oracle(D12), SHORT)
         assert est.r_grid == SHORT
         assert len(est.k_values) == len(SHORT)
 
     def test_envelope_ordering(self):
-        est = dim_estimate(make_oracle(D12), window=SHORT)
+        est = dim_estimate(make_oracle(D12), SHORT)
         assert est.lo <= est.hi
 
     def test_diluted_half_frozen(self):
-        est = dim_estimate(make_oracle(D12))
+        est = dim_estimate(make_oracle(D12), C.COMPRESSOR_GRID)
         assert round(est.lo, 6) == 0.543880
         assert round(est.hi, 6) == 0.571645
 
     def test_rational_quarter_frozen(self):
-        est = dim_estimate(make_oracle({"kind": "rational",
-                                        "values": ["1/4"]}))
+        quarter = make_oracle({"kind": "rational", "values": ["1/4"]})
+        est = dim_estimate(quarter, C.COMPRESSOR_GRID)
         assert round(est.lo, 6) == 0.032776
         assert round(est.hi, 6) == 0.075155
 
@@ -110,14 +110,14 @@ class TestDimEstimate:
 class TestMdimEstimate:
     def test_self_pair_frozen(self):
         x = make_oracle(D12)
-        prof = mdim_estimate(x, x)
+        prof = mdim_estimate(x, x, C.COMPRESSOR_GRID)
         assert round(prof.slope_lo, 6) == 0.522884
         assert round(prof.slope_hi, 6) == 0.523540
 
     def test_three_term_identity(self):
         # i_r = K_r(x) + K_r(y) - K_r(x, y) at every grid precision
         x = make_oracle(D12)
-        prof = mdim_estimate(x, x, window=SHORT)
+        prof = mdim_estimate(x, x, SHORT)
         assert prof.r_grid == tuple(SHORT)
         for j in range(len(SHORT)):
             assert prof.i_values[j] == (prof.k_x_values[j] + prof.k_y_values[j]
@@ -131,17 +131,17 @@ class TestKrMemo:
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
         for _ in range(2):  # the second pass is answered from the memo
             for oracle in (x, y):
-                est = dim_estimate(oracle, window=window)
+                est = dim_estimate(oracle, window)
                 assert est.k_values == tuple(k_r(oracle, r) for r in window)
-            prof = mdim_estimate(x, y, window=window)
+            prof = mdim_estimate(x, y, window)
             assert prof.k_x_values == tuple(k_r(x, r) for r in window)
             assert prof.k_y_values == tuple(k_r(y, r) for r in window)
 
     def test_memo_does_not_keep_oracles_alive(self):
         x = make_oracle(D12)
         ref = weakref.ref(x)
-        dim_estimate(x)
-        mdim_estimate(x, x)
+        dim_estimate(x, C.COMPRESSOR_GRID)
+        mdim_estimate(x, x, C.COMPRESSOR_GRID)
         del x
         gc.collect()
         assert ref() is None
