@@ -1,8 +1,8 @@
 """Self-delimiting binary encodings for integers, dyadic rationals, and points.
 
-The wire format is frozen.  Changing any layout rule below invalidates every
-pinned regression constant downstream, so changes must be accompanied by a new
-machine version tag.
+The wire format is frozen.  Changing any layout rule below moves pinned
+regression constants downstream, so a format change re-pins every constant it
+moves.
 
 Layout
 ------
@@ -136,8 +136,8 @@ class RationalPoint:
         )
 
 
-def distance_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
-    """Exact squared distance, summed in integers at the common exponent."""
+def distance_sq_parts(p: RationalPoint, q: RationalPoint) -> tuple[int, int]:
+    """(t, e) with |p - q|**2 == t / 4**e, e the common exponent."""
     if p.dimension != q.dimension:
         raise ValueError("dimension mismatch")
     pairs = tuple(zip(p.coords, q.coords))
@@ -146,7 +146,13 @@ def distance_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
     for a, b in pairs:
         d = (a.num << (e - a.exp)) - (b.num << (e - b.exp))
         total += d * d
-    return Fraction(total, 1 << (2 * e))
+    return total, e
+
+
+def distance_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
+    """Exact squared distance, summed in integers at the common exponent."""
+    t, e = distance_sq_parts(p, q)
+    return Fraction(t, 1 << (2 * e))
 
 
 def encode_point(p: RationalPoint) -> str:
@@ -195,6 +201,15 @@ def unpair(bits: str) -> tuple[str, str]:
     if alen < 0 or pos + alen > len(bits):
         raise MalformedPairError(f"declared first length {alen} overruns input")
     return bits[pos : pos + alen], bits[pos + alen :]
+
+
+def json_fraction(name: str, value) -> Fraction:
+    """``value`` as a Fraction if it is a JSON integer or a string such as
+    ``"3/8"``; a JSON float would be read as its binary double, so it is
+    refused with booleans and everything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer or a string, not {value!r}")
+    return Fraction(value)
 
 
 def json_int(name: str, value) -> int:

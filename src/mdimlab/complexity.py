@@ -72,18 +72,16 @@ def _report(name: str, lhs: float, rhs: float, measured: float) -> BoundReport:
 # ---- fixed-width point representation (compressor) -----------------------
 
 
-def point_columns(
-    p: RationalPoint, r: int, guard: int = GUARD_BITS
-) -> list[str]:
+def point_columns(p: RationalPoint, r: int) -> list[str]:
     """Per-coordinate binary columns of p at precision r.
 
     Each column is the two's-complement image of floor(coord * 2**r) in
-    guard + r bits, most significant first; coordinates in [0, 1) yield
-    guard zeros followed by the first r expansion bits.
+    GUARD_BITS + r bits, most significant first; coordinates in [0, 1)
+    yield GUARD_BITS zeros followed by the first r expansion bits.
     """
     if r < 0:
         raise ValueError("precision must be nonnegative")
-    width = guard + r
+    width = GUARD_BITS + r
     half = 1 << (width - 1)
     cols = []
     for c in p.coords:
@@ -91,7 +89,7 @@ def point_columns(
         if not -half <= m < half:
             raise ValueError(
                 f"coordinate {c.to_fraction()} outside the guard range "
-                f"[-{1 << (guard - 1)}, {1 << (guard - 1)})"
+                f"[-{1 << (GUARD_BITS - 1)}, {1 << (GUARD_BITS - 1)})"
             )
         cols.append(format(m & ((1 << width) - 1), f"0{width}b"))
     return cols

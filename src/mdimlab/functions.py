@@ -13,9 +13,10 @@ certificate into a working left inverse.
 
 The library is dyadic by construction: a coefficient is checked dyadic
 once, when its function is built, and the evaluators build each output
-from integer numerators without a ``Fraction``.  ``Fraction`` remains
-where a value need not be dyadic: Holder exponents, the sampled checks
-and the left-inverse thresholds.
+from integer numerators without a ``Fraction``.  The left-inverse search
+compares integers as well: its bounds are integer counts of 2**-p, tested
+against integer squared distances.  ``Fraction`` remains where a value
+need not be dyadic: Holder exponents and the sampled checks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint, distance_sq, json_int
+from .codec import (
+    DyadicRational,
+    RationalPoint,
+    distance_sq,
+    distance_sq_parts,
+    json_fraction,
+    json_int,
+)
 from .geometry import ceil_half_log2
 from .oracles import ConstantOracle, PointOracle
 
@@ -542,7 +550,7 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
     if name == "identity":
         return identity_function(json_int("n", params.get("n", 1)))
     if name == "scale":
-        return scale_function(params["c"])
+        return scale_function(json_fraction("c", params["c"]))
     if name == "sum":
         return sum_function(json_int("n", params["n"]))
     if name == "affine":
@@ -551,7 +559,11 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
             spec = params["inverse_modulus"]
             sel = _selector(len(params["matrix"][0]), spec["S"])
             inverse = (sel, linear_modulus(json_int("s", spec["s"])))
-        return affine_function(params["matrix"], params["offset"], inverse)
+        matrix = [[json_fraction(f"matrix[{i}][{j}]", v) for j, v in enumerate(row)]
+                  for i, row in enumerate(params["matrix"])]
+        offset = [json_fraction(f"offset[{i}]", v)
+                  for i, v in enumerate(params["offset"])]
+        return affine_function(matrix, offset, inverse)
     if name == "projection":
         return projection_function(
             _selector(json_int("n", params["n"]), params["S"]))
@@ -565,31 +577,22 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
 DEFAULT_SEARCH_BOX = (-(1 << 10), 1 << 10)
 
 
-def _modulus_variation_bound(
-    m: ModulusSpec, radius_sq: Fraction, cap: int
-) -> Fraction:
-    """Bound on |f(a)-f(b)| when |a-b|^2 <= radius_sq, via the modulus.
+def _modulus_variation_bound(m: ModulusSpec, radius: int, gap: int, cap: int) -> int:
+    """Bound on |f(a)-f(b)|, in units of 2**-cap, when |a-b|**2 <= radius / 4**gap.
 
-    For small radii this is 2**-j for the largest j <= cap with
-    2**-m(j) >= sqrt(radius_sq).  Larger separations chop the segment
-    into N pieces of length at most 2**-m(0), each moving the value at
-    most 1, so N bounds the total variation.
+    Separations beyond 2**-m(0) chop the segment into N pieces of length
+    at most 2**-m(0), each moving the value at most 1, so N bounds the
+    total variation.  Smaller radii give 2**-j for the largest j <= cap
+    with 2**-m(j) >= sqrt(radius / 4**gap).
     """
-    best = None
-    for j in range(cap + 1):
-        gap = m.value(j)
-        if Fraction(1, 1 << (2 * gap)) >= radius_sq:
-            best = Fraction(1, 1 << j)
-        else:
-            break
-    if best is not None:
-        return best
-    scaled = radius_sq * (1 << (2 * m.value(0)))
-    need = scaled.numerator // scaled.denominator + 1
-    pieces = math.isqrt(need)
-    if pieces * pieces < need:
-        pieces += 1
-    return Fraction(pieces)
+    scaled = radius << (2 * m.value(0))
+    if scaled > 1 << (2 * gap):
+        need = (scaled >> (2 * gap)) + 1
+        return (math.isqrt(need - 1) + 1) << cap
+    j = 0
+    while j < cap and radius << (2 * m.value(j + 1)) <= 1 << (2 * gap):
+        j += 1
+    return 1 << (cap - j)
 
 
 def left_inverse_synthesize(
@@ -619,30 +622,31 @@ def left_inverse_synthesize(
     def evaluate(w: PointOracle, r: int) -> RationalPoint:
         target_gap = m_prime.value(r)
         p = target_gap + 3
-        if modulus.value(target_gap + 2) > p:
+        pitch_gap = modulus.value(target_gap + 2)
+        if pitch_gap > p:
             raise ValueError(
                 "declared modulus too steep for the pinned working precision"
             )
         observed = w.query(p)
         z = _as_point(observed.coords[: f.k])
         y = observed.coords[f.k :]
-        pitch_gap = modulus.value(target_gap + 2)
         cells = (hi - lo) << pitch_gap
-        accept = Fraction(1, 1 << (target_gap + 1))
-        accept_sq = accept * accept
-        slack = 2 * Fraction(1, 1 << p)
+        # every bound below is an integer count of 2**-p, and every squared
+        # bound an integer count of 4**-p; the slack is 2 units
+        accept = 1 << (p - target_gap - 1)
         # squared pruning threshold by the box's squared radius in pitch
         # units; every box of one shape shares it
-        thresholds_sq: dict[int, Fraction] = {}
+        thresholds_sq: dict[int, int] = {}
         origin = lo << pitch_gap
 
         def grid_point(indices):
             return tuple(DyadicRational(origin + i, pitch_gap) for i in indices)
 
-        def image_distance_sq(q_coords):
-            point = interleave(q_coords, sel, y)
-            image = f.evaluate(_constant(point), p)
-            return distance_sq(image, z)
+        def within(q_coords, bound_sq):
+            # |f(q) - z|**2 = t / 4**e against bound_sq / 4**p, cross-multiplied
+            image = f.evaluate(_constant(interleave(q_coords, sel, y)), p)
+            t, e = distance_sq_parts(image, z)
+            return t << (2 * p) <= bound_sq << (2 * e)
 
         # best-first over half-open index boxes, ordered by minimal corner;
         # a box's minimal corner is its lexicographically least candidate,
@@ -654,7 +658,7 @@ def left_inverse_synthesize(
             sides = [b - a for a, b in ranges]
             if all(s == 1 for s in sides):
                 q = grid_point(corner)
-                if image_distance_sq(q) <= accept_sq:
+                if within(q, accept * accept):
                     return _as_point(q)
                 continue
             centers = [(a + b) // 2 for a, b in ranges]
@@ -664,11 +668,10 @@ def left_inverse_synthesize(
             )
             threshold_sq = thresholds_sq.get(radius)
             if threshold_sq is None:
-                radius_sq = Fraction(radius, 1 << (2 * pitch_gap))
-                variation = _modulus_variation_bound(modulus, radius_sq, p)
-                threshold_sq = (accept + variation + slack) ** 2
+                variation = _modulus_variation_bound(modulus, radius, pitch_gap, p)
+                threshold_sq = (accept + variation + 2) ** 2
                 thresholds_sq[radius] = threshold_sq
-            if image_distance_sq(q_mid) > threshold_sq:
+            if not within(q_mid, threshold_sq):
                 continue
             axis = max(range(width), key=lambda i: sides[i])
             a, b = ranges[axis]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint, json_int
+from .codec import DyadicRational, RationalPoint, json_fraction, json_int
 from .geometry import ceil_half_log2
 
 
@@ -235,14 +235,16 @@ def make_oracle(spec: Mapping) -> PointOracle:
                              json_int("n", spec.get("n", 1)))
     if kind == "diluted":
         return diluted_oracle(
-            json_int("seed", spec["seed"]), Fraction(spec["rho"]),
+            json_int("seed", spec["seed"]), json_fraction("rho", spec["rho"]),
             json_int("n", spec.get("n", 1)),
         )
     if kind == "rational":
-        return rational_oracle([Fraction(v) for v in spec["values"]])
+        return rational_oracle([json_fraction(f"values[{i}]", v)
+                                for i, v in enumerate(spec["values"])])
     if kind == "constant":
         coords = tuple(
-            DyadicRational.from_fraction(Fraction(v)) for v in spec["coords"]
+            DyadicRational.from_fraction(json_fraction(f"coords[{i}]", v))
+            for i, v in enumerate(spec["coords"])
         )
         return ConstantOracle(RationalPoint(coords))
     if kind == "product":

@@ -2,7 +2,8 @@
 
 Each reference below is the straightforward version of a hot path: the
 dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
-``Fraction`` formulas behind the diluted and rational bit streams, the
+``Fraction`` formulas behind the diluted and rational bit streams and the
+left-inverse search's modulus variation bound, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
 enumeration (``machine.enumerate_halting``), and the full 3**n candidate
 scans behind the lattice point and the cube cover of a ball.  They are
@@ -18,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdimlab.codec import DyadicRational, RationalPoint, distance_sq
+from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, distance_sq_parts
 from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
+    ModulusSpec,
     SSelector,
+    _modulus_variation_bound,
     affine_function,
     curve_digits,
     hilbert2d_function,
@@ -180,6 +183,24 @@ def lex_first_acceptor(f, sel, m_prime, box, w, r):
         if distance_sq_reference(image, z) <= accept_sq:
             return RationalPoint(q)
     return None
+
+
+def modulus_variation_reference(m, radius_sq, cap):
+    """The variation bound over ``Fraction`` radii, as the search first had it."""
+    best = None
+    for j in range(cap + 1):
+        if Fraction(1, 1 << (2 * m.value(j))) >= radius_sq:
+            best = Fraction(1, 1 << j)
+        else:
+            break
+    if best is not None:
+        return best
+    scaled = radius_sq * (1 << (2 * m.value(0)))
+    need = scaled.numerator // scaled.denominator + 1
+    pieces = math.isqrt(need)
+    if pieces * pieces < need:
+        pieces += 1
+    return Fraction(pieces)
 
 
 def sorted_prefix_violations(programs):
@@ -396,6 +417,9 @@ def _point(coords):
 def test_distance_sq_matches_fraction_sum(pair):
     p, q = (_point(c) for c in pair)
     assert distance_sq(p, q) == distance_sq_reference(p, q)
+    t, e = distance_sq_parts(p, q)
+    assert (Fraction(t, 4**e), e) == (distance_sq_reference(p, q),
+                                     max(c.exp for c in (*p.coords, *q.coords)))
 
 
 @settings(max_examples=300)
@@ -530,3 +554,17 @@ def test_left_inverse_matches_full_grid_scan(x, r):
     point = _point(DyadicRational.from_fraction(Fraction(v)) for v in x)
     w = ConstantOracle(f.evaluate(ConstantOracle(point), 30))
     assert g.evaluate(w, r) == lex_first_acceptor(f, sel, spec, box, w, r)
+
+
+@pytest.mark.parametrize("m", [linear_modulus(s) for s in range(4)]
+                         + [ModulusSpec(1, Fraction(1, 2))],
+                         ids=["lipschitz-0", "lipschitz-1", "lipschitz-2",
+                              "lipschitz-3", "holder-1-1/2"])
+def test_modulus_variation_bound_matches_fraction_reference(m):
+    # every radius up to 4096 (all perfect squares among them) on both
+    # sides of the small/large switch, the result in units of 2**-cap
+    for gap in (0, 1, 3, 6):
+        for cap in (0, 2, 5, 9):
+            for radius in range(4097):
+                want = modulus_variation_reference(m, Fraction(radius, 4**gap), cap)
+                assert _modulus_variation_bound(m, radius, gap, cap) == want * (1 << cap)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdimlab import functions
+from mdimlab import codec, functions
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.functions import (
     ArityMismatchError,
@@ -267,6 +267,38 @@ def test_library_evaluators_build_no_fraction(monkeypatch, name, params):
     x = _const(*(((-1) ** i * (2 * i + 3), i + 3) for i in range(f.n)))
     for r in (0, 3, 9):
         assert f.evaluate(x, r).dimension == f.k
+
+
+INVERSE_SPECS = [
+    ("scale", {"c": "2"}, None, ((5, 3),)),
+    ("sum", {"n": 2}, (SSelector(2, (1,)), linear_modulus(1)), ((5, 3), (-3, 2))),
+    ("affine", {"matrix": [["1", "1/2"], ["0", "1"]], "offset": ["1/4", "0"],
+                "inverse_modulus": {"S": [1, 2], "s": 1}}, None, ((5, 3), (-3, 2))),
+]
+
+
+@pytest.mark.parametrize("name, params, certificate, x", INVERSE_SPECS,
+                         ids=[spec[0] for spec in INVERSE_SPECS])
+def test_left_inverse_builds_no_fraction(monkeypatch, name, params,
+                                         certificate, x):
+    # the search compares integer numerators in units of 2**-p: no node
+    # builds a Fraction, in its own bounds or in the distance it measures
+    f = library_function(name, params)
+    sel, spec = certificate or f.declared_inverse_moduli[0]
+    g = left_inverse_synthesize(f, sel, spec)
+    w = ImageOracle(f, _const(*x))
+    if sel.complement:
+        w = ProductOracle(w, _const(*(x[p - 1] for p in sel.complement)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the left-inverse search went through Fraction")
+
+    monkeypatch.setattr(functions, "Fraction", refuse)
+    monkeypatch.setattr(codec, "Fraction", refuse)
+    monkeypatch.setattr(DyadicRational, "from_fraction", refuse)
+    monkeypatch.setattr(DyadicRational, "to_fraction", refuse)
+    for r in (0, 3, 6):
+        assert g.evaluate(w, r).dimension == len(sel.positions)
 
 
 class TestLeftInverse:

@@ -275,6 +275,18 @@ class TestCli:
         ("mdim", {"window": [1024, 4096.0]}, "window"),
         ("kprofile", {"generators": [{"kind": "random", "seed": 7.5}]},
          "generators[0]"),
+        ("dpi", {"functions": [{"name": "scale", "params": {"c": 0.5}}]},
+         "c must be"),
+        ("kprofile", {"generators": [{"kind": "diluted", "seed": 7,
+                                      "rho": 0.3}]}, "rho must be"),
+        ("kprofile", {"generators": [{"kind": "rational", "values": [0.1]}]},
+         "values[0] must be"),
+        ("kprofile", {"generators": [{"kind": "constant", "coords": [0.5]}]},
+         "coords[0] must be"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1", 0.5]], "offset": ["0"]}}]}, "matrix[0][1] must be"),
+        ("dpi", {"functions": [{"name": "scale", "params": {"c": True}}]},
+         "c must be"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
