@@ -1,16 +1,13 @@
-"""Pinned regression constants of machine version ``v0``.
+"""Pinned regression constants of the bounded machine and the estimators.
 
-Every value below was measured once on this machine version and then
-frozen.  A mismatch means the machine semantics, the wire format, or an
-estimator changed; such a change re-pins each value it moves and says why.
+Every value below was measured once and then frozen.  A mismatch means
+the machine semantics, the wire format, or an estimator changed; such a
+change re-pins each value it moves and says why.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-# the one machine version; a config may still name it as machine.version_tag
-MACHINE_VERSION = "v0"
 
 # ---- bounded machine, version v0 ----------------------------------------
 

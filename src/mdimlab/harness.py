@@ -31,6 +31,7 @@ from .complexity import (
     check_precision_improvement,
     enumerated_points,
     k_of_precision,
+    point_columns,
 )
 from .functions import ComputableFunction, ImageOracle, library_function
 from .geometry import (
@@ -189,9 +190,22 @@ def _build_function(spec: Mapping) -> ComputableFunction:
     return library_function(spec["name"], spec.get("params"))
 
 
-_CONFIG_KEYS = ("suite", "backend", "machine", "generators", "functions",
-                "window", "seed", "format", "out")
-_MACHINE_KEYS = ("max_program_len", "step_budget", "version_tag")
+def _profiled_generator(spec: Mapping) -> PointOracle:
+    """The oracle of ``spec``, once its point fits the K_r guard range.
+
+    A point fits at every precision when it fits at precision 0.
+    """
+    oracle = make_oracle(spec)
+    point_columns(oracle.query(0), 0)
+    return oracle
+
+
+_CONFIG_KEYS = ("suite", "machine", "generators", "functions", "window",
+                "seed", "format", "out")
+_MACHINE_KEYS = ("max_program_len", "step_budget")
+# the suites that read each config list
+_LIST_READERS = {"generators": ("kprofile", "counterexample"),
+                 "functions": ("dpi",)}
 
 
 def _reject_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
@@ -213,22 +227,15 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     suite = data.get("suite")
     if suite not in SUITE_NAMES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
-    backend = data.get("backend", "compressor")
-    if backend != "compressor":
-        raise InvalidConfigError(
-            f"unknown backend: {backend!r}; the estimators run on the "
-            "compressor only"
-        )
+    for key, readers in _LIST_READERS.items():
+        if key in data and suite not in readers:
+            raise InvalidConfigError(
+                f"{key} is read only by {' and '.join(readers)}, not {suite}"
+            )
     m = data.get("machine", {})
     if not isinstance(m, Mapping):
         raise InvalidConfigError("machine must be an object")
     _reject_unknown(m, _MACHINE_KEYS, "machine")
-    version_tag = m.get("version_tag", C.MACHINE_VERSION)
-    if version_tag != C.MACHINE_VERSION:
-        raise InvalidConfigError(
-            f"no pinned constants for version_tag {version_tag!r}; "
-            f"pinned: {C.MACHINE_VERSION}"
-        )
     with _field("machine"):
         machine = MachineConfig(
             max_program_len=json_int(
@@ -270,10 +277,16 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
             raise InvalidConfigError(
                 f"out {out!r} is not a file in a writable directory"
             )
+    generators = _built(data, "generators", _profiled_generator
+                        if suite == "kprofile" else make_oracle)
+    if suite == "counterexample" and len(generators) > 1:
+        raise InvalidConfigError(
+            f"counterexample takes one generator, not {len(generators)}"
+        )
     return ExperimentConfig(
         suite=suite,
         machine=machine,
-        generators=_built(data, "generators", make_oracle),
+        generators=generators,
         functions=_built(data, "functions", _build_function),
         grid=grid,
         seed=seed,

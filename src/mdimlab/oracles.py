@@ -4,7 +4,8 @@ An oracle stands for an ideal point of some dimension n and answers
 ``query(r)`` with a rational point within Euclidean distance 2**-r of it.
 Sequence-backed oracles derive their point from infinite binary expansions,
 one per coordinate, truncated deep enough that the per-coordinate error
-keeps the Euclidean bound.
+keeps the Euclidean bound.  Each expansion is a ``BitStream``, which
+caches a prefix and asks its source for a block of bits at a time.
 
 Randomness is pinned: pseudo-random streams are SHA-256 in counter mode
 over a seed label, so every run of every process sees identical bits.
@@ -39,24 +40,24 @@ class BitStream:
 
     The prefix is kept as a ``bytearray`` of ASCII ``0``/``1``, so reading a
     bit or a prefix costs time in what it returns, not in what came before.
-    Call contract: the stream asks ``bit_at`` for each index once and in
-    order, always at the current buffer length.  Sources may carry state
-    from one index to the next on that basis, but must still answer any
-    other index correctly.  A value other than 0 or 1 raises ``ValueError``.
+    Source contract: ``block(i)`` returns, as a ``str`` of ``0``/``1``, the
+    bits from index i to the end of the block that holds i.  It must answer
+    any index in any order, so a source keeps no state between calls; the
+    stream asks at its buffer length and appends the whole run.  A result
+    that is not a non-empty string of ``0``/``1`` raises ``ValueError``.
     """
 
-    def __init__(self, bit_at: Callable[[int], int]):
-        self._bit_at = bit_at
+    def __init__(self, block: Callable[[int], str]):
+        self._block = block
         self._buf = bytearray()
 
     def _extend(self, k: int) -> None:
         buf = self._buf
-        bit_at = self._bit_at
-        for i in range(len(buf), k):
-            bit = bit_at(i)
-            if bit not in (0, 1):
-                raise ValueError(f"bit source produced {bit!r}")
-            buf.append(48 + bit)
+        while len(buf) < k:
+            bits = self._block(len(buf))
+            if not isinstance(bits, str) or not bits or bits.strip("01"):
+                raise ValueError(f"bit source produced {bits!r}")
+            buf += bits.encode()
 
     def prefix(self, k: int) -> str:
         if len(self._buf) < k:
@@ -71,19 +72,13 @@ class BitStream:
 
 def hash_stream(seed: int, lane: int = 0) -> BitStream:
     """Pinned pseudo-random bits: SHA-256 of (seed, lane, block counter)."""
-    tag = f"mdimlab:{seed}:{lane}".encode()
-    blocks: dict[int, int] = {}
+    tag = f"mdimlab:{seed}:{lane}|".encode()
 
-    def bit_at(i: int) -> int:
-        block, offset = divmod(i, 256)
-        word = blocks.get(block)
-        if word is None:
-            digest = hashlib.sha256(tag + b"|" + block.to_bytes(8, "big")).digest()
-            word = int.from_bytes(digest, "big")
-            blocks[block] = word
-        return (word >> (255 - offset)) & 1
+    def block(i: int) -> str:
+        digest = hashlib.sha256(tag + (i // 256).to_bytes(8, "big")).digest()
+        return format(int.from_bytes(digest, "big"), "0256b")[i % 256:]
 
-    return BitStream(bit_at)
+    return BitStream(block)
 
 
 DILUTION_PERIOD = 2048
@@ -98,7 +93,7 @@ def diluted_stream(
     a run of fresh bits, drawn in order from the seeded random stream, and
     pads the rest with zeros.  Period q gets floor((q+1)*rho*period) -
     floor(q*rho*period) fresh bits, so the density of fresh positions in
-    any prefix converges to rho.
+    any prefix converges to rho.  A period is one block of the stream.
     """
     if not 0 <= rho <= 1:
         raise ValueError("density must satisfy 0 <= rho <= 1")
@@ -108,40 +103,31 @@ def diluted_stream(
     scaled = Fraction(rho) * period
     num, den = scaled.numerator, scaled.denominator
 
-    def bit_at(j: int) -> int:
+    def block(j: int) -> str:
         q, phase = divmod(j, period)
-        start = q * num // den
-        if phase >= (q + 1) * num // den - start:
-            return 0
-        return base.bit(start + phase)
+        start, stop = q * num // den, (q + 1) * num // den
+        return base.prefix(stop)[start:].ljust(period, "0")[phase:]
 
-    return BitStream(bit_at)
+    return BitStream(block)
 
 
 def rational_stream(value: Fraction) -> BitStream:
     """Binary expansion of a rational p/q in [0, 1), by long division.
 
-    Bit i is the quotient digit of 2 * (p * 2**i mod q) by q.  The remainder
-    is carried from one index to the next; an index out of order gets its
-    remainder recomputed with a modular power.
+    With rem = p * 2**i mod q, the n quotient digits from index i on are
+    floor(rem * 2**n / q); a block is 256 digits.
     """
     if not 0 <= value < 1:
         raise ValueError("value must lie in [0, 1)")
     value = Fraction(value)
     p, q = value.numerator, value.denominator
-    at, rem = 0, p
 
-    def bit_at(i: int) -> int:
-        nonlocal at, rem
-        if i != at:
-            rem = p * pow(2, i, q) % q
-        rem *= 2
-        bit = 1 if rem >= q else 0
-        rem -= bit * q
-        at = i + 1
-        return bit
+    def block(i: int) -> str:
+        rem = p * pow(2, i, q) % q
+        n = 256 - i % 256
+        return format((rem << n) // q, f"0{n}b")
 
-    return BitStream(bit_at)
+    return BitStream(block)
 
 
 class StreamOracle(PointOracle):

@@ -326,15 +326,45 @@ def test_rational_stream_matches_fraction_formula(value):
     st.lists(st.integers(min_value=0, max_value=400), max_size=40),
 )
 def test_rational_source_out_of_order(pq, indices):
-    # the source carries a remainder for in-order calls; any other index
-    # must still get the right bit, and the in-order walk must recover
+    # any index, in any order, gets the digits from it to the end of its block
     value = Fraction(*pq)
-    stream = rational_stream(value)
-    source = stream._bit_at
+    source = rational_stream(value)._block
     for i in indices:
-        assert source(i) == rational_bit_reference(value, i)
-    expected = "".join(str(rational_bit_reference(value, i)) for i in range(64))
-    assert stream.prefix(64) == expected
+        block = source(i)
+        assert (i + len(block)) % 256 == 0
+        assert block == "".join(str(rational_bit_reference(value, j))
+                                for j in range(i, i + len(block)))
+
+
+_BLOCK_STREAMS = {
+    "hash": lambda lane: hash_stream(9, lane),
+    "diluted": lambda rp: diluted_stream(9, Fraction(rp[0]), period=rp[1]),
+    "rational": lambda value: rational_stream(Fraction(value)),
+}
+
+
+@pytest.mark.parametrize("kind, arg, size", [
+    ("hash", 0, 256),
+    ("hash", 1, 256),
+    *(("diluted", (rho, period), period)
+      for rho in ("0", "1/3", "1") for period in (1, 3, 2048)),
+    ("rational", "22/23", 256),
+    ("rational", "999999/1000003", 256),
+])
+def test_source_block_is_a_slice_of_the_prefix(kind, arg, size):
+    # a fresh source asked out of order, mid-block and mid-period included,
+    # returns the stream's bits up to the next block boundary
+    n = 3 * 2048 + 256
+    expected = _BLOCK_STREAMS[kind](arg).prefix(n)
+    source = _BLOCK_STREAMS[kind](arg)._block
+    rng = random.Random(7)
+    indices = [n - size - 1, size // 2, size - 1, size, 0]
+    indices += rng.sample(range(n - size), 40)
+    for i in indices:
+        block = source(i)
+        assert 0 < len(block) <= size
+        assert (i + len(block)) % size == 0
+        assert block == expected[i:i + len(block)]
 
 
 # ---- exhaustive enumeration ----------------------------------------------------

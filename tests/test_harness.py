@@ -49,13 +49,15 @@ class TestConfig:
             load_config(str(path))
 
     def test_unpinned_version_tag(self):
-        with pytest.raises(InvalidConfigError, match="'v9'"):
+        with pytest.raises(InvalidConfigError, match="'version_tag'"):
             config_from_mapping({"suite": "coding-bounds",
                                  "machine": {"version_tag": "v9"}})
 
     def test_pinned_version_tag(self):
-        config_from_mapping({"suite": "coding-bounds",
-                             "machine": {"version_tag": "v0"}})
+        # the key selected nothing, so no value of it is accepted
+        with pytest.raises(InvalidConfigError, match="'version_tag'"):
+            config_from_mapping({"suite": "coding-bounds",
+                                 "machine": {"version_tag": "v0"}})
 
     def test_defaults(self):
         cfg = config_from_mapping({"suite": "machine"})
@@ -287,6 +289,20 @@ class TestCli:
             "matrix": [["1", 0.5]], "offset": ["0"]}}]}, "matrix[0][1] must be"),
         ("dpi", {"functions": [{"name": "scale", "params": {"c": True}}]},
          "c must be"),
+        ("kprofile", {"generators": [{"kind": "constant", "coords": ["1000"]}]},
+         "generators[0]"),
+        ("kprofile", {"generators": [
+            {"kind": "random", "seed": 7},
+            {"kind": "product", "factors": [
+                {"kind": "constant", "coords": ["-129"]}]}]}, "generators[1]"),
+        ("counterexample", {"generators": [{"kind": "random", "seed": 1},
+                                           {"kind": "random", "seed": 2}]},
+         "one generator"),
+        ("mdim", {"generators": [{"kind": "random", "seed": 1}]}, "generators"),
+        ("dpi", {"generators": []}, "generators"),
+        ("machine", {"functions": [{"name": "identity", "params": {"n": 1}}]},
+         "functions"),
+        ("kprofile", {"functions": []}, "functions"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -317,6 +333,7 @@ class TestCli:
         {"kind": "rational", "values": ["1/3"]},
         {"kind": "constant", "coords": ["3/8"]},
         {"kind": "product", "factors": [{"kind": "rational", "values": ["1/3"]}]},
+        {"kind": "constant", "coords": ["200"]},
     ])
     def test_exact_point_is_not_a_witness(self, tmp_path, capsys, generator):
         path = self._config_file(
@@ -382,16 +399,6 @@ class TestCli:
         assert text.startswith("check,detail,value,bound,status\n")
         assert out.read_text(encoding="utf-8") == text
 
-    def test_compressor_backend_report_unchanged(self, tmp_path, capsys):
-        base = {"suite": "mdim", "window": [1024, 16384]}
-        reports = []
-        for payload in (base, {**base, "backend": "compressor"}):
-            path = self._config_file(tmp_path, payload)
-            main(["mdim", "--config", path])
-            reports.append(capsys.readouterr().out)
-        assert json.loads(reports[0])["rows"]
-        assert reports[0] == reports[1]
-
     def test_unpinned_version_tag_exit(self, tmp_path, capsys):
         path = self._config_file(
             tmp_path, {"suite": "coding-bounds",
@@ -400,7 +407,7 @@ class TestCli:
         assert main(["coding-bounds", "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "version_tag 'v9'" in captured.err
+        assert "unknown machine key 'version_tag'" in captured.err
 
     def test_suite_mismatch_exit(self, tmp_path):
         path = self._config_file(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdimlab import oracles
 from mdimlab.codec import DyadicRational, RationalPoint
 from mdimlab.oracles import (
     DILUTION_PERIOD,
@@ -49,9 +50,22 @@ def test_hash_stream_lanes_differ():
 
 
 def test_bit_stream_rejects_bad_source():
-    stream = BitStream(lambda i: 2)
-    with pytest.raises(ValueError):
-        stream.bit(0)
+    for source in (lambda i: 2, lambda i: "", lambda i: "012"):
+        stream = BitStream(source)
+        with pytest.raises(ValueError):
+            stream.bit(0)
+
+
+def test_stream_asks_its_source_once_per_block(monkeypatch):
+    calls = []
+
+    class CountedStream(BitStream):
+        def __init__(self, source):
+            super().__init__(lambda i: calls.append(i) or source(i))
+
+    monkeypatch.setattr(oracles, "BitStream", CountedStream)
+    hash_stream(5).prefix(1 << 16)
+    assert len(calls) <= 256
 
 
 def test_rational_stream_expansions():
