@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON experiment description")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the sampling seed")
+                        help="sampling seed of the geometry suite, the "
+                        "only suite that reads one")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         dest="fmt", help="report format (default json)")
     parser.add_argument("--out", metavar="PATH", default=None,

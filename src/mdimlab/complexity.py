@@ -88,8 +88,8 @@ def point_columns(p: RationalPoint, r: int) -> list[str]:
         m = c.floor_shift(r)
         if not -half <= m < half:
             raise ValueError(
-                f"coordinate {c.to_fraction()} outside the guard range "
-                f"[-{1 << (GUARD_BITS - 1)}, {1 << (GUARD_BITS - 1)})"
+                f"coordinate with integer part {m >> r} outside the guard "
+                f"range [-{1 << (GUARD_BITS - 1)}, {1 << (GUARD_BITS - 1)})"
             )
         cols.append(format(m & ((1 << width) - 1), f"0{width}b"))
     return cols

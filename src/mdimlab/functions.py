@@ -497,6 +497,9 @@ def affine_function(
 
 
 def projection_function(sel: SSelector) -> ComputableFunction:
+    if not sel.positions:
+        raise ValueError("projection needs at least one coordinate")
+
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r)
         kept, _ = project(q.coords, sel)

@@ -186,10 +186,6 @@ def _built(data: Mapping, name: str, build) -> tuple:
     return tuple(built)
 
 
-def _build_function(spec: Mapping) -> ComputableFunction:
-    return library_function(spec["name"], spec.get("params"))
-
-
 def _profiled_generator(spec: Mapping) -> PointOracle:
     """The oracle of ``spec``, once its point fits the K_r guard range.
 
@@ -200,12 +196,20 @@ def _profiled_generator(spec: Mapping) -> PointOracle:
     return oracle
 
 
-_CONFIG_KEYS = ("suite", "machine", "generators", "functions", "window",
-                "seed", "format", "out")
+def _dpi_function(spec: Mapping, grid: tuple[int, ...]) -> ComputableFunction:
+    """The function of ``spec``, once it has dpi base pairs and its image of
+    each base point fits the K_r guard range at every precision of grid."""
+    f = library_function(spec["name"], spec.get("params"))
+    base_pairs = _dpi_base_pairs()
+    if f.n not in base_pairs:
+        raise ValueError(f"no pinned generator pair of arity {f.n} for {f.name}")
+    for _, x, _ in base_pairs[f.n]:
+        for r in grid:
+            point_columns(ImageOracle(f, x).query(r), r)
+    return f
+
+
 _MACHINE_KEYS = ("max_program_len", "step_budget")
-# the suites that read each config list
-_LIST_READERS = {"generators": ("kprofile", "counterexample"),
-                 "functions": ("dpi",)}
 
 
 def _reject_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
@@ -220,18 +224,21 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     """Validate a plain-data config and build everything it names.
 
     This is the only place outside input becomes an ``ExperimentConfig``:
-    every malformed value or unknown key is rejected here, before any
-    suite work.
+    every malformed value, unknown key or key the suite does not read is
+    rejected here, before any suite work.  The one check left to a suite is
+    coding-bounds' reachability of K(r), which needs the enumeration.
     """
-    _reject_unknown(data, _CONFIG_KEYS, "config")
     suite = data.get("suite")
-    if suite not in SUITE_NAMES:
+    if suite not in _SUITES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
-    for key, readers in _LIST_READERS.items():
-        if key in data and suite not in readers:
+    accepted = ("suite", "format", "out", *_SUITES[suite][1])
+    for key in data:
+        readers = [name for name, (_, keys) in _SUITES.items() if key in keys]
+        if key not in accepted and readers:
             raise InvalidConfigError(
                 f"{key} is read only by {' and '.join(readers)}, not {suite}"
             )
+    _reject_unknown(data, accepted, "config")
     m = data.get("machine", {})
     if not isinstance(m, Mapping):
         raise InvalidConfigError("machine must be an object")
@@ -279,15 +286,15 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
             )
     generators = _built(data, "generators", _profiled_generator
                         if suite == "kprofile" else make_oracle)
-    if suite == "counterexample" and len(generators) > 1:
+    if suite == "counterexample" and (
+            len(generators) > 1 or any(x.dimension != 1 for _, x in generators)):
         raise InvalidConfigError(
-            f"counterexample takes one generator, not {len(generators)}"
-        )
+            "counterexample takes at most one generator, of one coordinate")
     return ExperimentConfig(
         suite=suite,
         machine=machine,
         generators=generators,
-        functions=_built(data, "functions", _build_function),
+        functions=_built(data, "functions", lambda s: _dpi_function(s, grid)),
         grid=grid,
         seed=seed,
         out_format=fmt,
@@ -557,6 +564,13 @@ def _shared_oracles():
     return d12, r7, r8, r9, ProductOracle(d12, r9)
 
 
+def _dpi_base_pairs() -> dict[int, list]:
+    """The (label, x, y) pairs dpi maps each function over, by its arity."""
+    d12, r7, r8, _, x2 = _shared_oracles()
+    return {1: [("diluted-1/2:self", d12, d12), ("random-7:random-8", r7, r8)],
+            2: [("(diluted-1/2,random-9):diluted-1/2", x2, d12)]}
+
+
 DEFAULT_DPI_FUNCTIONS = (
     {"name": "identity", "params": {"n": 1}},
     {"name": "scale", "params": {"c": "1/2"}},
@@ -585,19 +599,11 @@ def _function_label(spec: Mapping) -> str:
 
 
 def _dpi_suite(cfg: ExperimentConfig) -> SuiteReport:
-    d12, r7, r8, r9, x2 = _shared_oracles()
-    base_pairs = {
-        1: [("diluted-1/2:self", d12, d12), ("random-7:random-8", r7, r8)],
-        2: [("(diluted-1/2,random-9):diluted-1/2", x2, d12)],
-    }
+    base_pairs = _dpi_base_pairs()
     functions = cfg.functions or tuple(
-        (spec, _build_function(spec)) for spec in DEFAULT_DPI_FUNCTIONS
+        (spec, library_function(spec["name"], spec.get("params")))
+        for spec in DEFAULT_DPI_FUNCTIONS
     )
-    for _, f in functions:
-        if f.n not in base_pairs:
-            raise InvalidConfigError(
-                f"no pinned generator pair of arity {f.n} for {f.name}"
-            )
     base_profiles = {}
     rows = []
     margins = []
@@ -739,8 +745,6 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
     else:
         spec = {"kind": "random", "seed": 1, "n": 1}
         x = make_oracle(spec)
-    if x.dimension != 1:
-        raise InvalidConfigError("counterexample needs a 1-coordinate point")
     hilb = library_function("hilbert2d")
     fx = ImageOracle(hilb, x)
     dim_image = dim_estimate(fx, cfg.grid)
@@ -774,24 +778,25 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
 # ---- dispatch ---------------------------------------------------------------
 
 
+# each suite's runner and the config keys it reads besides suite, format, out
 _SUITES = {
-    "machine": _machine_suite,
-    "kraft": _machine_suite,
-    "geometry": _geometry_suite,
-    "coding-bounds": _coding_suite,
-    "kprofile": _kprofile_suite,
-    "mdim": _mdim_suite,
-    "dpi": _dpi_suite,
-    "reverse-dpi": _reverse_dpi_suite,
-    "conservation": _conservation_suite,
-    "counterexample": _counterexample_suite,
+    "machine": (_machine_suite, ("machine",)),
+    "kraft": (_machine_suite, ("machine",)),
+    "geometry": (_geometry_suite, ("seed",)),
+    "coding-bounds": (_coding_suite, ("machine",)),
+    "kprofile": (_kprofile_suite, ("window", "generators")),
+    "mdim": (_mdim_suite, ("window",)),
+    "dpi": (_dpi_suite, ("window", "functions")),
+    "reverse-dpi": (_reverse_dpi_suite, ("window",)),
+    "conservation": (_conservation_suite, ("window",)),
+    "counterexample": (_counterexample_suite, ("window", "generators")),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
-    return _SUITES[cfg.suite](cfg)
+    return _SUITES[cfg.suite][0](cfg)
 
 
 def write_report(report: SuiteReport, cfg: ExperimentConfig) -> str:

@@ -342,15 +342,15 @@ def exact_k(target: str, given: str, cfg: MachineConfig) -> KReport | None:
     return KReport(info.k, info.witness)
 
 
-def kraft_mass(cfg: MachineConfig, given: str = "") -> Fraction:
-    enum = get_enumeration(cfg, given)
+def kraft_mass(cfg: MachineConfig) -> Fraction:
+    enum = get_enumeration(cfg)
     enum.ensure_complete()
     return enum.kraft
 
 
-def apriori_mass(targets: set[str], cfg: MachineConfig, given: str = "") -> Fraction:
+def apriori_mass(targets: set[str], cfg: MachineConfig) -> Fraction:
     """Sum of 2**-len over halting programs whose output lies in ``targets``."""
-    enum = get_enumeration(cfg, given)
+    enum = get_enumeration(cfg)
     enum.ensure_complete()
     units = 0
     for t in targets:
@@ -360,8 +360,8 @@ def apriori_mass(targets: set[str], cfg: MachineConfig, given: str = "") -> Frac
     return Fraction(units, 1 << cfg.max_program_len)
 
 
-def output_universe(cfg: MachineConfig, given: str = "") -> dict[str, OutputInfo]:
-    enum = get_enumeration(cfg, given)
+def output_universe(cfg: MachineConfig) -> dict[str, OutputInfo]:
+    enum = get_enumeration(cfg)
     enum.ensure_complete()
     return enum.outputs
 

@@ -90,6 +90,14 @@ class TestPointColumns:
         edge = _pt(((1 << (C.GUARD_BITS - 1)) - 1, 0))
         point_columns(edge, 4)
 
+    def test_guard_error_names_the_integer_part(self):
+        # a deep coordinate prints as its integer part, not its full fraction
+        deep = _pt((-(1000 << 2048) - 1, 2048))
+        with pytest.raises(ValueError) as info:
+            point_columns(deep, 2048)
+        assert "integer part -1001 " in str(info.value)
+        assert len(str(info.value)) < 100
+
     def test_representation_concatenates(self):
         p = _pt((1, 1), (0, 0))
         assert point_representation(p, 4) == "".join(point_columns(p, 4))

@@ -1,18 +1,22 @@
 """Experiment harness: configs, suite dispatch, report rendering, CLI."""
 
+import ast
 import csv
 import hashlib
 import io
 import json
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mdimlab import constants as C
-from mdimlab import machine
+from mdimlab import harness, machine
 from mdimlab.cli import main
+from mdimlab.complexity import point_columns
+from mdimlab.functions import ImageOracle, library_function
 from mdimlab.harness import (
     SUITE_NAMES,
     InvalidConfigError,
@@ -21,6 +25,7 @@ from mdimlab.harness import (
     run_suite,
     write_report,
 )
+from mdimlab.oracles import make_oracle
 
 FAST_MACHINE = {"max_program_len": 16, "step_budget": 1000}
 
@@ -64,6 +69,22 @@ class TestConfig:
         assert cfg.machine.max_program_len == C.BOUNDS_MAX_PROGRAM_LEN
         assert cfg.seed == 0
         assert cfg.out_format == "json"
+
+    def test_dpi_images_checked_at_every_grid_precision(self):
+        # random-7 agrees with diluted-1/2 through bit 1026, so x + 128 - c,
+        # for c just above diluted-1/2 at 1024 bits, maps both below 128 at
+        # r = 1024 and lifts random-7 to 128 only at r = 2048
+        spec = {"kind": "diluted", "seed": 7, "rho": "1/2", "n": 1}
+        d12 = make_oracle(spec)
+        c = d12.query(1024).coords[0].to_fraction() + Fraction(1, 1 << 1100)
+        shift = {"name": "affine",
+                 "params": {"matrix": [["1"]], "offset": [str(128 - c)]}}
+        f = library_function(shift["name"], shift["params"])
+        for x in (d12, make_oracle({"kind": "random", "seed": 7, "n": 1})):
+            point_columns(ImageOracle(f, x).query(1024), 1024)
+        with pytest.raises(InvalidConfigError, match=r"functions\[0\]"):
+            config_from_mapping({"suite": "dpi", "window": [1024, 2048],
+                                 "functions": [shift]})
 
     def test_readme_example_parses(self):
         # every key and value of the documented example is accepted, so the
@@ -116,9 +137,9 @@ class TestMachineSuite:
         assert calls == sum(1 for _ in machine.iter_valid_programs(16)) == 1023
 
 
-# sha256 of the json and csv report of every suite: the estimator and
-# geometry suites at their default config with seed 5, the machine suites
-# and coding-bounds at (24, 256); a refactor must leave each byte unchanged
+# sha256 of the json and csv report of every suite: the estimator suites at
+# their default config, geometry with seed 5, the machine suites and
+# coding-bounds at (24, 256); a refactor must leave each byte unchanged
 GOLDEN_MACHINE = {"max_program_len": 24, "step_budget": 256}
 GOLDEN_DIGESTS = {
     "machine": (
@@ -170,7 +191,9 @@ def test_golden_digests_cover_every_suite():
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_DIGESTS))
 def test_report_golden_digest(suite):
-    payload = {"suite": suite, "seed": 5}
+    payload = {"suite": suite}
+    if suite == "geometry":
+        payload["seed"] = 5
     if suite in ("machine", "kraft", "coding-bounds"):
         payload["machine"] = GOLDEN_MACHINE
     report = run_suite(config_from_mapping(payload))
@@ -303,6 +326,11 @@ class TestCli:
         ("machine", {"functions": [{"name": "identity", "params": {"n": 1}}]},
          "functions"),
         ("kprofile", {"functions": []}, "functions"),
+        ("dpi", {"functions": [{"name": "projection",
+                                "params": {"n": 2, "S": []}}]},
+         "functions[0]"),
+        ("dpi", {"window": [1024, 2048], "functions": [
+            {"name": "scale", "params": {"c": "4096"}}]}, "functions[0]"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -426,3 +454,89 @@ class TestCli:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
         assert rows[0] == ["check", "detail", "value", "bound", "status"]
+
+
+# ---- the suite table ---------------------------------------------------------
+# harness._SUITES declares the optional config keys each suite reads; the
+# parse refuses every other key, so the declaration must match the runner
+
+
+HARNESS_SOURCE = Path(harness.__file__).read_text(encoding="utf-8")
+# config keys every suite reads, and fields named apart from their key
+COMMON_KEYS = {"suite", "format", "out"}
+FIELD_KEYS = {"grid": "window", "out_format": "format", "out_path": "out"}
+# a well-formed value of each optional key
+KEY_VALUES = {
+    "machine": FAST_MACHINE,
+    "window": [1024, 2048],
+    "seed": 5,
+    "generators": [{"kind": "random", "seed": 1}],
+    "functions": [{"name": "identity", "params": {"n": 1}}],
+}
+
+
+def _runner(name):
+    (node,) = [n for n in ast.parse(HARNESS_SOURCE).body
+               if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _config_reads(runner):
+    """The config keys a runner reads as ``cfg.<field>``."""
+    assert [a.arg for a in runner.args.args] == ["cfg"]
+    uses = [n for n in ast.walk(runner)
+            if isinstance(n, ast.Name) and n.id == "cfg"]
+    fields = [n.attr for n in ast.walk(runner)
+              if isinstance(n, ast.Attribute) and n.value in uses]
+    # a runner that hands cfg on whole would hide reads from this scan
+    assert len(fields) == len(uses)
+    return {FIELD_KEYS.get(f, f) for f in fields} - COMMON_KEYS
+
+
+def test_config_reads_scan():
+    runner = ast.parse(
+        "def run(cfg):\n"
+        "    return f(cfg.grid, cfg.seed, cfg.suite, cfg.out_format, x.machine)\n"
+    ).body[0]
+    assert _config_reads(runner) == {"window", "seed"}
+    with pytest.raises(AssertionError):
+        _config_reads(ast.parse("def run(cfg):\n    return f(cfg)\n").body[0])
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_table_names_the_keys_its_runner_reads(suite):
+    run, keys = harness._SUITES[suite]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _config_reads(_runner(run.__name__))
+
+
+def test_only_coding_bounds_refuses_config_in_its_runner():
+    # every other check is made by the parse, before any suite work
+    refusing = {
+        run.__name__ for run, _ in harness._SUITES.values()
+        if any(isinstance(n, ast.Raise) and "InvalidConfigError" in ast.unparse(n)
+               for n in ast.walk(_runner(run.__name__)))
+    }
+    assert refusing == {"_coding_suite"}
+
+
+def test_key_values_cover_every_read_key():
+    assert set(KEY_VALUES) == {
+        key for _, keys in harness._SUITES.values() for key in keys}
+
+
+@pytest.mark.parametrize("suite, key", [
+    (suite, key) for suite in SUITE_NAMES for key in KEY_VALUES
+    if key not in harness._SUITES[suite][1]
+])
+def test_unread_key_exit(tmp_path, capsys, monkeypatch, suite, key):
+    monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suite": suite, key: KEY_VALUES[key]}))
+    assert main([suite, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} is read only by ")
+    assert captured.err.endswith(f", not {suite}\n")
+    assert captured.err.count("\n") == 1
+    assert machine._ENUM_CACHE == {}
