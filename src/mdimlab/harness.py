@@ -324,7 +324,9 @@ def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
     enum = get_enumeration(cfg.machine)
     enum.ensure_complete()
     witnesses = PrefixCheck()
-    witnesses.add_level(sorted(info.witness for info in enum.outputs.values()))
+    witnesses.add_level(
+        (w, w) for w in sorted(info.witness for info in enum.outputs.values())
+    )
     halting = enum.halting_count
     mass = enum.kraft
     rows = [

@@ -26,8 +26,16 @@ exactly is a clean halt; any fetch past the end jams the machine, which is
 reported as ``out_of_budget`` since a jammed machine never halts under any
 budget.  One cost rule: each instruction is charged 1 step plus the number of
 bits it appends, once, before it takes effect, so ``step_budget`` bounds both
-time and output size and halting is decidable.  A run returns its output, or
-None when it never halts; ``run`` turns that into a ``RunResult``.
+time and output size and halting is decidable.  A taken jump that repeats an
+(instruction start, counter) pair starts a cycle, which never halts.  A run
+returns its output, or None when it never halts; ``run`` turns that into a
+``RunResult``.
+
+The exhaustive enumeration runs programs one by one through ``_execute``
+only under a non-empty given.  Under the empty given the counter is 0, no
+jump is taken and each run reads its payload once, in order, so a
+depth-first walk over instruction prefixes (``_straight_classes``) runs each
+prefix once and decides whole classes of payloads at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ INVALID = "invalid"
 OP_EMIT0, OP_EMIT1, OP_ECHO, OP_REPEAT, OP_LIT, OP_JNZ, OP_DEC, OP_HALT = range(8)
 _OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 
+
+# (first, last, count, output): ``count`` consecutive same-length payloads
+# from ``first`` to ``last``, each halting with ``output``
+_PayloadClass = tuple[str, str, int, str]
 
 # most programs one enumeration may run; about 4.2 million, which admits
 # every max_program_len up to 30
@@ -107,14 +119,19 @@ def _execute(payload: str, given: str, budget: int) -> str | None:
     Each instruction is fetched, its operand (if any) decoded, then charged
     1 step plus the bits it appends, once, before it takes effect.  A
     partial fetch or truncated operand, a literal past the payload end, or
-    a charge over ``budget`` returns None.
+    a charge over ``budget`` returns None.  So does a taken jump that
+    repeats an (instruction start, counter) pair: control flow depends on
+    nothing else, so the run would loop forever, and each pass charges at
+    least 1 step.
     """
     plen = len(payload)
     out = ""
     pc = 0
     counter = len(given)
     steps = 0
+    seen = None  # (instruction start, counter) of each taken jump
     while pc != plen:
+        start = pc
         try:
             op = _OPCODES[payload[pc : pc + 3]]
             pc += 3
@@ -150,6 +167,13 @@ def _execute(payload: str, given: str, budget: int) -> str | None:
             pc += arg
         elif op == OP_JNZ:
             if counter:
+                key = (start, counter)
+                if seen is None:
+                    seen = {key}
+                elif key in seen:
+                    return None
+                else:
+                    seen.add(key)
                 pc = arg - 1
         elif op == OP_DEC:
             if counter:
@@ -157,6 +181,74 @@ def _execute(payload: str, given: str, budget: int) -> str | None:
         else:  # OP_HALT
             return out
     return out
+
+
+def _operands(room: int, cap: int) -> Iterator[tuple[str, int]]:
+    """(codeword, value) of each gamma code of at most ``room`` bits whose
+    value is at most ``cap``, in codeword lex order: more leading zeros
+    first, then ascending value."""
+    for zeros in range((room - 1) // 2, -1, -1):
+        pad = "0" * zeros
+        for arg in range(1 << zeros, min(2 << zeros, cap + 1)):
+            yield pad + bin(arg)[2:], arg
+
+
+def _straight_classes(p: int, budget: int) -> Iterator[_PayloadClass]:
+    """Every halting payload of length ``p`` under the empty given, as
+    classes in payload lex order.
+
+    With no given the counter is 0: ``JNZ`` never jumps, and ``ECHO`` and
+    ``DEC`` append nothing, so a run reads its payload once, front to back,
+    exactly as ``_execute`` would.  A depth-first walk over instruction
+    prefixes runs each prefix once, carrying (output, steps) to the next
+    instruction start.  A ``HALT`` decides all its suffixes in one class.
+    A charge over ``budget``, a partial fetch, a truncated operand or a
+    literal past the end decides a whole subtree, which has no halting
+    program.  Opcodes and literals are visited in bit order and operands
+    in codeword lex order, so the classes come out in payload lex order.
+    """
+
+    def walk(prefix: str, out: str, steps: int) -> Iterator[_PayloadClass]:
+        pc = len(prefix)
+        if pc == p:
+            yield prefix, prefix, 1, out
+            return
+        room = p - pc - 3  # bits after the opcode
+        steps += 1  # every instruction's base charge
+        if room < 0 or steps > budget:
+            return
+        if steps < budget:  # emit-0 and emit-1 charge 2
+            yield from walk(prefix + "000", out + "0", steps + 1)
+            yield from walk(prefix + "001", out + "1", steps + 1)
+        yield from walk(prefix + "010", out, steps)  # echo of ""
+        any_arg = 1 << room  # above every value a room-bit code can hold
+        cap = (budget - steps) // len(out) if out else any_arg
+        for code, arg in _operands(room, cap):  # repeat
+            yield from walk(prefix + "011" + code, out * (arg + 1),
+                            steps + arg * len(out))
+        for code, arg in _operands(room, min(room - 1, budget - steps)):
+            if len(code) + arg <= room:  # lit, inside the payload
+                head = prefix + "100" + code
+                for lit in range(1 << arg):
+                    bits = format(lit, f"0{arg}b")
+                    yield from walk(head + bits, out + bits, steps + arg)
+        for code, _ in _operands(room, any_arg):  # jump, never taken
+            yield from walk(prefix + "101" + code, out, steps)
+        yield from walk(prefix + "110", out, steps)  # dec of 0
+        halt = prefix + "111"  # every suffix halts here
+        yield halt + "0" * room, halt + "1" * room, 1 << room, out
+
+    return walk("", "", 0)
+
+
+def _program_classes(p: int, given: str, budget: int) -> Iterator[_PayloadClass]:
+    """Every halting payload of length ``p``, each run by ``_execute`` and
+    yielded in lex order as a one-payload class."""
+    payloads = map(format, range(1 << p), repeat(f"0{p}b")) if p else ("",)
+    for payload in payloads:
+        output = _execute(payload, given, budget)
+        if output is not None:
+            yield payload, payload, 1, output
 
 
 def header_len(payload_len: int) -> int:
@@ -212,27 +304,30 @@ class OutputInfo:
 class PrefixCheck:
     """Counts proper-prefix pairs in a set of programs without keeping it.
 
-    Levels arrive in ascending lex order; a program is compared only with the
-    previous one of its level.  Each level's first and last program form a
-    run, and sorted runs must neither overlap nor have one run's last program
-    prefix the next run's first.  That is sound for any levels: every program
-    between ``a`` and a proper extension of ``a`` starts with ``a``.
+    A level arrives as runs of consecutive same-length programs, each a
+    (first, last) pair, in ascending lex order; a run's first program is
+    compared only with the previous run's last.  Programs inside a run
+    share a length, so none prefixes another.  Each level's first and last
+    program form a run, and sorted level runs must neither overlap nor
+    have one run's last program prefix the next run's first.  That is
+    sound for any levels: every program between ``a`` and a proper
+    extension of ``a`` starts with ``a``.
     """
 
     def __init__(self) -> None:
         self._in_level = 0
         self._runs: list[tuple[str, str]] = []
 
-    def add_level(self, programs: Iterable[str]) -> None:
-        first = prev = None
-        for program in programs:
+    def add_level(self, runs: Iterable[tuple[str, str]]) -> None:
+        level_first = prev = None
+        for first, last in runs:
             if prev is None:
-                first = program
-            elif program <= prev or program.startswith(prev):
+                level_first = first
+            elif first <= prev or first.startswith(prev):
                 self._in_level += 1
-            prev = program
+            prev = last
         if prev is not None:
-            self._runs.append((first, prev))
+            self._runs.append((level_first, prev))
 
     def count(self) -> int:
         runs = sorted(self._runs)
@@ -247,9 +342,15 @@ class Enumeration:
 
     Levels (payload lengths) are materialized in ascending order, so a lookup
     can stop as soon as its target appears: every later program is longer.
-    Each program runs once, and every halting one feeds ``prefix_check``.
-    Masses are integers in units of ``2**-max_program_len``; ``kraft`` turns
-    their total into a ``Fraction``.  The package starts no threads, and an
+    A level's halting programs arrive as classes of consecutive payloads
+    with one output.  Under the empty given they come from
+    ``_straight_classes``, which shares each instruction prefix's run
+    across all payloads that start with it; under any other given the
+    counter makes jumps live, so each payload runs once through
+    ``_execute``, one class per halting program.  Every class feeds the
+    counts, the masses and ``prefix_check`` as one run.  Masses are
+    integers in units of ``2**-max_program_len``; ``kraft`` turns their
+    total into a ``Fraction``.  The package starts no threads, and an
     enumeration is not safe to advance from two threads at once.
     """
 
@@ -285,27 +386,26 @@ class Enumeration:
         self._next_level += 1
         self.prefix_check.add_level(self._run_level(p))
 
-    def _run_level(self, p: int) -> Iterator[str]:
-        """Run and record every program of payload length ``p``; yield the
-        halting ones in lex order."""
+    def _run_level(self, p: int) -> Iterator[tuple[str, str]]:
+        """Record every halting program of payload length ``p``; yield each
+        class of them as a (first, last) run of programs, in lex order."""
         header = gamma_encode(p + 1)
         units = 1 << (self.cfg.max_program_len - len(header) - p)
         budget = self.cfg.step_budget
-        given = self.given
+        if self.given:
+            classes = _program_classes(p, self.given, budget)
+        else:
+            classes = _straight_classes(p, budget)
         outputs = self.outputs
-        payloads = map(format, range(1 << p), repeat(f"0{p}b")) if p else ("",)
-        for payload in payloads:
-            output = _execute(payload, given, budget)
-            if output is None:
-                continue
-            self.halting_count += 1
-            bits = header + payload
+        for first, last, count, output in classes:
+            self.halting_count += count
             info = outputs.get(output)
             if info is None:
-                outputs[output] = OutputInfo(len(bits), bits, units)
+                outputs[output] = OutputInfo(len(header) + p, header + first,
+                                             units * count)
             else:
-                info.mass_units += units
-            yield bits
+                info.mass_units += units * count
+            yield header + first, header + last
 
     def ensure_complete(self) -> None:
         while self._next_level < len(self.levels):

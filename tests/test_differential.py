@@ -5,8 +5,9 @@ dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
 ``Fraction`` formulas behind the diluted and rational bit streams and the
 left-inverse search's modulus variation bound, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
-enumeration (``machine.enumerate_halting``), and the full 3**n candidate
-scans behind the lattice point and the cube cover of a ball.  They are
+enumeration (``machine.enumerate_halting``), every payload of a
+straight-line class run through ``machine._execute``, and the full 3**n
+candidate scans behind the lattice point and the cube cover of a ball.  They are
 kept here, outside the package, as oracles for differential tests.
 """
 
@@ -46,6 +47,8 @@ from mdimlab.machine import (
     Enumeration,
     MachineConfig,
     PrefixCheck,
+    _execute,
+    _straight_classes,
     enumerate_halting,
 )
 from mdimlab.oracles import (
@@ -372,6 +375,8 @@ def test_source_block_is_a_slice_of_the_prefix(kind, arg, size):
 
 @pytest.mark.parametrize("max_len,budget,given_bits", [
     (16, 1000, ""), (16, 1000, "0110"), (20, 10000, ""), (24, 256, ""),
+    (16, 3, ""), (16, 50, ""), (20, 50, ""),
+    (16, 1000, "1"), (16, 1000, "01111"), (16, 1000, "011011011"),
 ])
 def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
     cfg = MachineConfig(max_len, budget)
@@ -396,10 +401,30 @@ def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
     ) == 0
 
 
+@pytest.mark.parametrize("budget", [3, 50, 256, 1000])
+def test_straight_classes_expand_to_per_program_runs(budget):
+    # a leading 1 keeps a payload's length in its integer, the empty one too
+    for p in range(15):
+        expanded = []
+        for first, last, count, output in _straight_classes(p, budget):
+            assert len(first) == len(last) == p
+            start = int("1" + first, 2)
+            assert int("1" + last, 2) - start + 1 == count
+            for i in range(start, start + count):
+                payload = format(i, "b")[1:]
+                assert _execute(payload, "", budget) == output
+                expanded.append(payload)
+        payloads = (format(i, "b")[1:] for i in range(1 << p, 2 << p))
+        assert expanded == [
+            payload for payload in payloads
+            if _execute(payload, "", budget) is not None
+        ]
+
+
 def _prefix_check_count(levels):
     check = PrefixCheck()
     for level in levels:
-        check.add_level(level)
+        check.add_level((program, program) for program in level)
     return check.count()
 
 
@@ -415,6 +440,16 @@ def test_prefix_check_flags_planted_violations(levels):
 
 def test_prefix_check_passes_prefix_free_levels():
     assert _prefix_check_count([["1"], ["010", "011"], ["00100", "00111"]]) == 0
+
+
+@pytest.mark.parametrize("runs,count", [
+    ([("000", "011"), ("100", "101")], 0),
+    ([("000", "011"), ("010", "101")], 1),   # overlapping runs
+])
+def test_prefix_check_compares_runs_at_their_ends(runs, count):
+    check = PrefixCheck()
+    check.add_level(runs)
+    assert check.count() == count
 
 
 @given(st.sets(st.text(alphabet="01", min_size=1, max_size=6), max_size=40))

@@ -120,21 +120,34 @@ class TestMachineSuite:
         assert report.pass_count + report.fail_count == len(gated)
 
     def test_runs_each_program_once(self, monkeypatch):
-        # one exhaustive pass feeds the counts, the mass and both prefix checks
-        calls = 0
+        # one exhaustive pass feeds the counts, the mass and both prefix
+        # checks: each level runs once, its classes share prefix runs instead
+        # of running payloads one by one, and they count every halting
+        # program of the per-program reference
+        levels = []
+        executed = 0
+        run_level = machine.Enumeration._run_level
         execute = machine._execute
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
+        def counted_level(enum, p):
+            levels.append((enum.given, p))
+            return run_level(enum, p)
+
+        def counted_execute(*args):
+            nonlocal executed
+            executed += 1
             return execute(*args)
 
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-        monkeypatch.setattr(machine, "_execute", counted)
+        monkeypatch.setattr(machine.Enumeration, "_run_level", counted_level)
+        monkeypatch.setattr(machine, "_execute", counted_execute)
         cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
         assert run_suite(cfg).fail_count == 0
-        assert calls == sum(1 for _ in machine.iter_valid_programs(16)) == 1023
+        assert levels == [("", p) for p in machine.valid_payload_lengths(16)]
+        assert executed == 0
+        enum = machine.get_enumeration(cfg.machine)
+        assert enum.halting_count == len(machine.enumerate_halting(cfg.machine))
 
 
 # sha256 of the json and csv report of every suite: the estimator suites at

@@ -55,8 +55,8 @@ GOLDEN_VERDICT_DIGEST = (
 
 
 def test_golden_verdicts():
-    # every enumeration calls the same executor, so only a pinned digest of
-    # run's own verdicts can catch a change in what a program does
+    # the enumerations are checked against run's executor, so only a pinned
+    # digest of run's own verdicts can catch a change in what a program does
     digest = hashlib.sha256()
     for given in ("", "1", "0110", "01111", "011011011"):
         for budget in (3, 50, 256, 1000):
