@@ -21,6 +21,8 @@ returned to the caller via the new position.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,6 +203,40 @@ def unpair(bits: str) -> tuple[str, str]:
     if alen < 0 or pos + alen > len(bits):
         raise MalformedPairError(f"declared first length {alen} overruns input")
     return bits[pos : pos + alen], bits[pos + alen :]
+
+
+class _ReadKeys(Mapping):
+    """A read-only view of a mapping that records every key looked up,
+    by ``[]``, ``get`` or ``in``."""
+
+    def __init__(self, data: Mapping):
+        self._data = data
+        self.read: dict = {}
+
+    def __getitem__(self, key):
+        self.read[key] = None
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+@contextmanager
+def json_object(name: str, data):
+    """A view of the config object ``data`` that records the keys read
+    through it; leaving the block refuses any key left unread, so the keys
+    a builder reads are the one list of the keys it accepts."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must be an object, not {data!r}")
+    view = _ReadKeys(data)
+    yield view
+    for key in data:
+        if key not in view.read:
+            raise ValueError(f"unknown {name} key {key!r}; accepted: "
+                             f"{', '.join(map(str, view.read)) or 'none'}")
 
 
 def json_fraction(name: str, value) -> Fraction:

@@ -114,7 +114,6 @@ MDIM_RANGE_SLACK = 0.1
 # slope-comparison slacks for the function suites
 DPI_SLACK = 0.1
 TWO_SIDED_SLACK = 0.15
-HILBERT_HOLDER_FACTOR = 2
 
 # counterexample demo gates: image dimension must exceed this floor while
 # the parameter-image mutual slope stays under the ceiling

@@ -11,11 +11,11 @@ space-filling curve whose image has twice the information density of its
 parameter, plus a constructive search that turns an inverse-modulus
 certificate into a working left inverse.
 
-The library is dyadic by construction: a coefficient is checked dyadic
-once, when its function is built, and the evaluators build each output
-from integer numerators without a ``Fraction``.  The left-inverse search
-compares integers as well: its bounds are integer counts of 2**-p, tested
-against integer squared distances.  ``Fraction`` remains where a value
+The linear library maps (identity, scale, sum, projection and affine) are
+one core, x -> Ax + c with dyadic A and c, and one evaluator builds every
+output from integer numerators without a ``Fraction``.  The left-inverse
+search compares integers as well: its bounds are integer counts of 2**-p,
+tested against integer squared distances.  ``Fraction`` remains where a value
 need not be dyadic: Holder exponents and the sampled checks.
 """
 
@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .codec import (
@@ -36,8 +37,8 @@ from .codec import (
     distance_sq_parts,
     json_fraction,
     json_int,
+    json_object,
 )
-from .geometry import ceil_half_log2
 from .oracles import ConstantOracle, PointOracle
 
 
@@ -380,8 +381,8 @@ def _ceil_log2_frac(value: Fraction) -> int:
 
 
 def _dyadic_coefficient(name: str, value) -> DyadicRational:
-    """``value`` as a DyadicRational, refused unless dyadic: the exact
-    evaluators return dyadic points only for dyadic coefficients."""
+    """``value`` as a DyadicRational, refused unless dyadic: the linear
+    evaluator returns dyadic points only for dyadic coefficients."""
     value = Fraction(value)
     try:
         return DyadicRational.from_fraction(value)
@@ -389,65 +390,74 @@ def _dyadic_coefficient(name: str, value) -> DyadicRational:
         raise ValueError(f"{name} = {value} is not dyadic") from None
 
 
+def _linear_function(
+    name: str,
+    matrix: Sequence[Sequence],
+    offset: Sequence,
+    inverse: Sequence[tuple[SSelector, ModulusSpec]] = (),
+    entry: str = "affine matrix[{i}][{j}]",
+) -> ComputableFunction:
+    """x -> Ax + c for dyadic A and c, the core of every linear library map.
+
+    Each coefficient is checked dyadic once, a matrix entry under the label
+    ``entry`` of its row i and column j, and A and c are held as integer
+    numerators at one common exponent.  The forward modulus is Lipschitz,
+    with 2**s the least power of two at or above the operator-norm bound
+    sqrt(|A|_1 |A|_inf), and the evaluator queries x at r + s.
+    """
+    rows = [[_dyadic_coefficient(entry.format(i=i, j=j), v)
+             for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+    shift = [_dyadic_coefficient(f"affine offset[{i}]", v) for i, v in enumerate(offset)]
+    k = len(rows)
+    if k == 0 or len(shift) != k:
+        raise ValueError("matrix and offset shapes disagree")
+    n = len(rows[0])
+    if n == 0:
+        raise ValueError("matrix has no columns")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix rows must share a length")
+    ec = max(v.exp for v in (*shift, *(v for row in rows for v in row)))
+    int_rows = tuple(tuple(v.num << (ec - v.exp) for v in row) for row in rows)
+    int_shift = tuple(c.num << (ec - c.exp) for c in shift)
+    col_norm = max(sum(abs(row[j]) for row in int_rows) for j in range(n))
+    row_norm = max(sum(map(abs, row)) for row in int_rows)
+    s = -(-_ceil_log2_frac(Fraction(col_norm * row_norm, 1 << (2 * ec))) // 2)
+
+    def evaluate(x: PointOracle, r: int) -> RationalPoint:
+        q = x.query(r + s)
+        e = max(co.exp for co in q.coords)
+        vals = [co.num << (e - co.exp) for co in q.coords]
+        return _as_point([
+            DyadicRational(sum(map(mul, row, vals)) + (c << e), e + ec)
+            for row, c in zip(int_rows, int_shift)
+        ])
+
+    return ComputableFunction(name, n, k, evaluate, declared_modulus=linear_modulus(s),
+                              declared_inverse_moduli=tuple(inverse))
+
+
 def identity_function(n: int = 1) -> ComputableFunction:
-    return ComputableFunction(
-        "identity",
-        n,
-        n,
-        lambda x, r: x.query(r),
-        declared_modulus=linear_modulus(0),
-        declared_inverse_moduli=(
-            (SSelector(n, tuple(range(1, n + 1))), linear_modulus(0)),
-        ),
-    )
+    everything = SSelector(n, tuple(range(1, n + 1)))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _linear_function("identity", unit, [0] * n, [(everything, linear_modulus(0))])
 
 
 def scale_function(c: Fraction) -> ComputableFunction:
     c = Fraction(c)
-    factor = _dyadic_coefficient("scale factor c", c)
     if c == 0:
         raise ValueError("scale factor must be nonzero")
-    stretch = _ceil_log2_frac(abs(c))
     shrink = _ceil_log2_frac(1 / abs(c))
-
-    def evaluate(x: PointOracle, r: int) -> RationalPoint:
-        q = x.query(r + stretch)
-        return _as_point([
-            DyadicRational(co.num * factor.num, co.exp + factor.exp)
-            for co in q.coords
-        ])
-
-    return ComputableFunction(
-        f"scale({c})",
-        1,
-        1,
-        evaluate,
-        declared_modulus=linear_modulus(stretch),
-        declared_inverse_moduli=((SSelector(1, (1,)), linear_modulus(shrink)),),
-    )
+    return _linear_function(f"scale({c})", [[c]], [0],
+                            [(SSelector(1, (1,)), linear_modulus(shrink))],
+                            entry="scale factor c")
 
 
 def sum_function(n: int) -> ComputableFunction:
     if n < 1:
         raise ValueError("sum needs at least one argument")
-    margin = ceil_half_log2(n)
-
-    def evaluate(x: PointOracle, r: int) -> RationalPoint:
-        q = x.query(r + margin)
-        e = max(co.exp for co in q.coords)
-        total = sum(co.num << (e - co.exp) for co in q.coords)
-        return _as_point([DyadicRational(total, e)])
-
-    return ComputableFunction(
-        f"sum({n})",
-        n,
-        1,
-        evaluate,
-        declared_modulus=linear_modulus(margin),
-        declared_inverse_moduli=tuple(
-            (SSelector(n, (i,)), linear_modulus(1)) for i in range(1, n + 1)
-        ),
-    )
+    return _linear_function(
+        f"sum({n})", [[1] * n], [0],
+        [(SSelector(n, (i,)), linear_modulus(1)) for i in range(1, n + 1)])
 
 
 def affine_function(
@@ -455,63 +465,16 @@ def affine_function(
     offset: Sequence[Fraction],
     inverse_modulus: tuple[SSelector, ModulusSpec] | None = None,
 ) -> ComputableFunction:
-    rows = tuple(tuple(_dyadic_coefficient(f"affine matrix[{i}][{j}]", v)
-                       for j, v in enumerate(row)) for i, row in enumerate(matrix))
-    shift = tuple(_dyadic_coefficient(f"affine offset[{i}]", v)
-                  for i, v in enumerate(offset))
-    k = len(rows)
-    if k == 0 or len(shift) != k:
-        raise ValueError("matrix and offset shapes disagree")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix rows must share a length")
-    # A and the offset as integer numerators at one common exponent
-    ec = max(v.exp for v in (*shift, *(v for row in rows for v in row)))
-    int_rows = tuple(tuple(v.num << (ec - v.exp) for v in row) for row in rows)
-    int_shift = tuple(c.num << (ec - c.exp) for c in shift)
-    col_norm = max(sum(abs(row[j]) for row in int_rows) for j in range(n))
-    row_norm = max(sum(map(abs, row)) for row in int_rows)
-    # operator norm bound: |A| <= sqrt(|A|_1 |A|_inf)
-    norm_sq = Fraction(col_norm * row_norm, 1 << (2 * ec))
-    s = -(-_ceil_log2_frac(norm_sq) // 2) if col_norm else 0
-
-    def evaluate(x: PointOracle, r: int) -> RationalPoint:
-        q = x.query(r + s)
-        e = max(co.exp for co in q.coords)
-        vals = [co.num << (e - co.exp) for co in q.coords]
-        return _as_point([
-            DyadicRational(sum(a * v for a, v in zip(row, vals)) + (c << e),
-                           e + ec)
-            for row, c in zip(int_rows, int_shift)
-        ])
-
-    inverse = (inverse_modulus,) if inverse_modulus else ()
-    return ComputableFunction(
-        f"affine({k}x{n})",
-        n,
-        k,
-        evaluate,
-        declared_modulus=linear_modulus(s),
-        declared_inverse_moduli=inverse,
-    )
+    columns = len(matrix[0]) if matrix else 0
+    return _linear_function(f"affine({len(matrix)}x{columns})", matrix, offset,
+                            [inverse_modulus] if inverse_modulus else [])
 
 
 def projection_function(sel: SSelector) -> ComputableFunction:
     if not sel.positions:
         raise ValueError("projection needs at least one coordinate")
-
-    def evaluate(x: PointOracle, r: int) -> RationalPoint:
-        q = x.query(r)
-        kept, _ = project(q.coords, sel)
-        return _as_point(kept)
-
-    return ComputableFunction(
-        f"projection({list(sel.positions)})",
-        sel.n,
-        len(sel.positions),
-        evaluate,
-        declared_modulus=linear_modulus(0),
-    )
+    rows = [[int(j == p) for j in range(1, sel.n + 1)] for p in sel.positions]
+    return _linear_function(f"projection({list(sel.positions)})", rows, [0] * len(rows))
 
 
 def hilbert2d_function() -> ComputableFunction:
@@ -548,31 +511,34 @@ def _selector(n: int, positions) -> SSelector:
 
 
 def library_function(name: str, params: Mapping | None = None) -> ComputableFunction:
-    """Build a library function from a plain-data description."""
-    params = dict(params or {})
-    if name == "identity":
-        return identity_function(json_int("n", params.get("n", 1)))
-    if name == "scale":
-        return scale_function(json_fraction("c", params["c"]))
-    if name == "sum":
-        return sum_function(json_int("n", params["n"]))
-    if name == "affine":
-        inverse = None
-        if "inverse_modulus" in params:
-            spec = params["inverse_modulus"]
-            sel = _selector(len(params["matrix"][0]), spec["S"])
-            inverse = (sel, linear_modulus(json_int("s", spec["s"])))
-        matrix = [[json_fraction(f"matrix[{i}][{j}]", v) for j, v in enumerate(row)]
-                  for i, row in enumerate(params["matrix"])]
-        offset = [json_fraction(f"offset[{i}]", v)
-                  for i, v in enumerate(params["offset"])]
-        return affine_function(matrix, offset, inverse)
-    if name == "projection":
-        return projection_function(
-            _selector(json_int("n", params["n"]), params["S"]))
-    if name == "hilbert2d":
-        return hilbert2d_function()
-    raise UnknownFunctionError(f"no library function named {name!r}")
+    """Build a library function from a plain-data description; a key of
+    ``params`` that its builder does not read is refused."""
+    with json_object(f"{name} params", params or {}) as params:
+        if name == "identity":
+            return identity_function(json_int("n", params.get("n", 1)))
+        if name == "scale":
+            return scale_function(json_fraction("c", params["c"]))
+        if name == "sum":
+            return sum_function(json_int("n", params["n"]))
+        if name == "affine":
+            matrix = [[json_fraction(f"matrix[{i}][{j}]", v)
+                       for j, v in enumerate(row)]
+                      for i, row in enumerate(params["matrix"])]
+            offset = [json_fraction(f"offset[{i}]", v)
+                      for i, v in enumerate(params["offset"])]
+            f = affine_function(matrix, offset)
+            if "inverse_modulus" not in params:
+                return f
+            with json_object("inverse_modulus", params["inverse_modulus"]) as spec:
+                inverse = (_selector(f.n, spec["S"]),
+                           linear_modulus(json_int("s", spec["s"])))
+            return affine_function(matrix, offset, inverse)
+        if name == "projection":
+            return projection_function(
+                _selector(json_int("n", params["n"]), params["S"]))
+        if name == "hilbert2d":
+            return hilbert2d_function()
+        raise UnknownFunctionError(f"no library function named {name!r}")
 
 
 # ---- constructive left-inverse synthesis --------------------------------------

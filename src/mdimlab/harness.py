@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import constants as C
-from .codec import DyadicRational, RationalPoint, distance_sq, json_int
+from .codec import DyadicRational, RationalPoint, distance_sq, json_int, json_object
 from .complexity import (
     check_ball_count_bound,
     check_cube_count_bound,
@@ -199,7 +199,8 @@ def _profiled_generator(spec: Mapping) -> PointOracle:
 def _dpi_function(spec: Mapping, grid: tuple[int, ...]) -> ComputableFunction:
     """The function of ``spec``, once it has dpi base pairs and its image of
     each base point fits the K_r guard range at every precision of grid."""
-    f = library_function(spec["name"], spec.get("params"))
+    with json_object("function", spec) as spec:
+        f = library_function(spec["name"], spec.get("params"))
     base_pairs = _dpi_base_pairs()
     if f.n not in base_pairs:
         raise ValueError(f"no pinned generator pair of arity {f.n} for {f.name}")
@@ -207,17 +208,6 @@ def _dpi_function(spec: Mapping, grid: tuple[int, ...]) -> ComputableFunction:
         for r in grid:
             point_columns(ImageOracle(f, x).query(r), r)
     return f
-
-
-_MACHINE_KEYS = ("max_program_len", "step_budget")
-
-
-def _reject_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
-    for key in data:
-        if key not in known:
-            raise InvalidConfigError(
-                f"unknown {where} key {key!r}; accepted: {', '.join(known)}"
-            )
 
 
 def config_from_mapping(data: Mapping) -> ExperimentConfig:
@@ -238,12 +228,11 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
             raise InvalidConfigError(
                 f"{key} is read only by {' and '.join(readers)}, not {suite}"
             )
-    _reject_unknown(data, accepted, "config")
-    m = data.get("machine", {})
-    if not isinstance(m, Mapping):
-        raise InvalidConfigError("machine must be an object")
-    _reject_unknown(m, _MACHINE_KEYS, "machine")
-    with _field("machine"):
+    for key in data:
+        if key not in accepted:
+            raise InvalidConfigError(
+                f"unknown config key {key!r}; accepted: {', '.join(accepted)}")
+    with _field("machine"), json_object("machine", data.get("machine", {})) as m:
         machine = MachineConfig(
             max_program_len=json_int(
                 "max_program_len",
@@ -709,7 +698,7 @@ def _conservation_suite(cfg: ExperimentConfig) -> SuiteReport:
     rows.append(_at_most("conservation_holder",
                          "hilbert2d:identity factor 2 on diluted-1/2",
                          prof.slope_hi,
-                         C.HILBERT_HOLDER_FACTOR * base1.slope_hi + C.DPI_SLACK))
+                         _holder_factor(hilb) * base1.slope_hi + C.DPI_SLACK))
 
     s2 = library_function("sum", {"n": 2})
     w = make_oracle({"kind": "rational", "values": ["5/8"]})

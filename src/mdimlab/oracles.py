@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint, json_fraction, json_int
+from .codec import DyadicRational, RationalPoint, json_fraction, json_int, json_object
 from .geometry import ceil_half_log2
 
 
@@ -213,26 +213,28 @@ def make_oracle(spec: Mapping) -> PointOracle:
 
     Kinds: ``random`` (seed, n), ``diluted`` (seed, rho, n), ``rational``
     (values, a list of fractions in [0, 1)), ``constant`` (coords, a list
-    of dyadic fractions), ``product`` (factors, a list of specs).
+    of dyadic fractions), ``product`` (factors, a list of specs).  A key
+    the kind does not read is refused.
     """
-    kind = spec.get("kind")
-    if kind == "random":
-        return random_oracle(json_int("seed", spec["seed"]),
-                             json_int("n", spec.get("n", 1)))
-    if kind == "diluted":
-        return diluted_oracle(
-            json_int("seed", spec["seed"]), json_fraction("rho", spec["rho"]),
-            json_int("n", spec.get("n", 1)),
-        )
-    if kind == "rational":
-        return rational_oracle([json_fraction(f"values[{i}]", v)
-                                for i, v in enumerate(spec["values"])])
-    if kind == "constant":
-        coords = tuple(
-            DyadicRational.from_fraction(json_fraction(f"coords[{i}]", v))
-            for i, v in enumerate(spec["coords"])
-        )
-        return ConstantOracle(RationalPoint(coords))
-    if kind == "product":
-        return ProductOracle(*(make_oracle(f) for f in spec["factors"]))
-    raise ValueError(f"unknown oracle kind: {kind!r}")
+    with json_object("generator", spec) as spec:
+        kind = spec.get("kind")
+        if kind == "random":
+            return random_oracle(json_int("seed", spec["seed"]),
+                                 json_int("n", spec.get("n", 1)))
+        if kind == "diluted":
+            return diluted_oracle(
+                json_int("seed", spec["seed"]), json_fraction("rho", spec["rho"]),
+                json_int("n", spec.get("n", 1)),
+            )
+        if kind == "rational":
+            return rational_oracle([json_fraction(f"values[{i}]", v)
+                                    for i, v in enumerate(spec["values"])])
+        if kind == "constant":
+            coords = tuple(
+                DyadicRational.from_fraction(json_fraction(f"coords[{i}]", v))
+                for i, v in enumerate(spec["coords"])
+            )
+            return ConstantOracle(RationalPoint(coords))
+        if kind == "product":
+            return ProductOracle(*(make_oracle(f) for f in spec["factors"]))
+        raise ValueError(f"unknown oracle kind: {kind!r}")

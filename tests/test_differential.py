@@ -29,9 +29,11 @@ from mdimlab.functions import (
     affine_function,
     curve_digits,
     hilbert2d_function,
+    identity_function,
     interleave,
     left_inverse_synthesize,
     linear_modulus,
+    projection_function,
     scale_function,
     sum_function,
 )
@@ -581,6 +583,67 @@ def test_sum_and_scale_evaluators_match_fraction_formulas():
             ConstantOracle(_point(coords[:1])), 4)
         want = DyadicRational.from_fraction(coords[0].to_fraction() * Fraction(c))
         assert got.coords == (want,)
+    x = ConstantOracle(_point(coords))
+    assert identity_function(3).evaluate(x, 4).coords == coords
+    for positions in ((1,), (3,), (1, 3), (2, 3), (1, 2, 3)):
+        got = projection_function(SSelector(3, positions)).evaluate(x, 4)
+        assert got.coords == tuple(coords[p - 1] for p in positions)
+
+
+# ---- the linear core against the per-builder certificates it replaced ---------
+
+
+def _stretch_reference(c: Fraction) -> int:
+    """scale's own forward s before the shared core: the least s >= 0 with
+    2**s >= |c|; 1 / c gives its inverse s."""
+    s = 0
+    while (1 << s) * c.denominator < abs(c.numerator):
+        s += 1
+    return s
+
+
+def _linear_references(kind):
+    """(function, name, forward s, inverse certificates) per library map,
+    each expectation from the formula its builder used before the core."""
+    if kind == "identity":
+        for n in range(1, 17):
+            yield (identity_function(n), "identity", 0,
+                   ((SSelector(n, tuple(range(1, n + 1))), ModulusSpec(0)),))
+    elif kind == "scale":
+        # every nonzero k / 2**e with |k| <= 1024 and e <= 10, once
+        for e in range(11):
+            for k in range(-1024, 1025):
+                c = Fraction(k, 1 << e)
+                if c and c.denominator == 1 << e:
+                    inverse = ModulusSpec(_stretch_reference(1 / c))
+                    yield (scale_function(c), f"scale({c})", _stretch_reference(c),
+                           ((SSelector(1, (1,)), inverse),))
+    elif kind == "sum":
+        for n in [*range(1, 300), *(2**j + d for j in (9, 10) for d in (-1, 0, 1))]:
+            yield (sum_function(n), f"sum({n})", ceil_half_log2(n),
+                   tuple((SSelector(n, (i,)), ModulusSpec(1))
+                         for i in range(1, n + 1)))
+    elif kind == "projection":
+        for n in range(1, 6):
+            for size in range(1, n + 1):
+                for positions in itertools.combinations(range(1, n + 1), size):
+                    yield (projection_function(SSelector(n, positions)),
+                           f"projection({list(positions)})", 0, ())
+    else:
+        cert = (SSelector(2, (1, 2)), ModulusSpec(1))
+        yield (affine_function([["1", "1/2"], ["0", "1"]], ["1/4", "0"], cert),
+               "affine(2x2)", 1, (cert,))
+        yield affine_function([["3/4"]], ["1/8"]), "affine(1x1)", 0, ()
+
+
+@pytest.mark.parametrize("kind", ["identity", "scale", "sum", "projection", "affine"])
+def test_linear_core_keeps_each_builders_certificates(kind):
+    evaluator = identity_function().evaluator.__code__
+    for f, name, s, inverse in _linear_references(kind):
+        assert f.evaluator.__code__ is evaluator  # the one linear evaluator
+        assert f.name == name
+        assert f.declared_modulus == ModulusSpec(s), name
+        assert f.declared_inverse_moduli == inverse, name
 
 
 def hilbert2d_reference(t: Fraction, r: int) -> tuple[DyadicRational, ...]:

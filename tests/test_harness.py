@@ -344,6 +344,24 @@ class TestCli:
          "functions[0]"),
         ("dpi", {"window": [1024, 2048], "functions": [
             {"name": "scale", "params": {"c": "4096"}}]}, "functions[0]"),
+        # a key its builder does not read
+        ("dpi", {"functions": [{"name": "scale", "params": {"c": "2", "typo": 1}}]},
+         "scale params key 'typo'"),
+        ("dpi", {"functions": [{"name": "hilbert2d", "params": {"n": 5}}]},
+         "hilbert2d params key 'n'"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1"]], "offset": ["0"],
+            "inverse_modulus": {"S": [1], "s": 0, "alpha": "1/2"}}}]},
+         "inverse_modulus key 'alpha'"),
+        ("dpi", {"functions": [{"name": "identity", "params": {"n": 1},
+                                "parms": {"n": 1}}]}, "function key 'parms'"),
+        ("kprofile", {"generators": [{"kind": "random", "seed": 1,
+                                      "rho": "1/2"}]}, "generator key 'rho'"),
+        ("kprofile", {"generators": [{"kind": "product", "factors": [
+            {"kind": "rational", "values": ["1/3"], "n": 1}]}]},
+         "generator key 'n'"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [[]], "offset": ["0"]}}]}, "matrix has no columns"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
