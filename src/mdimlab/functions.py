@@ -13,10 +13,12 @@ certificate into a working left inverse.
 
 The linear library maps (identity, scale, sum, projection and affine) are
 one core, x -> Ax + c with dyadic A and c, and one evaluator builds every
-output from integer numerators without a ``Fraction``.  The left-inverse
-search compares integers as well: its bounds are integer counts of 2**-p,
-tested against integer squared distances.  ``Fraction`` remains where a value
-need not be dyadic: Holder exponents and the sampled checks.
+output from integer numerators without a ``Fraction``.  Such a map carries
+that core, and the left-inverse search, which inverts linear maps only,
+tests each node on it: the node's image is the core applied to the node's
+grid indices, and its squared distance and bounds are integer counts of one
+power of 4.  ``Fraction`` remains where a value need not be dyadic: Holder
+exponents and the sampled checks.
 """
 
 from __future__ import annotations
@@ -125,16 +127,16 @@ def interleave(x: Sequence, sel: SSelector, y: Sequence) -> Coords:
     return tuple(out)
 
 
-def project(v: Sequence, sel: SSelector) -> tuple[Coords, Coords]:
-    """Split a vector into its selected part and the rest."""
-    if len(v) != sel.n:
-        raise ArityMismatchError(f"selector expects arity {sel.n}, got {len(v)}")
-    x = tuple(v[p - 1] for p in sel.positions)
-    y = tuple(v[p - 1] for p in sel.complement)
-    return x, y
-
-
 # ---- computable functions ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearCore:
+    """x -> Ax + c with A = rows / 2**exp and c = shift / 2**exp."""
+
+    rows: tuple[tuple[int, ...], ...]
+    shift: tuple[int, ...]
+    exp: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,9 @@ class ComputableFunction:
     """Evaluator with declared continuity certificates.
 
     The evaluator must return a point within 2**-r of the true value
-    whenever the argument oracle honors its own 2**-r contract.
+    whenever the argument oracle honors its own 2**-r contract.  A linear
+    library map also carries its ``linear`` core, the exact map its
+    evaluator computes, which the left-inverse search reads.
     """
 
     name: str
@@ -151,6 +155,7 @@ class ComputableFunction:
     evaluator: Callable[[PointOracle, int], RationalPoint]
     declared_modulus: ModulusSpec
     declared_inverse_moduli: tuple[tuple[SSelector, ModulusSpec], ...] = ()
+    linear: LinearCore | None = None
 
     def evaluate(self, x: PointOracle, r: int) -> RationalPoint:
         if x.dimension != self.n:
@@ -433,7 +438,8 @@ def _linear_function(
         ])
 
     return ComputableFunction(name, n, k, evaluate, declared_modulus=linear_modulus(s),
-                              declared_inverse_moduli=tuple(inverse))
+                              declared_inverse_moduli=tuple(inverse),
+                              linear=LinearCore(int_rows, int_shift, ec))
 
 
 def identity_function(n: int = 1) -> ComputableFunction:
@@ -570,23 +576,35 @@ def left_inverse_synthesize(
     m_prime: ModulusSpec,
     box: tuple[int, int] = DEFAULT_SEARCH_BOX,
 ) -> ComputableFunction:
-    """Search-based S-left inverse of f under an inverse-modulus certificate.
+    """Search-based S-left inverse of a linear f under an inverse-modulus
+    certificate.
 
     The returned g maps an oracle for (f(x *_S y), y) to the selected
     coordinates x, accurate to 2**-r: it scans the dyadic grid of pitch
     2**-m(m'(r)+2) inside the box, in lexicographic index order, and
     returns the first candidate q whose image at working precision
     m'(r)+3 lands within 2**-(m'(r)+1) of the observed value.  The
-    inverse modulus then forces |q - x| <= 2**-r.
+    inverse modulus then forces |q - x| <= 2**-r.  Each node's image
+    comes from f's linear core on the node's grid indices; the evaluator
+    confirms the candidate returned, and a disagreement raises.
     """
     if sel.n != f.n:
         raise ArityMismatchError("selector arity must match the function")
+    core = f.linear
+    if core is None:
+        raise ValueError(
+            f"{f.name} has no linear core; the left-inverse search inverts"
+            " x -> Ax + c maps only"
+        )
     modulus = f.declared_modulus
     width = len(sel.positions)
     rest = f.n - width
     lo, hi = box
     if lo >= hi:
         raise ValueError("search box is empty")
+    # A's columns at the selected positions and at the rest
+    a_sel = [[row[i - 1] for i in sel.positions] for row in core.rows]
+    a_rest = [[row[i - 1] for i in sel.complement] for row in core.rows]
 
     def evaluate(w: PointOracle, r: int) -> RationalPoint:
         target_gap = m_prime.value(r)
@@ -597,25 +615,48 @@ def left_inverse_synthesize(
                 "declared modulus too steep for the pinned working precision"
             )
         observed = w.query(p)
-        z = _as_point(observed.coords[: f.k])
+        z = observed.coords[: f.k]
         y = observed.coords[f.k :]
         cells = (hi - lo) << pitch_gap
+        origin = lo << pitch_gap
+        # one unit 2**-e, e >= p, holds every node's image A_S q + A_y y + c,
+        # the observed z and every bound: a node at grid indices i has
+        # image - z = steps . i + base exactly
+        e = max(p, core.exp + pitch_gap, *(core.exp + v.exp for v in y),
+                *(v.exp for v in z))
+        lift = e - core.exp
+        steps = [[a << (lift - pitch_gap) for a in row] for row in a_sel]
+        base = [
+            origin * sum(step_row)
+            + sum((a * v.num) << (lift - v.exp) for a, v in zip(row, y))
+            + (c << lift) - (v.num << (e - v.exp))
+            for row, step_row, c, v in zip(a_rest, steps, core.shift, z)
+        ]
         # every bound below is an integer count of 2**-p, and every squared
-        # bound an integer count of 4**-p; the slack is 2 units
+        # bound an integer count of 4**-p lifted to 4**-e; the slack is 2 units
         accept = 1 << (p - target_gap - 1)
+        unit_sq = 2 * (e - p)
+        accept_sq = (accept * accept) << unit_sq
         # squared pruning threshold by the box's squared radius in pitch
         # units; every box of one shape shares it
         thresholds_sq: dict[int, int] = {}
-        origin = lo << pitch_gap
 
-        def grid_point(indices):
-            return tuple(DyadicRational(origin + i, pitch_gap) for i in indices)
+        def within(indices, bound_sq):
+            t = 0
+            for row, b in zip(steps, base):
+                d = sum(map(mul, row, indices)) + b
+                t += d * d
+            return t <= bound_sq
 
-        def within(q_coords, bound_sq):
-            # |f(q) - z|**2 = t / 4**e against bound_sq / 4**p, cross-multiplied
-            image = f.evaluate(_constant(interleave(q_coords, sel, y)), p)
-            t, e = distance_sq_parts(image, z)
-            return t << (2 * p) <= bound_sq << (2 * e)
+        def confirmed(indices):
+            q = tuple(DyadicRational(origin + i, pitch_gap) for i in indices)
+            image = f.evaluate(_constant(interleave(q, sel, y)), p)
+            t, te = distance_sq_parts(image, _as_point(z))
+            if t << (2 * p) > (accept * accept) << (2 * te):
+                raise RuntimeError(
+                    f"{f.name}: the linear core accepts {q} and the evaluator does not"
+                )
+            return _as_point(q)
 
         # best-first over half-open index boxes, ordered by minimal corner;
         # a box's minimal corner is its lexicographically least candidate,
@@ -626,21 +667,19 @@ def left_inverse_synthesize(
             corner, ranges = heapq.heappop(heap)
             sides = [b - a for a, b in ranges]
             if all(s == 1 for s in sides):
-                q = grid_point(corner)
-                if within(q, accept * accept):
-                    return _as_point(q)
+                if within(corner, accept_sq):
+                    return confirmed(corner)
                 continue
             centers = [(a + b) // 2 for a, b in ranges]
-            q_mid = grid_point(centers)
             radius = sum(
                 max(c - a, b - c) ** 2 for (a, b), c in zip(ranges, centers)
             )
             threshold_sq = thresholds_sq.get(radius)
             if threshold_sq is None:
                 variation = _modulus_variation_bound(modulus, radius, pitch_gap, p)
-                threshold_sq = (accept + variation + 2) ** 2
+                threshold_sq = (accept + variation + 2) ** 2 << unit_sq
                 thresholds_sq[radius] = threshold_sq
-            if not within(q_mid, threshold_sq):
+            if not within(centers, threshold_sq):
                 continue
             axis = max(range(width), key=lambda i: sides[i])
             a, b = ranges[axis]

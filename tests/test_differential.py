@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdimlab import functions
 from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, distance_sq_parts
 from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
@@ -32,6 +33,7 @@ from mdimlab.functions import (
     identity_function,
     interleave,
     left_inverse_synthesize,
+    library_function,
     linear_modulus,
     projection_function,
     scale_function,
@@ -646,6 +648,32 @@ def test_linear_core_keeps_each_builders_certificates(kind):
         assert f.declared_inverse_moduli == inverse, name
 
 
+# every builder of the library, with parameters that declare its inverse
+# certificates where it has any
+LIBRARY_BUILDERS = {
+    "identity": {"n": 3},
+    "scale": {"c": "-3/4"},
+    "sum": {"n": 3},
+    "affine": {"matrix": [["1", "1/2"], ["0", "1"]], "offset": ["1/4", "0"],
+               "inverse_modulus": {"S": [1, 2], "s": 1}},
+    "projection": {"n": 3, "S": [1, 3]},
+    "hilbert2d": {},
+}
+
+
+def test_every_inverse_certificate_can_be_searched():
+    # the left-inverse search runs on the linear core alone, so a builder
+    # that declares an inverse certificate must carry the core
+    builders = {name[: -len("_function")] for name in dir(functions)
+                if name.endswith("_function") and not name.startswith("_")}
+    assert builders - {"library"} == set(LIBRARY_BUILDERS)
+    for name, params in LIBRARY_BUILDERS.items():
+        f = library_function(name, params)
+        assert (f.linear is not None) == (name != "hilbert2d"), name
+        for sel, spec in f.declared_inverse_moduli:
+            left_inverse_synthesize(f, sel, spec)
+
+
 def hilbert2d_reference(t: Fraction, r: int) -> tuple[DyadicRational, ...]:
     """Entry corner of the level r + 3 cell holding floor(t * 4**level),
     the index clamped to the curve's cells."""
@@ -671,16 +699,34 @@ def test_hilbert2d_matches_fraction_reference(t, r):
     assert got.coords == hilbert2d_reference(t, r)
 
 
-@pytest.mark.parametrize("x", [("5/8", "-3/4"), ("-2", "0"), ("1/16", "17/16")])
-@pytest.mark.parametrize("r", [0, 1])
-def test_left_inverse_matches_full_grid_scan(x, r):
-    f = affine_function([["1", "1/2"], ["0", "1"]], ["1/4", "0"],
-                        (SSelector(2, (1, 2)), linear_modulus(1)))
-    sel, spec = f.declared_inverse_moduli[0]
+_SHEAR = [["1", "1/2"], ["0", "1"]]
+_SHEAR_CERT = (SSelector(2, (1, 2)), linear_modulus(1))
+_SHEAR_F = affine_function(_SHEAR, ["1/4", "0"], _SHEAR_CERT)
+_SCALE_F = scale_function(Fraction(2))
+# (function, certificate, selected coordinates x, the rest y): the shear at
+# three points, scale 2, sum with a y finer than any pitch the search uses
+# (so the node images need y's own exponent), a shear with negative offsets
+GRID_SCAN_CASES = {
+    "x0": (_SHEAR_F, _SHEAR_CERT, ("5/8", "-3/4"), ()),
+    "x1": (_SHEAR_F, _SHEAR_CERT, ("-2", "0"), ()),
+    "x2": (_SHEAR_F, _SHEAR_CERT, ("1/16", "17/16"), ()),
+    "scale-2": (_SCALE_F, _SCALE_F.declared_inverse_moduli[0], ("-13/16",), ()),
+    "sum-fine-y": (sum_function(2), (SSelector(2, (1,)), linear_modulus(1)),
+                   ("3/8",), ("5/8192",)),
+    "affine-negative-offset": (affine_function(_SHEAR, ["-3/8", "-5/4"], _SHEAR_CERT),
+                               _SHEAR_CERT, ("-5/16", "3/4"), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_SCAN_CASES.values()), ids=list(GRID_SCAN_CASES))
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_left_inverse_matches_full_grid_scan(case, r):
+    f, (sel, spec), x, y = case
     box = (-2, 2)
     g = left_inverse_synthesize(f, sel, spec, box=box)
-    point = _point(DyadicRational.from_fraction(Fraction(v)) for v in x)
-    w = ConstantOracle(f.evaluate(ConstantOracle(point), 30))
+    x, y = ([DyadicRational.from_fraction(Fraction(v)) for v in vs] for vs in (x, y))
+    image = f.evaluate(ConstantOracle(_point(interleave(x, sel, y))), 30)
+    w = ConstantOracle(_point((*image.coords, *y)))
     assert g.evaluate(w, r) == lex_first_acceptor(f, sel, spec, box, w, r)
 
 

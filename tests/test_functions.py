@@ -1,5 +1,6 @@
 """Computable functions: moduli, the plane-filling curve, left inverses."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from mdimlab.functions import (
     library_function,
     linear_modulus,
     modulus_check,
-    project,
 )
 from mdimlab.oracles import ConstantOracle, ProductOracle
 
@@ -35,6 +35,15 @@ def _const(*fracs):
 
 def _as_fractions(point):
     return tuple(c.to_fraction() for c in point.coords)
+
+
+def project(v, sel):
+    """Split a vector into its selected part and the rest: the reference
+    that ``interleave`` inverts."""
+    if len(v) != sel.n:
+        raise ArityMismatchError(f"selector expects arity {sel.n}, got {len(v)}")
+    return (tuple(v[p - 1] for p in sel.positions),
+            tuple(v[p - 1] for p in sel.complement))
 
 
 class TestSelectors:
@@ -350,6 +359,21 @@ class TestLeftInverse:
         distant = _const((4000, 0))
         with pytest.raises(SearchExhaustedError):
             g.evaluate(distant, 3)
+
+    def test_function_without_linear_core_refused(self):
+        with pytest.raises(ValueError, match="hilbert2d has no linear core"):
+            left_inverse_synthesize(library_function("hilbert2d"),
+                                    SSelector(1, (1,)), linear_modulus(0))
+
+    def test_core_and_evaluator_disagreeing_raises(self):
+        # the core says -2x while the evaluator computes 2x: the search finds
+        # -5/8 for the image 5/4 of 5/8, and the evaluator refuses it
+        f = library_function("scale", {"c": "2"})
+        wrong = dataclasses.replace(f, linear=library_function("scale", {"c": "-2"}).linear)
+        sel, spec = f.declared_inverse_moduli[0]
+        g = left_inverse_synthesize(wrong, sel, spec)
+        with pytest.raises(RuntimeError, match="evaluator does not"):
+            g.evaluate(ImageOracle(f, _const((5, 3))), 4)
 
     def test_too_steep_forward_modulus_rejected(self):
         f = library_function("scale", {"c": "4"})
