@@ -13,6 +13,10 @@ node ``n`` by a ``0``, or 0 for no child (the root, node 0, is never a
 child). Node i + 1 is the i-th phrase, so the lists grow by one entry per
 phrase and the parse loop touches nothing but local ints and lists.
 
+``Lz78Parser.copy()`` forks a parse: the copy and the original go on from
+the same state independently, so two strings that share a prefix can be
+costed with one parse of the prefix.
+
 Costs are reproducible integers, so profiles taken at different times or
 processes agree bit for bit.
 """
@@ -40,6 +44,17 @@ class Lz78Parser:
         self._closed_cost = 0
         self._tokens = 0
         self._length = 0
+
+    def copy(self) -> "Lz78Parser":
+        """An independent parser in this one's state."""
+        twin = Lz78Parser.__new__(Lz78Parser)
+        twin._zero = self._zero.copy()
+        twin._one = self._one.copy()
+        twin._node = self._node
+        twin._closed_cost = self._closed_cost
+        twin._tokens = self._tokens
+        twin._length = self._length
+        return twin
 
     def push(self, bit: str) -> None:
         if bit != "0" and bit != "1":

@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compressor import lz78_cost
+from .compressor import Lz78Parser, lz78_cost
 from .complexity import ball_points, k_r, point_columns
 from .constants import (
     GUARD_BITS,
@@ -72,22 +72,26 @@ def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
     layout family is closed under argument swap, so the result is exactly
     symmetric.  Differencing makes a shared coordinate cost only its
     near-zero residue; the flag bits pay for naming the chosen layout.
+
+    Each order's first block is parsed once and shared by its two layouts:
+    a copy of that parse goes on with the plain second block, the parse
+    itself with the differenced one.  Equal arguments make both orders the
+    same two strings, so only one order is parsed.
     """
+    orders = [(cols_x, cols_y)]
+    if list(cols_x) != list(cols_y):
+        orders.append((cols_y, cols_x))
+    return JOINT_FLAG_BITS + min(_order_cost(a, b) for a, b in orders)
 
-    def layouts(a: Sequence[str], b: Sequence[str]):
-        yield "".join(a) + "".join(b)
-        diffed = [
-            _xor_bits(col, a[i]) if i < len(a) else col
-            for i, col in enumerate(b)
-        ]
-        yield "".join(a) + "".join(diffed)
 
-    best = min(
-        lz78_cost(layout)
-        for pair in ((cols_x, cols_y), (cols_y, cols_x))
-        for layout in layouts(*pair)
-    )
-    return JOINT_FLAG_BITS + best
+def _order_cost(a: Sequence[str], b: Sequence[str]) -> int:
+    """Cheaper of ``a`` then ``b`` plain and ``a`` then ``b`` differenced."""
+    parser = Lz78Parser().feed("".join(a))
+    plain = parser.copy().feed("".join(b)).cost
+    diffed = [
+        _xor_bits(col, a[i]) if i < len(a) else col for i, col in enumerate(b)
+    ]
+    return min(plain, parser.feed("".join(diffed)).cost)
 
 
 # ---- k_r memo --------------------------------------------------------------
@@ -163,11 +167,19 @@ def _least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return num / den
 
 
+def _check_grid(grid: Sequence[int]) -> None:
+    """Reject a grid no slope can be fit on, before any K_r is computed."""
+    if len(grid) < 2:
+        raise ValueError("need at least two grid points for a slope")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"precision grid must be strictly increasing, got {tuple(grid)}"
+        )
+
+
 def _window_slopes(
     grid: Sequence[int], values: Sequence[float], width: int
 ) -> tuple[float, ...]:
-    if len(grid) < 2:
-        raise ValueError("need at least two grid points for a slope")
     width = min(width, len(grid))
     return tuple(
         _least_squares_slope(grid[i : i + width], values[i : i + width])
@@ -200,6 +212,7 @@ class MutualProfile:
 
 def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> DimEstimate:
     """Estimated (dim, Dim) of the oracle's point over the precision grid."""
+    _check_grid(grid)
     raw = [_k_r_cached(x, r) for r in grid]
     n = x.dimension
     series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
@@ -211,6 +224,7 @@ def mdim_estimate(
     x: PointOracle, y: PointOracle, grid: tuple[int, ...]
 ) -> MutualProfile:
     """Estimated mutual-dimension profile of two oracles over the grid."""
+    _check_grid(grid)
     k_x, k_y, k_xy, i_vals = [], [], [], []
     for r in grid:
         kx = _k_r_cached(x, r)

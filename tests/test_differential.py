@@ -257,6 +257,35 @@ def test_lz78_chunked_feed_matches_dict_trie(bits, cuts):
     assert _state(fast) == _state(slow)
 
 
+def _dict_trie_of(bits):
+    slow = DictTrieLz78()
+    for bit in bits:
+        slow.push(bit)
+    return slow
+
+
+@settings(max_examples=200)
+@given(biased_bits, biased_bits, biased_bits)
+def test_lz78_copy_forks_an_independent_parse(a, b, c):
+    original = Lz78Parser().feed(a)
+    fork = original.copy()
+    assert _state(fork) == _state(original)
+    assert _state(fork.feed(b)) == _state(_dict_trie_of(a + b))
+    # the fork's growth leaves the original at a, and the original goes on
+    # as if it had never been copied
+    assert _state(original) == _state(_dict_trie_of(a))
+    assert _state(original.feed(c)) == _state(_dict_trie_of(a + c))
+    assert _state(fork) == _state(_dict_trie_of(a + b))
+
+
+@given(biased_bits)
+def test_lz78_copy_of_an_empty_parser(bits):
+    empty = Lz78Parser()
+    assert _state(empty.copy()) == _state(DictTrieLz78()) == (0, 0, 0)
+    assert _state(empty.copy().feed(bits)) == _state(_dict_trie_of(bits))
+    assert _state(empty) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("stream", [
     hash_stream(5),
     diluted_stream(5, Fraction(1, 3), period=256),

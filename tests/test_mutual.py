@@ -4,10 +4,14 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mdimlab import constants as C
+from mdimlab import mutual
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.complexity import k_r, point_columns
+from mdimlab.compressor import Lz78Parser, lz78_cost
 from mdimlab.machine import MachineConfig
 from mdimlab.mutual import (
     dim_estimate,
@@ -35,6 +39,43 @@ class TestStringMutualInfo:
         assert mutual_info("0", "0", BOUNDS) == 0
 
 
+def reference_pair_cost(cols_x, cols_y):
+    """All four joint layouts, each costed by a parse of the whole string."""
+
+    def layouts(a, b):
+        yield "".join(a) + "".join(b)
+        diffed = [
+            "".join(str(int(p) ^ int(q)) for p, q in zip(col, a[i]))
+            if i < len(a) else col
+            for i, col in enumerate(b)
+        ]
+        yield "".join(a) + "".join(diffed)
+
+    return C.JOINT_FLAG_BITS + min(
+        lz78_cost(layout)
+        for pair in ((cols_x, cols_y), (cols_y, cols_x))
+        for layout in layouts(*pair)
+    )
+
+
+def _column(width):
+    return st.one_of(
+        st.text(alphabet="01", min_size=width, max_size=width),
+        st.lists(st.sampled_from("0000000001"), min_size=width,
+                 max_size=width).map("".join),
+    )
+
+
+@st.composite
+def column_pairs(draw):
+    # every column of a point has the same width, as in point_columns
+    width = draw(st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=96))
+    cols_x = draw(st.lists(_column(width), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return cols_x, list(cols_x)
+    return cols_x, draw(st.lists(_column(width), min_size=1, max_size=3))
+
+
 class TestPairCost:
     def test_swap_symmetric(self):
         a = point_columns(make_oracle(D12).query(64), 64)
@@ -46,6 +87,38 @@ class TestPairCost:
         cols = point_columns(make_oracle(D12).query(64), 64)
         single = pair_cost(cols, cols)
         assert single > 0
+
+    # one column against two: the extra column has no partner to
+    # difference with
+    @example(pair=([""], ["", ""]))
+    @example(pair=(["1"], ["1", "0"]))
+    @example(pair=(["10110011001110001"], ["10110011001110001", "0" * 17]))
+    @given(column_pairs())
+    def test_matches_four_layout_reference(self, pair):
+        cols_x, cols_y = pair
+        assert pair_cost(cols_x, cols_y) == reference_pair_cost(cols_x, cols_y)
+        assert pair_cost(cols_y, cols_x) == reference_pair_cost(cols_x, cols_y)
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_each_first_block_is_parsed_once(self, monkeypatch, same):
+        fed = []
+        feed = Lz78Parser.feed
+
+        def counted_feed(parser, bits):
+            fed.append(len(bits))
+            return feed(parser, bits)
+
+        monkeypatch.setattr(Lz78Parser, "feed", counted_feed)
+        a = point_columns(make_oracle(D12).query(64), 64)
+        b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 2})
+                          .query(64), 64)
+        if same:
+            b = list(a)
+        size_a, size_b = len("".join(a)), len("".join(b))
+        pair_cost(a, b)
+        # each order: its first block once, then the plain and the
+        # differenced second block; equal arguments try one order only
+        assert sum(fed) == (3 * size_a if same else 3 * (size_a + size_b))
 
 
 class TestGridMutual:
@@ -122,6 +195,22 @@ class TestMdimEstimate:
         for j in range(len(SHORT)):
             assert prof.i_values[j] == (prof.k_x_values[j] + prof.k_y_values[j]
                                         - prof.k_xy_values[j])
+
+
+class TestGridCheck:
+    @pytest.mark.parametrize("grid", [(1024, 1024), (2048, 1024),
+                                      (1024, 2048, 2048), (1024,)])
+    def test_bad_grid_raises_before_any_k_r(self, monkeypatch, grid):
+        def unreachable(*args):
+            raise AssertionError("K_r computed for an unusable grid")
+
+        monkeypatch.setattr(mutual, "k_r", unreachable)
+        monkeypatch.setattr(mutual, "k_r_pair", unreachable)
+        x = make_oracle({"kind": "random", "seed": 11, "n": 1})
+        with pytest.raises(ValueError, match="grid"):
+            dim_estimate(x, grid)
+        with pytest.raises(ValueError, match="grid"):
+            mdim_estimate(x, x, grid)
 
 
 class TestKrMemo:
