@@ -15,8 +15,8 @@ The linear library maps (identity, scale, sum, projection and affine) are
 one core, x -> Ax + c with dyadic A and c, and one evaluator builds every
 output from integer numerators without a ``Fraction``.  Such a map carries
 that core, and the left-inverse search, which inverts linear maps only,
-tests each node on it: the node's image is the core applied to the node's
-grid indices, and its squared distance and bounds are integer counts of one
+tests each box of grid indices on it: the core's exact interval over the
+box bounds the squared distance from below, as an integer count of one
 power of 4.  ``Fraction`` remains where a value need not be dyadic: Holder
 exponents and the sampled checks.
 """
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
 from .codec import (
@@ -552,22 +551,30 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
 DEFAULT_SEARCH_BOX = (-(1 << 10), 1 << 10)
 
 
-def _modulus_variation_bound(m: ModulusSpec, radius: int, gap: int, cap: int) -> int:
-    """Bound on |f(a)-f(b)|, in units of 2**-cap, when |a-b|**2 <= radius / 4**gap.
+def _box_gap_sq(steps, base, lo, hi) -> int:
+    """Lower bound on the least sum_r d_r**2 over the index box
+    lo <= i < hi, where d_r = steps[r] . i + base[r].
 
-    Separations beyond 2**-m(0) chop the segment into N pieces of length
-    at most 2**-m(0), each moving the value at most 1, so N bounds the
-    total variation.  Smaller radii give 2**-j for the largest j <= cap
-    with 2**-m(j) >= sqrt(radius / 4**gap).
+    Over the box each d_r lies in [low_r, high_r], the sum of each term's
+    least and greatest value; a row whose interval holds 0 adds nothing,
+    any other adds the square of its end nearer 0.  On a singleton box the
+    bound is the exact sum.
     """
-    scaled = radius << (2 * m.value(0))
-    if scaled > 1 << (2 * gap):
-        need = (scaled >> (2 * gap)) + 1
-        return (math.isqrt(need - 1) + 1) << cap
-    j = 0
-    while j < cap and radius << (2 * m.value(j + 1)) <= 1 << (2 * gap):
-        j += 1
-    return 1 << (cap - j)
+    total = 0
+    for row, b in zip(steps, base):
+        low = high = b
+        for s, a, z in zip(row, lo, hi):
+            if s < 0:
+                low += s * (z - 1)
+                high += s * a
+            else:
+                low += s * a
+                high += s * (z - 1)
+        if low > 0:
+            total += low * low
+        elif high < 0:
+            total += high * high
+    return total
 
 
 def left_inverse_synthesize(
@@ -584,9 +591,11 @@ def left_inverse_synthesize(
     2**-m(m'(r)+2) inside the box, in lexicographic index order, and
     returns the first candidate q whose image at working precision
     m'(r)+3 lands within 2**-(m'(r)+1) of the observed value.  The
-    inverse modulus then forces |q - x| <= 2**-r.  Each node's image
-    comes from f's linear core on the node's grid indices; the evaluator
-    confirms the candidate returned, and a disagreement raises.
+    inverse modulus then forces |q - x| <= 2**-r.  The grid is split into
+    index boxes, and a box is dropped when the interval of f's linear core
+    over it proves it holds no such candidate (``_box_gap_sq``); on a single
+    grid point that test is exact.  The evaluator confirms the candidate
+    returned, and a disagreement raises.  An empty selector is refused.
     """
     if sel.n != f.n:
         raise ArityMismatchError("selector arity must match the function")
@@ -599,8 +608,12 @@ def left_inverse_synthesize(
     modulus = f.declared_modulus
     width = len(sel.positions)
     rest = f.n - width
-    lo, hi = box
-    if lo >= hi:
+    if width == 0:
+        raise ValueError(
+            f"empty selector S = () over {sel.n} positions: the left-inverse"
+            " search needs a coordinate to recover"
+        )
+    if box[0] >= box[1]:
         raise ValueError("search box is empty")
     # A's columns at the selected positions and at the rest
     a_sel = [[row[i - 1] for i in sel.positions] for row in core.rows]
@@ -617,8 +630,8 @@ def left_inverse_synthesize(
         observed = w.query(p)
         z = observed.coords[: f.k]
         y = observed.coords[f.k :]
-        cells = (hi - lo) << pitch_gap
-        origin = lo << pitch_gap
+        cells = (box[1] - box[0]) << pitch_gap
+        origin = box[0] << pitch_gap
         # one unit 2**-e, e >= p, holds every node's image A_S q + A_y y + c,
         # the observed z and every bound: a node at grid indices i has
         # image - z = steps . i + base exactly
@@ -632,21 +645,10 @@ def left_inverse_synthesize(
             + (c << lift) - (v.num << (e - v.exp))
             for row, step_row, c, v in zip(a_rest, steps, core.shift, z)
         ]
-        # every bound below is an integer count of 2**-p, and every squared
-        # bound an integer count of 4**-p lifted to 4**-e; the slack is 2 units
+        # the acceptance radius is an integer count of 2**-p, and its square
+        # an integer count of 4**-p lifted to 4**-e
         accept = 1 << (p - target_gap - 1)
-        unit_sq = 2 * (e - p)
-        accept_sq = (accept * accept) << unit_sq
-        # squared pruning threshold by the box's squared radius in pitch
-        # units; every box of one shape shares it
-        thresholds_sq: dict[int, int] = {}
-
-        def within(indices, bound_sq):
-            t = 0
-            for row, b in zip(steps, base):
-                d = sum(map(mul, row, indices)) + b
-                t += d * d
-            return t <= bound_sq
+        accept_sq = (accept * accept) << (2 * (e - p))
 
         def confirmed(indices):
             q = tuple(DyadicRational(origin + i, pitch_gap) for i in indices)
@@ -658,41 +660,24 @@ def left_inverse_synthesize(
                 )
             return _as_point(q)
 
-        # best-first over half-open index boxes, ordered by minimal corner;
-        # a box's minimal corner is its lexicographically least candidate,
-        # so the first accepted singleton is the lex-least acceptor, and a
-        # box is dropped only when the modulus proves it empty
-        heap = [((0,) * width, ((0, cells),) * width)]
+        # best-first over half-open index boxes lo <= i < hi, ordered by the
+        # minimal corner lo, the box's lexicographically least candidate; a
+        # box is dropped only when the core's interval proves it empty, so
+        # the first singleton kept is the lex-least acceptor
+        heap = [((0,) * width, (cells,) * width)]
         while heap:
-            corner, ranges = heapq.heappop(heap)
-            sides = [b - a for a, b in ranges]
-            if all(s == 1 for s in sides):
-                if within(corner, accept_sq):
-                    return confirmed(corner)
+            lo, hi = heapq.heappop(heap)
+            if _box_gap_sq(steps, base, lo, hi) > accept_sq:
                 continue
-            centers = [(a + b) // 2 for a, b in ranges]
-            radius = sum(
-                max(c - a, b - c) ** 2 for (a, b), c in zip(ranges, centers)
-            )
-            threshold_sq = thresholds_sq.get(radius)
-            if threshold_sq is None:
-                variation = _modulus_variation_bound(modulus, radius, pitch_gap, p)
-                threshold_sq = (accept + variation + 2) ** 2 << unit_sq
-                thresholds_sq[radius] = threshold_sq
-            if not within(centers, threshold_sq):
-                continue
-            axis = max(range(width), key=lambda i: sides[i])
-            a, b = ranges[axis]
-            mid = (a + b) // 2
+            sides = list(map(sub, hi, lo))
+            side = max(sides)
+            if side == 1:
+                return confirmed(lo)
+            axis = sides.index(side)
+            mid = lo[axis] + side // 2
             # the lower half keeps the parent's minimal corner
-            heapq.heappush(
-                heap, (corner, ranges[:axis] + ((a, mid),) + ranges[axis + 1 :])
-            )
-            heapq.heappush(
-                heap,
-                (corner[:axis] + (mid,) + corner[axis + 1 :],
-                 ranges[:axis] + ((mid, b),) + ranges[axis + 1 :]),
-            )
+            heapq.heappush(heap, (lo, hi[:axis] + (mid,) + hi[axis + 1 :]))
+            heapq.heappush(heap, (lo[:axis] + (mid,) + lo[axis + 1 :], hi))
         raise SearchExhaustedError(
             f"no candidate in {box}^{width} satisfies the certificate at r={r}"
         )

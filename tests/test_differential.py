@@ -2,8 +2,8 @@
 
 Each reference below is the straightforward version of a hot path: the
 dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
-``Fraction`` formulas behind the diluted and rational bit streams and the
-left-inverse search's modulus variation bound, the
+``Fraction`` formulas behind the diluted and rational bit streams, the
+brute-force minimum over every index of a left-inverse search box, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
 enumeration (``machine.enumerate_halting``), every payload of a
 straight-line class run through ``machine._execute``, and the full 3**n
@@ -26,7 +26,7 @@ from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
     ModulusSpec,
     SSelector,
-    _modulus_variation_bound,
+    _box_gap_sq,
     affine_function,
     curve_digits,
     hilbert2d_function,
@@ -190,24 +190,6 @@ def lex_first_acceptor(f, sel, m_prime, box, w, r):
         if distance_sq_reference(image, z) <= accept_sq:
             return RationalPoint(q)
     return None
-
-
-def modulus_variation_reference(m, radius_sq, cap):
-    """The variation bound over ``Fraction`` radii, as the search first had it."""
-    best = None
-    for j in range(cap + 1):
-        if Fraction(1, 1 << (2 * m.value(j))) >= radius_sq:
-            best = Fraction(1, 1 << j)
-        else:
-            break
-    if best is not None:
-        return best
-    scaled = radius_sq * (1 << (2 * m.value(0)))
-    need = scaled.numerator // scaled.denominator + 1
-    pieces = math.isqrt(need)
-    if pieces * pieces < need:
-        pieces += 1
-    return Fraction(pieces)
 
 
 def sorted_prefix_violations(programs):
@@ -734,7 +716,12 @@ _SHEAR_F = affine_function(_SHEAR, ["1/4", "0"], _SHEAR_CERT)
 _SCALE_F = scale_function(Fraction(2))
 # (function, certificate, selected coordinates x, the rest y): the shear at
 # three points, scale 2, sum with a y finer than any pitch the search uses
-# (so the node images need y's own exponent), a shear with negative offsets
+# (so the node images need y's own exponent), a shear with negative offsets,
+# and maps with negative coefficients, whose box intervals take the least
+# value of a term at the box's upper end
+_NEGATIVE = [["-1", "1/2"], ["0", "-1"]]
+_NEGATIVE_CERT = (SSelector(2, (1, 2)), linear_modulus(1))
+_SCALE_MINUS_F = scale_function(Fraction(-2))
 GRID_SCAN_CASES = {
     "x0": (_SHEAR_F, _SHEAR_CERT, ("5/8", "-3/4"), ()),
     "x1": (_SHEAR_F, _SHEAR_CERT, ("-2", "0"), ()),
@@ -744,6 +731,10 @@ GRID_SCAN_CASES = {
                    ("3/8",), ("5/8192",)),
     "affine-negative-offset": (affine_function(_SHEAR, ["-3/8", "-5/4"], _SHEAR_CERT),
                                _SHEAR_CERT, ("-5/16", "3/4"), ()),
+    "affine-negative-matrix": (affine_function(_NEGATIVE, ["1/8", "0"], _NEGATIVE_CERT),
+                               _NEGATIVE_CERT, ("7/16", "-9/8"), ()),
+    "scale-minus-2": (_SCALE_MINUS_F, _SCALE_MINUS_F.declared_inverse_moduli[0],
+                      ("13/16",), ()),
 }
 
 
@@ -759,15 +750,34 @@ def test_left_inverse_matches_full_grid_scan(case, r):
     assert g.evaluate(w, r) == lex_first_acceptor(f, sel, spec, box, w, r)
 
 
-@pytest.mark.parametrize("m", [linear_modulus(s) for s in range(4)]
-                         + [ModulusSpec(1, Fraction(1, 2))],
-                         ids=["lipschitz-0", "lipschitz-1", "lipschitz-2",
-                              "lipschitz-3", "holder-1-1/2"])
-def test_modulus_variation_bound_matches_fraction_reference(m):
-    # every radius up to 4096 (all perfect squares among them) on both
-    # sides of the small/large switch, the result in units of 2**-cap
-    for gap in (0, 1, 3, 6):
-        for cap in (0, 2, 5, 9):
-            for radius in range(4097):
-                want = modulus_variation_reference(m, Fraction(radius, 4**gap), cap)
-                assert _modulus_variation_bound(m, radius, gap, cap) == want * (1 << cap)
+def box_gap_sq_reference(steps, base, lo, hi):
+    """The least sum of squared image offsets over every index of the box."""
+    return min(
+        sum((sum(s * i for s, i in zip(row, indices)) + b) ** 2
+            for row, b in zip(steps, base))
+        for indices in itertools.product(*map(range, lo, hi))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_box_gap_sq_is_a_sound_lower_bound(data):
+    # random small integer maps, zero and negative entries included, over
+    # boxes up to 4x4: the bound never exceeds the least sum over the box,
+    # and equals it on a single index
+    width = data.draw(st.integers(1, 2), label="width")
+    rows = data.draw(st.integers(1, 3), label="rows")
+    small = st.integers(-6, 6)
+    steps = data.draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                               min_size=rows, max_size=rows), label="steps")
+    base = data.draw(st.lists(st.integers(-40, 40), min_size=rows, max_size=rows),
+                     label="base")
+    lo = data.draw(st.lists(st.integers(-5, 5), min_size=width, max_size=width),
+                   label="lo")
+    hi = [a + data.draw(st.integers(1, 4), label="side") for a in lo]
+    bound = _box_gap_sq(steps, base, lo, hi)
+    assert bound <= box_gap_sq_reference(steps, base, lo, hi)
+    for indices in itertools.product(*map(range, lo, hi)):
+        upper = [i + 1 for i in indices]
+        assert (_box_gap_sq(steps, base, indices, upper)
+                == box_gap_sq_reference(steps, base, indices, upper))

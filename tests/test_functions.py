@@ -1,6 +1,8 @@
 """Computable functions: moduli, the plane-filling curve, left inverses."""
 
 import dataclasses
+import heapq
+import random
 from fractions import Fraction
 
 import pytest
@@ -364,6 +366,46 @@ class TestLeftInverse:
         with pytest.raises(ValueError, match="hilbert2d has no linear core"):
             left_inverse_synthesize(library_function("hilbert2d"),
                                     SSelector(1, (1,)), linear_modulus(0))
+
+    def test_empty_selector_refused(self):
+        # with no coordinate to recover there is no search box to split, so
+        # the inverse is refused when it is built, not when first evaluated
+        with pytest.raises(ValueError, match="empty selector"):
+            left_inverse_synthesize(library_function("sum", {"n": 2}),
+                                    SSelector(2, ()), linear_modulus(1))
+
+    def test_affine_search_pops_few_boxes(self, monkeypatch):
+        # criterion 10's 33 affine inputs at r = 20: the box interval pops
+        # 7,877 boxes, where the prune by the forward modulus popped 42,873
+        f = library_function("affine", {
+            "matrix": [["1", "1/2"], ["0", "1"]], "offset": ["1/4", "0"],
+            "inverse_modulus": {"S": [1, 2], "s": 1},
+        })
+        sel, spec = f.declared_inverse_moduli[0]
+        g = left_inverse_synthesize(f, sel, spec)
+        rng = random.Random(42)
+        points = []
+        for trial in range(100):
+            a = rng.randrange(-100 << 10, 100 << 10)
+            b = rng.randrange(-100 << 10, 100 << 10)
+            if trial % 3 == 2:
+                points.append((a, b))
+        pops = 0
+        pop = heapq.heappop
+
+        def counting(heap):
+            nonlocal pops
+            pops += 1
+            return pop(heap)
+
+        monkeypatch.setattr(functions.heapq, "heappop", counting)
+        for a, b in points:
+            got = g.evaluate(ImageOracle(f, _const((a, 10), (b, 10))), 20)
+            want = (Fraction(a, 1 << 10), Fraction(b, 1 << 10))
+            assert all(abs(v - x) <= Fraction(1, 1 << 20)
+                       for v, x in zip(_as_fractions(got), want))
+        assert len(points) == 33
+        assert pops <= 10_000
 
     def test_core_and_evaluator_disagreeing_raises(self):
         # the core says -2x while the evaluator computes 2x: the search finds
