@@ -30,11 +30,6 @@ KRAFT_MASS = {
     (20, 10000): Fraction(149747, 262144),
 }
 
-# symmetry-of-information deltas |K(x,y) - K(x) - K(y|<x,K(x)>)| over the
-# 4-output sample at (24, 256); alarm fires above the threshold
-SYMMETRY_MAX_DELTA = 12
-SYMMETRY_ALARM = 16
-
 # shortest-program lengths for the canonical point encodings reachable at
 # (max_len 24, budget 256); the 2-d points need (27, 256)
 K_POINT = {

@@ -31,11 +31,12 @@ time and output size and halting is decidable.  A taken jump that repeats an
 returns its output, or None when it never halts; ``run`` turns that into a
 ``RunResult``.
 
-The exhaustive enumeration runs programs one by one through ``_execute``
-only under a non-empty given.  Under the empty given the counter is 0, no
-jump is taken and each run reads its payload once, in order, so a
-depth-first walk over instruction prefixes (``_straight_classes``) runs each
-prefix once and decides whole classes of payloads at a time.
+The exhaustive enumeration runs programs one by one through ``_execute``,
+level by level, only under a non-empty given.  Under the empty given the
+counter is 0, no jump is taken and each run reads its payload once, in
+order, so one depth-first walk over instruction prefixes (``_straight_walk``)
+runs each prefix once for every payload length and decides whole classes of
+payloads at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .codec import (
     RationalPoint,
@@ -193,52 +194,57 @@ def _operands(room: int, cap: int) -> Iterator[tuple[str, int]]:
             yield pad + bin(arg)[2:], arg
 
 
-def _straight_classes(p: int, budget: int) -> Iterator[_PayloadClass]:
-    """Every halting payload of length ``p`` under the empty given, as
-    classes in payload lex order.
+def _straight_walk(
+    top: int, budget: int, record: Callable[[int, str, str, int, str], None]
+) -> None:
+    """Pass every halting payload of length at most ``top`` under the empty
+    given to ``record(p, first, last, count, output)``, as classes of
+    ``count`` consecutive length-``p`` payloads from ``first`` to ``last``.
 
     With no given the counter is 0: ``JNZ`` never jumps, and ``ECHO`` and
     ``DEC`` append nothing, so a run reads its payload once, front to back,
-    exactly as ``_execute`` would.  A depth-first walk over instruction
-    prefixes runs each prefix once, carrying (output, steps) to the next
-    instruction start.  A ``HALT`` decides all its suffixes in one class.
-    A charge over ``budget``, a partial fetch, a truncated operand or a
-    literal past the end decides a whole subtree, which has no halting
-    program.  Opcodes and literals are visited in bit order and operands
-    in codeword lex order, so the classes come out in payload lex order.
+    exactly as ``_execute`` would.  One depth-first walk over instruction
+    prefixes runs each prefix once for every length, carrying (output,
+    steps) to the next instruction start.  A prefix of length p is itself a
+    payload that halts at its end, a class of level p.  A ``HALT`` at pc
+    decides, for each level p >= pc + 3, its 2**(p - pc - 3) suffixes in one
+    class.  A charge over ``budget``, a partial fetch, a truncated operand
+    or a literal past ``top`` decides a whole subtree, which has no longer
+    halting program.  Opcodes and literals are visited in bit order and
+    operands in codeword lex order, so each level's classes come in payload
+    lex order; the levels interleave.
     """
 
-    def walk(prefix: str, out: str, steps: int) -> Iterator[_PayloadClass]:
+    def walk(prefix: str, out: str, steps: int) -> None:
         pc = len(prefix)
-        if pc == p:
-            yield prefix, prefix, 1, out
-            return
-        room = p - pc - 3  # bits after the opcode
+        record(pc, prefix, prefix, 1, out)
+        room = top - pc - 3  # most bits after the opcode
         steps += 1  # every instruction's base charge
         if room < 0 or steps > budget:
             return
         if steps < budget:  # emit-0 and emit-1 charge 2
-            yield from walk(prefix + "000", out + "0", steps + 1)
-            yield from walk(prefix + "001", out + "1", steps + 1)
-        yield from walk(prefix + "010", out, steps)  # echo of ""
+            walk(prefix + "000", out + "0", steps + 1)
+            walk(prefix + "001", out + "1", steps + 1)
+        walk(prefix + "010", out, steps)  # echo of ""
         any_arg = 1 << room  # above every value a room-bit code can hold
         cap = (budget - steps) // len(out) if out else any_arg
         for code, arg in _operands(room, cap):  # repeat
-            yield from walk(prefix + "011" + code, out * (arg + 1),
-                            steps + arg * len(out))
+            walk(prefix + "011" + code, out * (arg + 1), steps + arg * len(out))
         for code, arg in _operands(room, min(room - 1, budget - steps)):
             if len(code) + arg <= room:  # lit, inside the payload
                 head = prefix + "100" + code
                 for lit in range(1 << arg):
                     bits = format(lit, f"0{arg}b")
-                    yield from walk(head + bits, out + bits, steps + arg)
+                    walk(head + bits, out + bits, steps + arg)
         for code, _ in _operands(room, any_arg):  # jump, never taken
-            yield from walk(prefix + "101" + code, out, steps)
-        yield from walk(prefix + "110", out, steps)  # dec of 0
+            walk(prefix + "101" + code, out, steps)
+        walk(prefix + "110", out, steps)  # dec of 0
         halt = prefix + "111"  # every suffix halts here
-        yield halt + "0" * room, halt + "1" * room, 1 << room, out
+        for fill in range(room + 1):
+            record(pc + 3 + fill, halt + "0" * fill, halt + "1" * fill,
+                   1 << fill, out)
 
-    return walk("", "", 0)
+    walk("", "", 0)
 
 
 def _program_classes(p: int, given: str, budget: int) -> Iterator[_PayloadClass]:
@@ -306,28 +312,39 @@ class PrefixCheck:
 
     A level arrives as runs of consecutive same-length programs, each a
     (first, last) pair, in ascending lex order; a run's first program is
-    compared only with the previous run's last.  Programs inside a run
-    share a length, so none prefixes another.  Each level's first and last
-    program form a run, and sorted level runs must neither overlap nor
-    have one run's last program prefix the next run's first.  That is
-    sound for any levels: every program between ``a`` and a proper
-    extension of ``a`` starts with ``a``.
+    compared only with the previous run's last of its level.  Programs
+    inside a run share a length, so none prefixes another.  Runs of
+    different levels may interleave; ``close_levels`` files each open
+    level's first and last program as one run, in level order, and sorted
+    level runs must neither overlap nor have one run's last program prefix
+    the next run's first.  That is sound for any levels: every program
+    between ``a`` and a proper extension of ``a`` starts with ``a``.
     """
 
     def __init__(self) -> None:
         self._in_level = 0
         self._runs: list[tuple[str, str]] = []
+        self._open: dict[int, list[str]] = {}  # level -> [first, last]
+
+    def add_run(self, level: int, first: str, last: str) -> None:
+        ends = self._open.get(level)
+        if ends is None:
+            self._open[level] = [first, last]
+            return
+        prev = ends[1]
+        if first <= prev or first.startswith(prev):
+            self._in_level += 1
+        ends[1] = last
+
+    def close_levels(self) -> None:
+        for level in sorted(self._open):
+            self._runs.append(tuple(self._open[level]))
+        self._open.clear()
 
     def add_level(self, runs: Iterable[tuple[str, str]]) -> None:
-        level_first = prev = None
         for first, last in runs:
-            if prev is None:
-                level_first = first
-            elif first <= prev or first.startswith(prev):
-                self._in_level += 1
-            prev = last
-        if prev is not None:
-            self._runs.append((level_first, prev))
+            self.add_run(0, first, last)
+        self.close_levels()
 
     def count(self) -> int:
         runs = sorted(self._runs)
@@ -338,30 +355,33 @@ class PrefixCheck:
 
 
 class Enumeration:
-    """Cached, level-by-level exhaustive run of every valid program.
+    """Cached exhaustive run of every valid program.
 
-    Levels (payload lengths) are materialized in ascending order, so a lookup
-    can stop as soon as its target appears: every later program is longer.
-    A level's halting programs arrive as classes of consecutive payloads
-    with one output.  Under the empty given they come from
-    ``_straight_classes``, which shares each instruction prefix's run
-    across all payloads that start with it; under any other given the
-    counter makes jumps live, so each payload runs once through
-    ``_execute``, one class per halting program.  Every class feeds the
-    counts, the masses and ``prefix_check`` as one run.  Masses are
-    integers in units of ``2**-max_program_len``; ``kraft`` turns their
-    total into a ``Fraction``.  The package starts no threads, and an
-    enumeration is not safe to advance from two threads at once.
+    Under the empty given, ``_straight_walk`` runs each instruction prefix
+    once for every payload length, so the first ``lookup`` or
+    ``ensure_complete`` finishes every level in one walk.  Under any other
+    given the counter makes jumps live: levels (payload lengths) run in
+    ascending order, each payload once through ``_execute``, one class per
+    halting program, so a lookup can stop as soon as its target appears:
+    every later program is longer.  Each class of halting programs feeds
+    the counts, the masses and ``prefix_check`` as one run.  ``outputs``
+    keeps its first producers in (k, witness) order.  Masses are integers
+    in units of ``2**-max_program_len``; ``kraft`` turns their total into a
+    ``Fraction``.  The package starts no threads, and an enumeration is not
+    safe to advance from two threads at once.
     """
 
     def __init__(self, cfg: MachineConfig, given: str):
         self.cfg = cfg
         self.given = given
-        self.levels = capped_levels(cfg)
+        self.levels = capped_levels(cfg)  # 0..top, as header_len(p) + p grows
         self.outputs: dict[str, OutputInfo] = {}
         self.halting_count = 0
         self.prefix_check = PrefixCheck()
         self._next_level = 0
+        self._headers = [gamma_encode(p + 1) for p in self.levels]
+        self._units = [1 << (cfg.max_program_len - len(header) - p)
+                       for p, header in enumerate(self._headers)]
 
     @property
     def kraft(self) -> Fraction:
@@ -381,38 +401,55 @@ class Enumeration:
         points.sort(key=lambda t: (t[1], t[2]))
         return points
 
+    def _record(self, p: int, first: str, last: str, count: int,
+                output: str) -> None:
+        """Count a class of halting payloads of length ``p``; a level's
+        classes come in lex order, levels in any order."""
+        self.halting_count += count
+        header = self._headers[p]
+        program = header + first
+        mass = self._units[p] * count
+        info = self.outputs.get(output)
+        if info is None:
+            self.outputs[output] = OutputInfo(len(program), program, mass)
+        else:
+            info.mass_units += mass
+            if len(program) < info.k:  # a shorter level met later
+                info.k, info.witness = len(program), program
+        self.prefix_check.add_run(
+            p, program, program if count == 1 else header + last
+        )
+
+    def _run_straight(self) -> None:
+        """Record every halting program under the empty given in one walk,
+        then put ``outputs`` back in (k, witness) order."""
+        _straight_walk(self.levels[-1], self.cfg.step_budget, self._record)
+        self.prefix_check.close_levels()
+        self.outputs = dict(sorted(
+            self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
+        ))
+        self._next_level = len(self.levels)
+
     def _advance_one_level(self) -> None:
         p = self.levels[self._next_level]
         self._next_level += 1
-        self.prefix_check.add_level(self._run_level(p))
-
-    def _run_level(self, p: int) -> Iterator[tuple[str, str]]:
-        """Record every halting program of payload length ``p``; yield each
-        class of them as a (first, last) run of programs, in lex order."""
-        header = gamma_encode(p + 1)
-        units = 1 << (self.cfg.max_program_len - len(header) - p)
-        budget = self.cfg.step_budget
-        if self.given:
-            classes = _program_classes(p, self.given, budget)
-        else:
-            classes = _straight_classes(p, budget)
-        outputs = self.outputs
-        for first, last, count, output in classes:
-            self.halting_count += count
-            info = outputs.get(output)
-            if info is None:
-                outputs[output] = OutputInfo(len(header) + p, header + first,
-                                             units * count)
-            else:
-                info.mass_units += units * count
-            yield header + first, header + last
+        for payload_class in _program_classes(p, self.given, self.cfg.step_budget):
+            self._record(p, *payload_class)
+        self.prefix_check.close_levels()
 
     def ensure_complete(self) -> None:
-        while self._next_level < len(self.levels):
-            self._advance_one_level()
+        if self.given:
+            while self._next_level < len(self.levels):
+                self._advance_one_level()
+        elif self._next_level < len(self.levels):
+            self._run_straight()
 
     def lookup(self, target: str) -> OutputInfo | None:
-        """First producer of ``target``, advancing only as deep as needed."""
+        """First producer of ``target``.  Under the empty given the first
+        lookup completes every level in one walk; under any other, levels
+        run only as deep as needed."""
+        if not self.given:
+            self.ensure_complete()
         while target not in self.outputs and self._next_level < len(self.levels):
             self._advance_one_level()
         return self.outputs.get(target)

@@ -14,6 +14,7 @@ kept here, outside the package, as oracles for differential tests.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ from mdimlab.machine import (
     MachineConfig,
     PrefixCheck,
     _execute,
-    _straight_classes,
+    _straight_walk,
     enumerate_halting,
 )
 from mdimlab.oracles import (
@@ -392,6 +393,8 @@ def test_source_block_is_a_slice_of_the_prefix(kind, arg, size):
     (16, 1000, ""), (16, 1000, "0110"), (20, 10000, ""), (24, 256, ""),
     (16, 3, ""), (16, 50, ""), (20, 50, ""),
     (16, 1000, "1"), (16, 1000, "01111"), (16, 1000, "011011011"),
+    # no level, a single level, and levels shorter than an opcode
+    (0, 1, ""), (1, 1, ""), (4, 1, ""), (5, 2, ""),
 ])
 def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
     cfg = MachineConfig(max_len, budget)
@@ -414,26 +417,58 @@ def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
     assert enum.prefix_check.count() == sorted_prefix_violations(
         p for p, _ in reference
     ) == 0
+    # outputs keep the order in which the reference first produces them
+    assert list(enum.outputs) == list(expected)
 
 
 @pytest.mark.parametrize("budget", [3, 50, 256, 1000])
 def test_straight_classes_expand_to_per_program_runs(budget):
-    # a leading 1 keeps a payload's length in its integer, the empty one too
-    for p in range(15):
-        expanded = []
-        for first, last, count, output in _straight_classes(p, budget):
-            assert len(first) == len(last) == p
-            start = int("1" + first, 2)
-            assert int("1" + last, 2) - start + 1 == count
-            for i in range(start, start + count):
-                payload = format(i, "b")[1:]
-                assert _execute(payload, "", budget) == output
-                expanded.append(payload)
+    # one walk over every length up to 14; a leading 1 keeps a payload's
+    # length in its integer, the empty one too
+    top = 14
+    expanded = [[] for _ in range(top + 1)]
+
+    def record(p, first, last, count, output):
+        assert len(first) == len(last) == p
+        start = int("1" + first, 2)
+        assert int("1" + last, 2) - start + 1 == count
+        for i in range(start, start + count):
+            payload = format(i, "b")[1:]
+            assert _execute(payload, "", budget) == output
+            expanded[p].append(payload)
+
+    _straight_walk(top, budget, record)
+    for p in range(top + 1):
         payloads = (format(i, "b")[1:] for i in range(1 << p, 2 << p))
-        assert expanded == [
+        assert expanded[p] == [
             payload for payload in payloads
             if _execute(payload, "", budget) is not None
         ]
+
+
+def test_straight_walk_visits_each_prefix_once():
+    # the unconditional (24, 256) enumeration walks its 9,217 instruction
+    # prefixes once for all 16 payload lengths; a walk per length made
+    # 18,482 visits
+    walk_code = next(
+        c for c in _straight_walk.__code__.co_consts
+        if getattr(c, "co_name", None) == "walk"
+    )
+    visits = 0
+
+    def profile(frame, event, arg):
+        nonlocal visits
+        if event == "call" and frame.f_code is walk_code:
+            visits += 1
+
+    enum = Enumeration(MachineConfig(24, 256), "")
+    sys.setprofile(profile)
+    try:
+        enum.ensure_complete()
+    finally:
+        sys.setprofile(None)
+    assert enum.halting_count == 31672
+    assert visits <= 10_000
 
 
 def _prefix_check_count(levels):

@@ -121,17 +121,17 @@ class TestMachineSuite:
 
     def test_runs_each_program_once(self, monkeypatch):
         # one exhaustive pass feeds the counts, the mass and both prefix
-        # checks: each level runs once, its classes share prefix runs instead
-        # of running payloads one by one, and they count every halting
-        # program of the per-program reference
-        levels = []
+        # checks: the unconditional walk starts once for every level, its
+        # classes share prefix runs instead of running payloads one by one,
+        # and they count every halting program of the per-program reference
+        walks = []
         executed = 0
-        run_level = machine.Enumeration._run_level
+        run_straight = machine.Enumeration._run_straight
         execute = machine._execute
 
-        def counted_level(enum, p):
-            levels.append((enum.given, p))
-            return run_level(enum, p)
+        def counted_walk(enum):
+            walks.append(enum.given)
+            return run_straight(enum)
 
         def counted_execute(*args):
             nonlocal executed
@@ -139,12 +139,12 @@ class TestMachineSuite:
             return execute(*args)
 
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-        monkeypatch.setattr(machine.Enumeration, "_run_level", counted_level)
+        monkeypatch.setattr(machine.Enumeration, "_run_straight", counted_walk)
         monkeypatch.setattr(machine, "_execute", counted_execute)
         cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
         assert run_suite(cfg).fail_count == 0
-        assert levels == [("", p) for p in machine.valid_payload_lengths(16)]
+        assert walks == [""]
         assert executed == 0
         enum = machine.get_enumeration(cfg.machine)
         assert enum.halting_count == len(machine.enumerate_halting(cfg.machine))
