@@ -6,13 +6,14 @@ membership or intersection decisions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import DyadicRational, RationalPoint, distance_sq
+from .codec import DyadicRational, RationalPoint, distance_sq_parts
 from .machine import MachineConfig, get_enumeration
 
 
@@ -30,28 +31,49 @@ def ceil_half_log2(n: int) -> int:
     return l
 
 
+@functools.cache
+def _side(r: int) -> Fraction:
+    """2**-r, the cube side and ball radius at precision r, built once per r."""
+    return Fraction(1, 1 << r) if r >= 0 else Fraction(1 << -r)
+
+
 @dataclass(frozen=True)
 class Ball:
-    """Open Euclidean ball with an exact rational radius."""
+    """Open Euclidean ball with an exact rational radius.
+
+    The radius may be given as an int or a Fraction and is stored as a
+    Fraction; floats and booleans are refused.
+    """
 
     center: RationalPoint
     radius: Fraction
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        radius = self.radius
+        if not isinstance(radius, Fraction):
+            if isinstance(radius, bool) or not isinstance(radius, int):
+                raise ValueError(
+                    f"radius must be an int or a Fraction, not {radius!r}"
+                )
+            radius = Fraction(radius)
+            object.__setattr__(self, "radius", radius)
+        if radius.numerator <= 0:
             raise ValueError("radius must be positive")
 
     @classmethod
     def at_precision(cls, center: RationalPoint, r: int) -> "Ball":
         """The open ball of radius 2**-r used at precision r."""
-        return cls(center, Fraction(1, 1 << r) if r >= 0 else Fraction(1 << -r))
+        return cls(center, _side(r))
 
     @property
     def dimension(self) -> int:
         return self.center.dimension
 
     def contains(self, q: RationalPoint) -> bool:
-        return distance_sq(q, self.center) < self.radius * self.radius
+        # |q - c|**2 = t / 4**e < (a / b)**2, decided on integers
+        t, e = distance_sq_parts(q, self.center)
+        a, b = self.radius.numerator, self.radius.denominator
+        return t * b * b < (a * a) << (2 * e)
 
 
 def scale_ball(ball: Ball, alpha: Fraction | int) -> Ball:
@@ -80,7 +102,10 @@ class DyadicCube:
         if q.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         r = self.precision
-        return all(c.floor_shift(r) == m for c, m in zip(q.coords, self.index))
+        for c, m in zip(q.coords, self.index):
+            if c.floor_shift(r) != m:
+                return False
+        return True
 
     def closure_distance_sq(self, p: RationalPoint) -> Fraction:
         """Exact squared distance from p to the cube's closure."""
@@ -108,41 +133,51 @@ def cube_containing(q: RationalPoint, r: int) -> DyadicCube:
     return DyadicCube(r, tuple(c.floor_shift(r) for c in q.coords))
 
 
-def cubes_intersecting_ball(ball: Ball, r: int) -> list[DyadicCube]:
-    """All precision-r cubes meeting an open ball of radius 2**-r.
+def _check_precision(ball: Ball, r: int) -> None:
+    """Refuse a negative r and a ball whose radius is not 2**-r."""
+    if r < 0:
+        raise ValueError(f"precision must be >= 0, got r = {r}")
+    side = _side(r)
+    if ball.radius is not side and ball.radius != side:
+        raise ValueError(f"ball radius {ball.radius} is not 2**-{r}")
+
+
+def cubes_intersecting_ball(ball: Ball, r: int) -> list[tuple[int, ...]]:
+    """The indices of all precision-r cubes meeting an open ball of radius 2**-r.
 
     Requires the ball radius to equal the cube side; the result then has at
-    most 3**n members, all within one index step of the center's cube, in
-    ``itertools.product`` order of the offsets (-1, 0, 1).
+    most 3**n index tuples, each within one step of the center's cube index,
+    in ``itertools.product`` order of the offsets (-1, 0, 1).  The cube of
+    index m is ``DyadicCube(r, m)``.
 
     The open ball meets a half-open cube iff it meets the cube's closure,
     and that squared distance is a sum of one term per axis.  Each term
     depends only on that axis's offset, so the three terms of each axis are
     computed once, as integers over 2**(2e) with e the finest exponent in
-    play, and the hits are built one axis at a time.  A partial sum that
-    reaches the radius bound is dropped: the terms are non-negative, so it
-    can never come back under it.
+    play: a center coordinate f above its own cube's lower face is f away
+    from the cube below, 0 from its own and side - f from the cube above.
+    The hits are built one axis at a time.  A partial sum that reaches the
+    radius bound is dropped: the terms are non-negative, so it can never
+    come back under it.
     """
-    if ball.radius != Fraction(1, 1 << r):
-        raise ValueError("ball radius must equal the cube side 2**-r")
+    _check_precision(ball, r)
     e = max(r, max(c.exp for c in ball.center.coords))
     unit = e - r
-    limit = 1 << (2 * unit)
+    side = 1 << unit
+    limit = side * side
     partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for c in ball.center.coords:
         v = c.num << (e - c.exp)
         base = v >> unit
-        terms = [
-            (m, _gap_sq(v, m << unit, (m + 1) << unit))
-            for m in (base - 1, base, base + 1)
-        ]
+        f = v - (base << unit)
+        terms = ((base - 1, f * f), (base, 0), (base + 1, (side - f) ** 2))
         partial = [
             (idx + (m,), total + term)
             for idx, total in partial
             for m, term in terms
             if total + term < limit
         ]
-    return [DyadicCube(r, idx) for idx, _ in partial]
+    return [idx for idx, _ in partial]
 
 
 def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
@@ -153,12 +188,13 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     lex order of its indices.  The squared distance is a sum of one term
     per axis that depends only on that axis's index, so the minimum is
     taken axis by axis: each axis keeps its nearest index, the lower one on
-    a tie, which is the lex-first point of least distance.  The spacing
-    makes the scaled ball radius exceed sqrt(n)/2, so a lattice point
-    always lies strictly inside; failure indicates a bug, not bad input.
+    a tie, which is the lex-first point of least distance.  Only a center
+    coordinate exactly halfway between two lattice values ties, so each
+    axis rounds half down.  The spacing makes the scaled ball radius exceed
+    sqrt(n)/2, so a lattice point always lies strictly inside; failure
+    indicates a bug, not bad input.
     """
-    if ball.radius != Fraction(1, 1 << r):
-        raise ValueError("ball radius must equal 2**-r")
+    _check_precision(ball, r)
     n = ball.dimension
     s = r + ceil_half_log2(n)
     # integer numerators over 2**e, e the finest exponent in play
@@ -168,12 +204,8 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     idx = []
     for c in ball.center.coords:
         v = c.num << (e - c.exp)
-        rounded = ((v << 1) + (1 << k)) >> (k + 1)  # floor(c * 2**s + 1/2)
-        # min keeps the first of equal terms, so a tie takes the lower index
-        m = min(
-            (rounded - 1, rounded, rounded + 1),
-            key=lambda j: ((j << k) - v) ** 2,
-        )
+        # ceil(c * 2**s - 1/2): floor(c * 2**s + 1/2), one lower at a midpoint
+        m = ((v << 1) + (1 << k) - 1) >> (k + 1)
         total += ((m << k) - v) ** 2
         idx.append(m)
     if total >= 1 << (2 * (e - r)):

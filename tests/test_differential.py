@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdimlab import functions
+from mdimlab import functions, harness
 from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, distance_sq_parts
 from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
@@ -134,12 +134,12 @@ def distance_sq_reference(p, q):
 
 
 def closure_distance_sq_reference(cube, p):
-    side = Fraction(1, 1 << cube.precision)
+    side = 1 << cube.precision
     total = Fraction(0)
     for c, m in zip(p.coords, cube.index):
         v = c.to_fraction()
-        lo = m * side
-        hi = lo + side
+        lo = Fraction(m, side)
+        hi = Fraction(m + 1, side)
         if v < lo:
             total += (lo - v) ** 2
         elif v > hi:
@@ -151,26 +151,29 @@ def lattice_point_reference(ball, r):
     """Round the center to the lattice with ``Fraction``; keep the nearest of 3**n."""
     n = ball.dimension
     s = r + ceil_half_log2(n)
-    rounded = [math.floor(c.to_fraction() * (1 << s) + Fraction(1, 2))
-               for c in ball.center.coords]
+    center = [c.to_fraction() for c in ball.center.coords]
+    rounded = [math.floor(c * (1 << s) + Fraction(1, 2)) for c in center]
+    step = Fraction(1, 1 << s)
+    rad_sq = ball.radius**2
     best = None
     for offset in itertools.product((-1, 0, 1), repeat=n):
         idx = tuple(m + o for m, o in zip(rounded, offset))
-        q = RationalPoint(tuple(DyadicRational(m, s) for m in idx))
-        d = distance_sq_reference(q, ball.center)
-        if d < ball.radius**2 and (best is None or (d, idx) < best):
+        d = sum((m * step - c) ** 2 for m, c in zip(idx, center))
+        if d < rad_sq and (best is None or (d, idx) < best):
             best = (d, idx)
     return RationalPoint(tuple(DyadicRational(m, s) for m in best[1]))
 
 
 def cover_reference(ball, r):
-    """Scan the 3**n neighbours of the center's cube; keep hits in product order."""
+    """Scan the 3**n neighbours of the center's cube; keep the indices of the
+    hits in product order."""
     base = cube_containing(ball.center, r)
+    rad_sq = ball.radius**2
     hits = []
     for offset in itertools.product((-1, 0, 1), repeat=ball.dimension):
         cube = DyadicCube(r, tuple(m + o for m, o in zip(base.index, offset)))
-        if closure_distance_sq_reference(cube, ball.center) < ball.radius**2:
-            hits.append(cube)
+        if closure_distance_sq_reference(cube, ball.center) < rad_sq:
+            hits.append(cube.index)
     return hits
 
 
@@ -561,6 +564,56 @@ def test_lattice_point_matches_fraction_reference(r, coords):
 def test_cube_cover_matches_fraction_scan(r, coords):
     ball = Ball.at_precision(_point(coords), r)
     assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
+
+
+# radii of every kind a Ball takes: 2**-r, dyadic but not a power of two,
+# non-dyadic, and integer
+ball_radii = st.sampled_from(
+    [Fraction(1, 1 << r) for r in range(13)]
+    + [Fraction(3, 2), Fraction(1, 3), Fraction(5), Fraction(2)]
+)
+offsets = st.builds(DyadicRational, st.integers(-64, 64), st.integers(0, 8))
+
+
+def _shifted(c, off):
+    return DyadicRational.from_fraction(c.to_fraction() + off.to_fraction())
+
+
+@settings(max_examples=300)
+@given(ball_radii, st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(dyadics, min_size=n, max_size=n),
+                        st.lists(offsets, min_size=n, max_size=n))))
+def test_ball_contains_matches_fraction_distance(radius, case):
+    coords, offs = case
+    center = _point(coords)
+    ball = Ball(center, radius)
+    q = _point(_shifted(c, o) for c, o in zip(coords, offs))
+    assert ball.contains(q) == (distance_sq(q, center) < radius**2)
+
+
+@given(ball_radii.filter(lambda f: f.denominator & (f.denominator - 1) == 0),
+       st.lists(dyadics, min_size=1, max_size=4), st.data())
+def test_ball_contains_excludes_the_sphere(radius, coords, data):
+    # a point exactly one radius away along an axis is outside the open ball
+    axis = data.draw(st.integers(0, len(coords) - 1))
+    step = DyadicRational.from_fraction(data.draw(st.sampled_from((radius, -radius))))
+    q = list(coords)
+    q[axis] = _shifted(q[axis], step)
+    ball = Ball(_point(coords), radius)
+    assert distance_sq(_point(q), ball.center) == radius**2
+    assert not ball.contains(_point(q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_geometry_suite_balls_match_references(n):
+    # the suite's report reads the same at every seed, so replay its own
+    # balls: a lattice point inside the ball but not the lex-first nearest,
+    # or a cover of the right size with the wrong cubes, fails here
+    rng = random.Random(f"5:axis={n}")
+    for _ in range(500):
+        ball, r = harness._random_ball(rng, n)
+        assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
+        assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
 
 
 def _tie_center(rng, kind, n, r):

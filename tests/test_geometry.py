@@ -74,15 +74,36 @@ def test_cubes_partition_space(r, raw):
 
 def test_cover_examples():
     b = Ball.at_precision(RationalPoint.of(dy(1, 1)), 0)
-    assert sorted(c.index[0] for c in cubes_intersecting_ball(b, 0)) == [-1, 0, 1]
+    assert sorted(idx[0] for idx in cubes_intersecting_ball(b, 0)) == [-1, 0, 1]
     b = Ball.at_precision(RationalPoint.of(dy(1, 2)), 2)
-    assert sorted(c.index[0] for c in cubes_intersecting_ball(b, 2)) == [0, 1]
+    assert sorted(idx[0] for idx in cubes_intersecting_ball(b, 2)) == [0, 1]
 
 
 def test_cover_requires_matching_precision():
     b = Ball.at_precision(RationalPoint.of(dy(0)), 3)
     with pytest.raises(ValueError):
         cubes_intersecting_ball(b, 2)
+
+
+def test_ball_radius_must_be_int_or_fraction():
+    c = RationalPoint.of(dy(0))
+    two = Ball(c, 2)
+    assert two.radius == Fraction(2) and type(two.radius) is Fraction
+    assert Ball(c, Fraction(1, 3)).radius == Fraction(1, 3)
+    for radius in (0.5, True, "1/2", None):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Ball(c, radius)
+    for radius in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            Ball(c, radius)
+
+
+def test_negative_precision_is_refused():
+    # the ball's radius is 2**1, so only the sign of r can be at fault
+    b = Ball.at_precision(RationalPoint.of(dy(0)), -1)
+    for predicate in (cubes_intersecting_ball, lattice_point_in_ball):
+        with pytest.raises(ValueError, match="r = -1"):
+            predicate(b, -1)
 
 
 def _random_dyadic_point(rng, n, span=6, depth=8):
@@ -103,7 +124,7 @@ def test_cover_bound_and_completeness_against_wide_scan():
             r = rng.randint(0, 8)
             center = _random_dyadic_point(rng, n)
             ball = Ball.at_precision(center, r)
-            hits = {c.index for c in cubes_intersecting_ball(ball, r)}
+            hits = set(cubes_intersecting_ball(ball, r))
             assert 1 <= len(hits) <= 3 ** n
             base = cube_containing(center, r)
             rad_sq = ball.radius * ball.radius
