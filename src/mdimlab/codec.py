@@ -138,6 +138,14 @@ class RationalPoint:
         )
 
 
+def ceil_half_log2(n: int) -> int:
+    """Smallest l >= 0 with 4**l >= n: the extra depth at which each of n
+    coordinates is queried so that the point stays within 2**-r."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return ((n - 1).bit_length() + 1) // 2
+
+
 def distance_sq_parts(p: RationalPoint, q: RationalPoint) -> tuple[int, int]:
     """(t, e) with |p - q|**2 == t / 4**e, e the common exponent."""
     if p.dimension != q.dimension:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul, sub
 from typing import Callable, Mapping, Sequence
@@ -330,47 +330,27 @@ def consistency_check(
 
 # ---- space-filling curve (quadrant subdivision with dihedral states) ---------
 
-# a state is (swap, flip_x, flip_y): apply swaps coordinates first, then
-# xors the flips; quadrant visit order and per-quadrant child states below
-# give the classic U-shaped recursion anchored at parameter 0 -> (0,0)
-_IDT = (0, 0, 0)
-_TRANS = (1, 0, 0)
-_ANTI = (1, 1, 1)
-_BASEQ = ((0, 0), (0, 1), (1, 1), (1, 0))
-_CHILD = (_TRANS, _IDT, _IDT, _ANTI)
-
-
-def _apply(state, bits):
-    swap, cx, cy = state
-    u, v = bits
-    if swap:
-        u, v = v, u
-    return (u ^ cx, v ^ cy)
-
-
-def _compose(a, b):
-    sa, ax, ay = a
-    sb, bx, by = b
-    if sa:
-        cx, cy = ax ^ by, ay ^ bx
-    else:
-        cx, cy = ax ^ bx, ay ^ by
-    return (sa ^ sb, cx, cy)
+# _CURVE[state][digit] = (x bit, y bit, next state) of the classic U-shaped
+# recursion anchored at parameter 0 -> (0,0).  The unrotated cell visits its
+# quadrants in the order (0,0), (0,1), (1,1), (1,0) and enters the first one
+# transposed and the last one anti-transposed; the four states are the
+# orientations that reach: identity, transpose, anti-transpose, half turn.
+_CURVE = (
+    ((0, 0, 1), (0, 1, 0), (1, 1, 0), (1, 0, 2)),
+    ((0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 3)),
+    ((1, 1, 3), (0, 1, 2), (0, 0, 2), (1, 0, 0)),
+    ((1, 1, 2), (1, 0, 3), (0, 0, 3), (0, 1, 1)),
+)
 
 
 def curve_digits(quads: Sequence[int]) -> tuple[int, int]:
     """Map base-4 parameter digits to the cell corner (x, y) bit-ints."""
-    state = _IDT
-    xbits: list[str] = []
-    ybits: list[str] = []
+    state = x = y = 0
     for d in quads:
-        bx, by = _apply(state, _BASEQ[d])
-        xbits.append("1" if bx else "0")
-        ybits.append("1" if by else "0")
-        state = _compose(state, _CHILD[d])
-    if not quads:
-        return 0, 0
-    return int("".join(xbits), 2), int("".join(ybits), 2)
+        bx, by, state = _CURVE[state][d]
+        x = (x << 1) | bx
+        y = (y << 1) | by
+    return x, y
 
 
 # ---- function library ---------------------------------------------------------
@@ -497,8 +477,7 @@ def hilbert2d_function() -> ComputableFunction:
         q = x.query(2 * r + 4)
         cells = 1 << (2 * level)
         idx = min(max(q.coords[0].floor_shift(2 * level), 0), cells - 1)
-        bits = format(idx, f"0{2 * level}b")
-        quads = [int(bits[i : i + 2], 2) for i in range(0, 2 * level, 2)]
+        quads = [(idx >> k) & 3 for k in range(2 * level - 2, -1, -2)]
         xb, yb = curve_digits(quads)
         return _as_point([DyadicRational(xb, level), DyadicRational(yb, level)])
 
@@ -537,7 +516,7 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
             with json_object("inverse_modulus", params["inverse_modulus"]) as spec:
                 inverse = (_selector(f.n, spec["S"]),
                            linear_modulus(json_int("s", spec["s"])))
-            return affine_function(matrix, offset, inverse)
+            return replace(f, declared_inverse_moduli=(inverse,))
         if name == "projection":
             return projection_function(
                 _selector(json_int("n", params["n"]), params["S"]))

@@ -1,7 +1,9 @@
 """Exact geometry over dyadic rationals: cubes, open balls, lattices.
 
 Everything here is integer or Fraction arithmetic; floats never enter
-membership or intersection decisions.
+membership or intersection decisions.  The module builds on ``codec`` alone:
+a layered disjoint system takes the machine's enumerated outputs from its
+caller, so loading geometry never loads the machine.
 """
 
 from __future__ import annotations
@@ -10,25 +12,24 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import DyadicRational, RationalPoint, distance_sq_parts
-from .machine import MachineConfig, get_enumeration
+from .codec import DyadicRational, RationalPoint, ceil_half_log2, distance_sq_parts
 
 
 class InternalGeometryError(RuntimeError):
     """Raised when a guaranteed-nonempty search comes up empty."""
 
 
-def ceil_half_log2(n: int) -> int:
-    """Smallest l >= 0 with 4**l >= n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    l = 0
-    while (1 << (2 * l)) < n:
-        l += 1
-    return l
+def _exact(what: str, value: Fraction | int) -> Fraction:
+    """An int or Fraction as a Fraction; floats and booleans are refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int or a Fraction, not {value!r}")
+    return Fraction(value)
 
 
 @functools.cache
@@ -49,13 +50,8 @@ class Ball:
     radius: Fraction
 
     def __post_init__(self) -> None:
-        radius = self.radius
-        if not isinstance(radius, Fraction):
-            if isinstance(radius, bool) or not isinstance(radius, int):
-                raise ValueError(
-                    f"radius must be an int or a Fraction, not {radius!r}"
-                )
-            radius = Fraction(radius)
+        radius = _exact("radius", self.radius)
+        if radius is not self.radius:
             object.__setattr__(self, "radius", radius)
         if radius.numerator <= 0:
             raise ValueError("radius must be positive")
@@ -77,7 +73,7 @@ class Ball:
 
 
 def scale_ball(ball: Ball, alpha: Fraction | int) -> Ball:
-    alpha = Fraction(alpha)
+    alpha = _exact("scale factor", alpha)
     if alpha <= 0:
         raise ValueError("scale factor must be positive")
     return Ball(ball.center, ball.radius * alpha)
@@ -269,17 +265,21 @@ class LdsRecord:
 
 
 def dyadic_lds(
-    r_max: int, t_max: int, cfg: MachineConfig, n: int = 1
+    r_max: int,
+    t_max: int,
+    points: Iterable[tuple[RationalPoint, int, str]],
+    n: int = 1,
 ) -> list[LdsRecord]:
-    """Blocks of encoded n-dim machine outputs, bucketed by precision-r cubes.
+    """Blocks of encoded n-dim points, bucketed by precision-r cubes.
 
-    Layer r uses the precision-r cube grid; block t is the cube whose index
-    is the t-th point of Z^n in enumeration order.  Blocks within a layer are
-    disjoint because the cubes partition space.
+    ``points`` holds (point, K, encoding) triples, such as a machine's
+    enumerated outputs; the triples of dimension n are bucketed and the
+    rest are ignored.  Layer r uses the precision-r cube grid; block t is
+    the cube whose index is the t-th point of Z^n in enumeration order, and
+    its members are the encodings of the points inside it.  Blocks within a
+    layer are disjoint because the cubes partition space.
     """
-    decoded = [
-        (s, p) for p, _, s in get_enumeration(cfg).points if p.dimension == n
-    ]
+    decoded = [(s, p) for p, _, s in points if p.dimension == n]
     records = []
     for layer in range(r_max + 1):
         for t in range(t_max):

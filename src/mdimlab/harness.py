@@ -338,7 +338,7 @@ def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
         "halting_count": halting,
         "distinct_outputs": len(enum.outputs),
     }
-    return _finish(cfg.suite, rows, constants)
+    return _finish("machine", rows, constants)
 
 
 # ---- geometry suite ---------------------------------------------------------
@@ -430,6 +430,7 @@ def _coding_suite(cfg: ExperimentConfig) -> SuiteReport:
             raise InvalidConfigError(
                 f"{exc}; coding-bounds needs K(r) for r = 0..4"
             ) from exc
+    points = enumerated_points(mc)
     rows = []
     measured = {"cube": [], "ball": [], "lds": [], "precision": []}
 
@@ -444,15 +445,15 @@ def _coding_suite(cfg: ExperimentConfig) -> SuiteReport:
             add("ball", "ball_count", f"r={r} d={d}",
                 check_ball_count_bound(r, d, mc))
     for n in (1, 2):
-        lds = dyadic_lds(3, 3, mc, n)
+        lds = dyadic_lds(3, 3, points, n)
         for rep in check_lds_coding_bound(lds, mc):
             add("lds", "lds_coding", f"n={n} {rep.name}", rep)
     # Levin special case: singleton blocks, one per enumerated point
     singles = [LdsRecord(0, i, frozenset({encoding}))
-               for i, (_, _, encoding) in enumerate(enumerated_points(mc))]
+               for i, (_, _, encoding) in enumerate(points)]
     for rep in check_lds_coding_bound(singles, mc):
         add("lds", "lds_singleton", rep.name, rep)
-    for point, _, _ in enumerated_points(mc):
+    for point, _, _ in points:
         oracle = ConstantOracle(point)
         for r in range(3):
             for s in range(1, 4):
@@ -772,7 +773,6 @@ def _counterexample_suite(cfg: ExperimentConfig) -> SuiteReport:
 # each suite's runner and the config keys it reads besides suite, format, out
 _SUITES = {
     "machine": (_machine_suite, ("machine",)),
-    "kraft": (_machine_suite, ("machine",)),
     "geometry": (_geometry_suite, ("seed",)),
     "coding-bounds": (_coding_suite, ("machine",)),
     "kprofile": (_kprofile_suite, ("window", "generators")),

@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .codec import DyadicRational, RationalPoint, json_fraction, json_int, json_object
-from .geometry import ceil_half_log2
+from .codec import (
+    DyadicRational,
+    RationalPoint,
+    ceil_half_log2,
+    json_fraction,
+    json_int,
+    json_object,
+)
 
 
 class PointOracle(ABC):

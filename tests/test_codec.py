@@ -10,6 +10,7 @@ from mdimlab.codec import (
     DyadicRational,
     MalformedPairError,
     RationalPoint,
+    ceil_half_log2,
     decode_int,
     decode_point,
     distance_sq,
@@ -174,3 +175,17 @@ def test_distance_sq_exact():
     p = RationalPoint.of(DyadicRational(1, 1), DyadicRational(1, 2))
     q = RationalPoint.of(0, 0)
     assert distance_sq(p, q) == Fraction(1, 4) + Fraction(1, 16)
+
+
+@given(st.integers(min_value=1, max_value=1 << 80))
+def test_ceil_half_log2_is_least_power_of_four(n):
+    l = 0
+    while 4**l < n:
+        l += 1
+    assert ceil_half_log2(n) == l
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_ceil_half_log2_refuses_n_below_one(n):
+    with pytest.raises(ValueError):
+        ceil_half_log2(n)

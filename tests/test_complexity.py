@@ -148,8 +148,8 @@ class TestCodingBound:
     def test_dyadic_lds_holds(self):
         worst = None
         for n in (1, 2):
-            for rep in check_lds_coding_bound(dyadic_lds(3, 3, BOUNDS, n),
-                                              BOUNDS):
+            lds = dyadic_lds(3, 3, enumerated_points(BOUNDS), n)
+            for rep in check_lds_coding_bound(lds, BOUNDS):
                 assert rep.holds, rep.name
                 if worst is None or rep.measured_constant > worst:
                     worst = rep.measured_constant

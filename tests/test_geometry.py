@@ -21,7 +21,7 @@ from mdimlab.geometry import (
     zn_enumeration,
     zn_prefix,
 )
-from mdimlab.machine import MachineConfig
+from mdimlab.machine import MachineConfig, get_enumeration
 
 
 def dy(num, exp=0):
@@ -174,6 +174,12 @@ def test_scale_ball():
     assert big.radius == Fraction(4) and big.center == b.center
     with pytest.raises(ValueError):
         scale_ball(b, 0)
+    # a float factor would scale by its binary double, not by 1/10, and a
+    # bool is not a number here; both are refused like a non-rational radius
+    for alpha in (0.1, 2.0, True, "1/2"):
+        with pytest.raises(ValueError, match="scale factor"):
+            scale_ball(b, alpha)
+    assert scale_ball(b, 3).radius == Fraction(3, 16)
 
 
 def test_scaled_ball_radius_beats_half_sqrt_n():
@@ -250,7 +256,7 @@ def test_zn_rejects_dimension_zero():
 
 def test_dyadic_lds_blocks():
     cfg = MachineConfig(24, 256)
-    records = dyadic_lds(2, 9, cfg, n=1)
+    records = dyadic_lds(2, 9, get_enumeration(cfg).points, n=1)
     by_layer = {}
     for rec in records:
         by_layer.setdefault(rec.layer, []).append(rec)

@@ -98,10 +98,13 @@ class TestConfig:
 
 class TestMachineSuite:
     def test_kraft_alias_and_pins(self):
-        cfg = config_from_mapping({"suite": "kraft",
+        # the former alias is an unknown suite; its pins live on machine
+        with pytest.raises(InvalidConfigError, match="unknown suite"):
+            config_from_mapping({"suite": "kraft", "machine": FAST_MACHINE})
+        cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
         report = run_suite(cfg)
-        assert report.suite == "kraft"
+        assert report.suite == "machine"
         assert report.fail_count == 0
         key = (16, 1000)
         assert report.measured_constants["kraft_mass"] == C.KRAFT_MASS[key]
@@ -159,10 +162,6 @@ GOLDEN_DIGESTS = {
         "4d7b1121c5ea090465d83675f88642944fe3557cbdc586ebc98fb3bf0869d9a8",
         "56ae5e79c33815273efb05b940ccc9d30196ee73dbf5cb22ea0fc32d206ed2d9",
     ),
-    "kraft": (
-        "2b65a5593dcf440847f2e4faccf0a54df0a407473fabd47155b36db3074c32f8",
-        "6615a5a80e9f826612a199f2823c4eaaf3f6e43930b6b337a3afeb55b90b2bfe",
-    ),
     "geometry": (
         "d31e9aa986bb57a6025360034173ed3017c6a20ff1b05a388c5ca5f82d03c3af",
         "dc3e01514e48aae084e0d1ae99c74cdf23102423917eaadb6abb91c71dc4c7e9",
@@ -207,7 +206,7 @@ def test_report_golden_digest(suite):
     payload = {"suite": suite}
     if suite == "geometry":
         payload["seed"] = 5
-    if suite in ("machine", "kraft", "coding-bounds"):
+    if suite in ("machine", "coding-bounds"):
         payload["machine"] = GOLDEN_MACHINE
     report = run_suite(config_from_mapping(payload))
     digests = tuple(
@@ -271,6 +270,18 @@ class TestCli:
                                             "backend": "gzip"})
         assert main(["machine", "--config", path]) == 2
 
+    def test_kraft_is_an_unknown_suite(self, tmp_path, capsys):
+        # the machine suite's former alias gets exit 2 from a config and
+        # from the command line
+        path = self._config_file(tmp_path, {"suite": "kraft",
+                                            "machine": FAST_MACHINE})
+        assert main(["machine", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: unknown suite: 'kraft'\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["kraft"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'kraft'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite, payload, field", [
         ("kprofile", {"generators": [{"kind": "bogus"}]}, "generators[0]"),
         ("kprofile", {"generators": [{"kind": "rational", "values": ["3/2"]}]},
@@ -290,7 +301,7 @@ class TestCli:
         ("machine", {"machine": FAST_MACHINE, "out": "/nonexistent/x.json"},
          "out"),
         ("machine", {"machine": {"max_program_len": 40}}, "item cap"),
-        ("kraft", {"machine": {"max_program_len": 40}}, "item cap"),
+        ("coding-bounds", {"machine": {"max_program_len": 40}}, "item cap"),
         ("kprofile", {"window": [1024, 1024]}, "window"),
         ("mdim", {"window": [5000, 6000]}, "window"),
         ("machine", {"machine": {"max_program_len": 16, "step_budgett": 5},

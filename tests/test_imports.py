@@ -1,4 +1,5 @@
-"""No module of the package binds a name it never uses.
+"""No module of the package binds a name it never uses, and every import
+points down the layers.
 
 A dependency-free stand-in for a linter's unused-name rules: each module
 under ``src/mdimlab`` is parsed with ``ast``, and every name an import binds
@@ -6,9 +7,16 @@ must be read somewhere in that module.  ``from __future__`` imports are
 exempt, since they change compilation rather than bind a name to read.  A
 private module-level name (one leading ``_``) must be read in its module
 too, so a helper that a refactor leaves without callers shows up here.
+
+The package's own imports are checked against a pinned table of layers,
+from ``codec`` up to ``harness`` and ``cli``: a module may import only the
+modules its row names, and each row names only modules listed above it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +154,75 @@ def test_every_constant_is_read():
     for path in [*PACKAGE.glob("*.py"), *tests.glob("*.py")]:
         read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(_constant_names(constants) - read) == []
+
+
+# each module and the package modules it may import, lowest layer first
+LAYERS = {
+    "__init__": set(),
+    "constants": set(),
+    "codec": set(),
+    "compressor": set(),
+    "machine": {"codec"},
+    "geometry": {"codec"},
+    "oracles": {"codec"},
+    "functions": {"codec", "oracles"},
+    "complexity": {"codec", "compressor", "constants", "geometry", "machine",
+                   "oracles"},
+    "mutual": {"compressor", "complexity", "constants", "machine", "oracles"},
+    "harness": {"codec", "complexity", "constants", "functions", "geometry",
+                "machine", "mutual", "oracles"},
+    "cli": {"harness"},
+}
+
+
+def package_imports(source):
+    """The package modules ``source`` imports through relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.partition(".")[0])
+            else:
+                names |= {a.name for a in node.names}
+    return names
+
+
+def test_scanner_finds_package_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from . import constants as C\n"
+        "from .codec import encode_int\n"
+        "def f():\n"
+        "    from .machine.sub import x\n"
+    )
+    assert package_imports(source) == {"constants", "codec", "machine"}
+
+
+def test_layer_table_points_one_way():
+    assert set(LAYERS) == {p.stem for p in PACKAGE.glob("*.py")}
+    seen = set()
+    for module, allowed in LAYERS.items():
+        assert allowed <= seen, (module, sorted(allowed - seen))
+        seen.add(module)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_lower_layers(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    stem = module.removesuffix(".py")
+    assert sorted(package_imports(source) - LAYERS[stem]) == []
+
+
+def test_functions_loads_neither_machine_nor_geometry():
+    # a fresh interpreter, so no other test's imports are in sys.modules
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, mdimlab.functions; "
+            "print(*sorted(m for m in sys.modules if m.startswith('mdimlab')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [
+        "mdimlab", "mdimlab.codec", "mdimlab.functions", "mdimlab.oracles"]
