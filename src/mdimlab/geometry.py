@@ -1,14 +1,15 @@
 """Exact geometry over dyadic rationals: cubes, open balls, lattices.
 
-Everything here is integer or Fraction arithmetic; floats never enter
-membership or intersection decisions.  The module builds on ``codec`` alone:
-a layered disjoint system takes the machine's enumerated outputs from its
-caller, so loading geometry never loads the machine.
+Membership, covers and lattice points are decided in integer arithmetic;
+floats never enter them, and a ``Fraction`` appears only as the exact value
+of ``Ball.radius`` and ``DyadicCube.closure_distance_sq``.  The module
+builds on ``codec`` alone: a layered disjoint system takes the machine's
+enumerated outputs from its caller, so loading geometry never loads the
+machine.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -23,60 +24,50 @@ class InternalGeometryError(RuntimeError):
     """Raised when a guaranteed-nonempty search comes up empty."""
 
 
-def _exact(what: str, value: Fraction | int) -> Fraction:
-    """An int or Fraction as a Fraction; floats and booleans are refused."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an int or a Fraction, not {value!r}")
-    return Fraction(value)
-
-
-@functools.cache
-def _side(r: int) -> Fraction:
-    """2**-r, the cube side and ball radius at precision r, built once per r."""
-    return Fraction(1, 1 << r) if r >= 0 else Fraction(1 << -r)
-
-
 @dataclass(frozen=True)
 class Ball:
-    """Open Euclidean ball with an exact rational radius.
+    """Open Euclidean ball of radius 2**-precision around ``center``.
 
-    The radius may be given as an int or a Fraction and is stored as a
-    Fraction; floats and booleans are refused.
+    ``precision`` is an int >= 0; booleans and other types are refused.
     """
 
     center: RationalPoint
-    radius: Fraction
+    precision: int
 
     def __post_init__(self) -> None:
-        radius = _exact("radius", self.radius)
-        if radius is not self.radius:
-            object.__setattr__(self, "radius", radius)
-        if radius.numerator <= 0:
-            raise ValueError("radius must be positive")
+        r = self.precision
+        if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+            raise ValueError(f"ball precision must be an int >= 0, not {r!r}")
 
     @classmethod
     def at_precision(cls, center: RationalPoint, r: int) -> "Ball":
         """The open ball of radius 2**-r used at precision r."""
-        return cls(center, _side(r))
+        return cls(center, r)
 
     @property
     def dimension(self) -> int:
         return self.center.dimension
 
+    @property
+    def radius(self) -> Fraction:
+        """2**-precision, exact."""
+        return Fraction(1, 1 << self.precision)
+
     def contains(self, q: RationalPoint) -> bool:
-        # |q - c|**2 = t / 4**e < (a / b)**2, decided on integers
+        # |q - c|**2 = t / 4**e < 4**-precision, decided on integers
         t, e = distance_sq_parts(q, self.center)
-        a, b = self.radius.numerator, self.radius.denominator
-        return t * b * b < (a * a) << (2 * e)
+        return t << (2 * self.precision) < 1 << (2 * e)
 
 
 def scale_ball(ball: Ball, alpha: Fraction | int) -> Ball:
-    alpha = _exact("scale factor", alpha)
-    if alpha <= 0:
-        raise ValueError("scale factor must be positive")
-    return Ball(ball.center, ball.radius * alpha)
+    """The ball of radius alpha * ball.radius; alpha is a power of two, given
+    as an int or a Fraction, and the result's precision must stay >= 0."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"scale factor must be an int or a Fraction, not {alpha!r}")
+    a, b = alpha.numerator, alpha.denominator
+    if a <= 0 or a & (a - 1) or b & (b - 1):
+        raise ValueError(f"scale factor must be a power of two, not {alpha}")
+    return Ball(ball.center, ball.precision - a.bit_length() + b.bit_length())
 
 
 @dataclass(frozen=True)
@@ -129,19 +120,10 @@ def cube_containing(q: RationalPoint, r: int) -> DyadicCube:
     return DyadicCube(r, tuple(c.floor_shift(r) for c in q.coords))
 
 
-def _check_precision(ball: Ball, r: int) -> None:
-    """Refuse a negative r and a ball whose radius is not 2**-r."""
-    if r < 0:
-        raise ValueError(f"precision must be >= 0, got r = {r}")
-    side = _side(r)
-    if ball.radius is not side and ball.radius != side:
-        raise ValueError(f"ball radius {ball.radius} is not 2**-{r}")
+def cubes_intersecting_ball(ball: Ball) -> list[tuple[int, ...]]:
+    """The indices of all cubes of the ball's precision r that meet the ball.
 
-
-def cubes_intersecting_ball(ball: Ball, r: int) -> list[tuple[int, ...]]:
-    """The indices of all precision-r cubes meeting an open ball of radius 2**-r.
-
-    Requires the ball radius to equal the cube side; the result then has at
+    The ball's radius 2**-r equals the cube side, so the result has at
     most 3**n index tuples, each within one step of the center's cube index,
     in ``itertools.product`` order of the offsets (-1, 0, 1).  The cube of
     index m is ``DyadicCube(r, m)``.
@@ -156,7 +138,7 @@ def cubes_intersecting_ball(ball: Ball, r: int) -> list[tuple[int, ...]]:
     radius bound is dropped: the terms are non-negative, so it can never
     come back under it.
     """
-    _check_precision(ball, r)
+    r = ball.precision
     e = max(r, max(c.exp for c in ball.center.coords))
     unit = e - r
     side = 1 << unit
@@ -176,8 +158,9 @@ def cubes_intersecting_ball(ball: Ball, r: int) -> list[tuple[int, ...]]:
     return [idx for idx, _ in partial]
 
 
-def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
-    """A point of the lattice 2**-(r + ceil(log2(sqrt(n)))) Z^n inside the ball.
+def lattice_point_in_ball(ball: Ball) -> RationalPoint:
+    """A point of the lattice 2**-(r + ceil(log2(sqrt(n)))) Z^n inside the
+    ball, r the ball's precision.
 
     Rounds the center to the lattice and returns, among the 3**n points
     within one step of it, the one nearest the center that comes first in
@@ -190,7 +173,7 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
     sqrt(n)/2, so a lattice point always lies strictly inside; failure
     indicates a bug, not bad input.
     """
-    _check_precision(ball, r)
+    r = ball.precision
     n = ball.dimension
     s = r + ceil_half_log2(n)
     # integer numerators over 2**e, e the finest exponent in play
@@ -206,7 +189,7 @@ def lattice_point_in_ball(ball: Ball, r: int) -> RationalPoint:
         idx.append(m)
     if total >= 1 << (2 * (e - r)):
         raise InternalGeometryError(
-            f"no lattice point at spacing {Fraction(1, 1 << s)} inside {ball}"
+            f"no lattice point at spacing 2**-{s} inside {ball}"
         )
     return RationalPoint(tuple(DyadicRational(m, s) for m in idx))
 

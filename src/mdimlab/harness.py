@@ -219,7 +219,7 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     coding-bounds' reachability of K(r), which needs the enumeration.
     """
     suite = data.get("suite")
-    if suite not in _SUITES:
+    if not isinstance(suite, str) or suite not in _SUITES:
         raise InvalidConfigError(f"unknown suite: {suite!r}")
     accepted = ("suite", "format", "out", *_SUITES[suite][1])
     for key in data:
@@ -299,7 +299,7 @@ def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
             data = json.load(handle)
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfigError("config must be a JSON object")
@@ -344,14 +344,19 @@ def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
 # ---- geometry suite ---------------------------------------------------------
 
 
-def _random_ball(rng: random.Random, n: int) -> tuple[Ball, int]:
-    r = rng.randrange(0, 13)
-    depth = r + 2
-    coords = tuple(
-        DyadicRational(rng.randrange(-(2 << depth), 2 << depth), depth)
-        for _ in range(n)
+def _random_point(rng: random.Random, n: int, depth: int) -> RationalPoint:
+    """n coordinates m / 2**depth, each m drawn from [-2**(depth+1), 2**(depth+1))."""
+    return RationalPoint(
+        tuple(
+            DyadicRational(rng.randrange(-(2 << depth), 2 << depth), depth)
+            for _ in range(n)
+        )
     )
-    return Ball.at_precision(RationalPoint(coords), r), r
+
+
+def _random_ball(rng: random.Random, n: int) -> Ball:
+    r = rng.randrange(0, 13)
+    return Ball.at_precision(_random_point(rng, n, r + 2), r)
 
 
 def _geometry_axis_task(seed: int, n: int) -> tuple[list[dict], int]:
@@ -361,14 +366,14 @@ def _geometry_axis_task(seed: int, n: int) -> tuple[list[dict], int]:
     hits = 0
     worst_cover = 0
     for _ in range(trials):
-        ball, r = _random_ball(rng, n)
-        point = lattice_point_in_ball(ball, r)
+        ball = _random_ball(rng, n)
+        point = lattice_point_in_ball(ball)
         if distance_sq(point, ball.center) < ball.radius**2:
             hits += 1
-        worst_cover = max(worst_cover, len(cubes_intersecting_ball(ball, r)))
+        worst_cover = max(worst_cover, len(cubes_intersecting_ball(ball)))
     r = 4
     center = RationalPoint(tuple(DyadicRational(1, r + 1) for _ in range(n)))
-    witness = len(cubes_intersecting_ball(Ball.at_precision(center, r), r))
+    witness = len(cubes_intersecting_ball(Ball.at_precision(center, r)))
     # open balls cannot reach the diagonal corner cubes once n*(1/2)^2 >= 1,
     # so the sharp maximum drops below 3^n starting at n = 4
     sharp = sum(math.comb(n, k) * 2**k for k in range(min(n, 3) + 1))
@@ -388,13 +393,7 @@ def _geometry_partition_task(seed: int) -> list[dict]:
     for _ in range(10000):
         n = rng.randrange(1, 4)
         r = rng.randrange(0, 13)
-        depth = r + 3
-        q = RationalPoint(
-            tuple(
-                DyadicRational(rng.randrange(-(2 << depth), 2 << depth), depth)
-                for _ in range(n)
-            )
-        )
+        q = _random_point(rng, n, r + 3)
         cube = cube_containing(q, r)
         if not cube.contains(q):
             fails += 1

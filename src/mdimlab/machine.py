@@ -278,14 +278,23 @@ def iter_valid_programs(max_program_len: int) -> Iterator[str]:
 
 def capped_levels(cfg: MachineConfig) -> list[int]:
     """The payload lengths of ``cfg``'s programs; raises before any program
-    runs when there are more programs than ``ITEM_CAP``."""
-    levels = valid_payload_lengths(cfg.max_program_len)
-    total = sum(1 << p for p in levels)
-    if total > ITEM_CAP:
-        raise ResourceExceededError(
-            f"machine max_program_len={cfg.max_program_len} has {total} "
-            f"programs, over the item cap {ITEM_CAP}"
-        )
+    runs when there are more programs than ``ITEM_CAP``.
+
+    The lengths are a prefix 0..top, as header_len(p) + p grows with p, so
+    the count is summed upward and the walk stops once it passes the cap.
+    """
+    levels: list[int] = []
+    total = 0
+    p = 0
+    while header_len(p) + p <= cfg.max_program_len:
+        total += 1 << p
+        if total > ITEM_CAP:
+            raise ResourceExceededError(
+                f"machine max_program_len={cfg.max_program_len} has more "
+                f"programs than the item cap ITEM_CAP = {ITEM_CAP}"
+            )
+        levels.append(p)
+        p += 1
     return levels
 
 

@@ -111,7 +111,7 @@ class TestMinimizers:
         assert [q.coords[0].to_fraction() for q in found.members] == [0]
 
     def test_zero_slack_keeps_floor_only(self):
-        ball = Ball(_pt((0, 0)), DyadicRational(3, 1).to_fraction())
+        ball = Ball.at_precision(_pt((0, 0)), 0)
         wide = minimizers(ball, 30, BOUNDS)
         tight = minimizers(ball, 0, BOUNDS)
         assert set(tight.members) <= set(wide.members)

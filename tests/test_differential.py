@@ -147,10 +147,10 @@ def closure_distance_sq_reference(cube, p):
     return total
 
 
-def lattice_point_reference(ball, r):
+def lattice_point_reference(ball):
     """Round the center to the lattice with ``Fraction``; keep the nearest of 3**n."""
     n = ball.dimension
-    s = r + ceil_half_log2(n)
+    s = ball.precision + ceil_half_log2(n)
     center = [c.to_fraction() for c in ball.center.coords]
     rounded = [math.floor(c * (1 << s) + Fraction(1, 2)) for c in center]
     step = Fraction(1, 1 << s)
@@ -164,9 +164,10 @@ def lattice_point_reference(ball, r):
     return RationalPoint(tuple(DyadicRational(m, s) for m in best[1]))
 
 
-def cover_reference(ball, r):
+def cover_reference(ball):
     """Scan the 3**n neighbours of the center's cube; keep the indices of the
     hits in product order."""
+    r = ball.precision
     base = cube_containing(ball.center, r)
     rad_sq = ball.radius**2
     hits = []
@@ -556,22 +557,18 @@ def test_closure_distance_matches_fraction_formula(case):
 @given(st.integers(0, 12), st.lists(dyadics, min_size=1, max_size=4))
 def test_lattice_point_matches_fraction_reference(r, coords):
     ball = Ball.at_precision(_point(coords), r)
-    assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
+    assert lattice_point_in_ball(ball) == lattice_point_reference(ball)
 
 
 @settings(max_examples=300)
 @given(st.integers(0, 12), st.lists(dyadics, min_size=1, max_size=4))
 def test_cube_cover_matches_fraction_scan(r, coords):
     ball = Ball.at_precision(_point(coords), r)
-    assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
+    assert cubes_intersecting_ball(ball) == cover_reference(ball)
 
 
-# radii of every kind a Ball takes: 2**-r, dyadic but not a power of two,
-# non-dyadic, and integer
-ball_radii = st.sampled_from(
-    [Fraction(1, 1 << r) for r in range(13)]
-    + [Fraction(3, 2), Fraction(1, 3), Fraction(5), Fraction(2)]
-)
+# every precision the suites use; a ball's radius is 2**-precision
+BALL_PRECISIONS = range(13)
 offsets = st.builds(DyadicRational, st.integers(-64, 64), st.integers(0, 8))
 
 
@@ -580,28 +577,32 @@ def _shifted(c, off):
 
 
 @settings(max_examples=300)
-@given(ball_radii, st.integers(1, 4).flatmap(
+@given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.lists(dyadics, min_size=n, max_size=n),
                         st.lists(offsets, min_size=n, max_size=n))))
-def test_ball_contains_matches_fraction_distance(radius, case):
+def test_ball_contains_matches_fraction_distance(case):
+    # each offset is scaled by the radius, so q lands inside, on and outside
+    # the sphere at every precision
     coords, offs = case
     center = _point(coords)
-    ball = Ball(center, radius)
-    q = _point(_shifted(c, o) for c, o in zip(coords, offs))
-    assert ball.contains(q) == (distance_sq(q, center) < radius**2)
+    for r in BALL_PRECISIONS:
+        ball = Ball(center, r)
+        q = _point(_shifted(c, DyadicRational(o.num, o.exp + r))
+                   for c, o in zip(coords, offs))
+        assert ball.contains(q) == (distance_sq(q, center) < ball.radius**2)
 
 
-@given(ball_radii.filter(lambda f: f.denominator & (f.denominator - 1) == 0),
-       st.lists(dyadics, min_size=1, max_size=4), st.data())
-def test_ball_contains_excludes_the_sphere(radius, coords, data):
+@given(st.lists(dyadics, min_size=1, max_size=4), st.data())
+def test_ball_contains_excludes_the_sphere(coords, data):
     # a point exactly one radius away along an axis is outside the open ball
     axis = data.draw(st.integers(0, len(coords) - 1))
-    step = DyadicRational.from_fraction(data.draw(st.sampled_from((radius, -radius))))
-    q = list(coords)
-    q[axis] = _shifted(q[axis], step)
-    ball = Ball(_point(coords), radius)
-    assert distance_sq(_point(q), ball.center) == radius**2
-    assert not ball.contains(_point(q))
+    sign = data.draw(st.sampled_from((1, -1)))
+    for r in BALL_PRECISIONS:
+        q = list(coords)
+        q[axis] = _shifted(q[axis], DyadicRational(sign, r))
+        ball = Ball(_point(coords), r)
+        assert distance_sq(_point(q), ball.center) == Fraction(1, 1 << (2 * r))
+        assert not ball.contains(_point(q))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -611,9 +612,9 @@ def test_geometry_suite_balls_match_references(n):
     # or a cover of the right size with the wrong cubes, fails here
     rng = random.Random(f"5:axis={n}")
     for _ in range(500):
-        ball, r = harness._random_ball(rng, n)
-        assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
-        assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
+        ball = harness._random_ball(rng, n)
+        assert lattice_point_in_ball(ball) == lattice_point_reference(ball)
+        assert cubes_intersecting_ball(ball) == cover_reference(ball)
 
 
 def _tie_center(rng, kind, n, r):
@@ -641,8 +642,8 @@ def test_geometry_tie_cases_match_references(kind):
         n = rng.randrange(1, 5)
         r = rng.randrange(0, 13)
         ball = Ball.at_precision(_tie_center(rng, kind, n, r), r)
-        assert lattice_point_in_ball(ball, r) == lattice_point_reference(ball, r)
-        assert cubes_intersecting_ball(ball, r) == cover_reference(ball, r)
+        assert lattice_point_in_ball(ball) == lattice_point_reference(ball)
+        assert cubes_intersecting_ball(ball) == cover_reference(ball)
 
 
 @pytest.mark.parametrize("matrix,offset,x", [

@@ -74,36 +74,25 @@ def test_cubes_partition_space(r, raw):
 
 def test_cover_examples():
     b = Ball.at_precision(RationalPoint.of(dy(1, 1)), 0)
-    assert sorted(idx[0] for idx in cubes_intersecting_ball(b, 0)) == [-1, 0, 1]
+    assert sorted(idx[0] for idx in cubes_intersecting_ball(b)) == [-1, 0, 1]
     b = Ball.at_precision(RationalPoint.of(dy(1, 2)), 2)
-    assert sorted(idx[0] for idx in cubes_intersecting_ball(b, 2)) == [0, 1]
+    assert sorted(idx[0] for idx in cubes_intersecting_ball(b)) == [0, 1]
 
 
-def test_cover_requires_matching_precision():
-    b = Ball.at_precision(RationalPoint.of(dy(0)), 3)
-    with pytest.raises(ValueError):
-        cubes_intersecting_ball(b, 2)
-
-
-def test_ball_radius_must_be_int_or_fraction():
+def test_ball_precision_must_be_a_nonnegative_int():
     c = RationalPoint.of(dy(0))
-    two = Ball(c, 2)
-    assert two.radius == Fraction(2) and type(two.radius) is Fraction
-    assert Ball(c, Fraction(1, 3)).radius == Fraction(1, 3)
-    for radius in (0.5, True, "1/2", None):
-        with pytest.raises(ValueError, match="int or a Fraction"):
-            Ball(c, radius)
-    for radius in (0, -1, Fraction(-1, 2)):
-        with pytest.raises(ValueError, match="positive"):
-            Ball(c, radius)
+    assert Ball(c, 3) == Ball.at_precision(c, 3)
+    assert Ball(c, 3).radius == Fraction(1, 8) and Ball(c, 0).radius == 1
+    for precision in (0.5, 2.0, True, "1", None, Fraction(2)):
+        with pytest.raises(ValueError, match="int >= 0"):
+            Ball(c, precision)
 
 
 def test_negative_precision_is_refused():
-    # the ball's radius is 2**1, so only the sign of r can be at fault
-    b = Ball.at_precision(RationalPoint.of(dy(0)), -1)
-    for predicate in (cubes_intersecting_ball, lattice_point_in_ball):
-        with pytest.raises(ValueError, match="r = -1"):
-            predicate(b, -1)
+    # a negative r fails when the ball is built, before any predicate runs
+    for r in (-1, -5):
+        with pytest.raises(ValueError, match=f"not {r}"):
+            Ball.at_precision(RationalPoint.of(dy(0)), r)
 
 
 def _random_dyadic_point(rng, n, span=6, depth=8):
@@ -124,7 +113,7 @@ def test_cover_bound_and_completeness_against_wide_scan():
             r = rng.randint(0, 8)
             center = _random_dyadic_point(rng, n)
             ball = Ball.at_precision(center, r)
-            hits = set(cubes_intersecting_ball(ball, r))
+            hits = set(cubes_intersecting_ball(ball))
             assert 1 <= len(hits) <= 3 ** n
             base = cube_containing(center, r)
             rad_sq = ball.radius * ball.radius
@@ -141,16 +130,16 @@ def test_cover_tightness_witness_per_dimension():
         r = 3
         center = RationalPoint(tuple(DyadicRational(2 * 5 + 1, r + 1) for _ in range(n)))
         ball = Ball.at_precision(center, r)
-        assert len(cubes_intersecting_ball(ball, r)) == 3 ** n
+        assert len(cubes_intersecting_ball(ball)) == 3 ** n
 
 
 def test_lattice_point_examples():
     # center near 0.3, precision 2: the returned point is 1/4
-    got = lattice_point_in_ball(Ball.at_precision(RationalPoint.of(dy(19, 6)), 2), 2)
+    got = lattice_point_in_ball(Ball.at_precision(RationalPoint.of(dy(19, 6)), 2))
     assert got.coords[0].to_fraction() == Fraction(1, 4)
     # 2-d example: spacing halves, the nearest lattice point is (1/2, 1/2)
     center = RationalPoint.of(dy(19, 6), dy(45, 6))
-    got = lattice_point_in_ball(Ball.at_precision(center, 0), 0)
+    got = lattice_point_in_ball(Ball.at_precision(center, 0))
     assert [c.to_fraction() for c in got.coords] == [Fraction(1, 2), Fraction(1, 2)]
 
 
@@ -160,7 +149,7 @@ def test_lattice_point_always_found_and_inside():
         for _ in range(250):
             r = rng.randint(0, 10)
             ball = Ball.at_precision(_random_dyadic_point(rng, n), r)
-            q = lattice_point_in_ball(ball, r)
+            q = lattice_point_in_ball(ball)
             assert ball.contains(q)
             # and q really lies on the promised lattice
             s = r + ceil_half_log2(n)
@@ -169,17 +158,25 @@ def test_lattice_point_always_found_and_inside():
 
 
 def test_scale_ball():
-    b = Ball.at_precision(RationalPoint.of(dy(0)), 4)
+    b = Ball.at_precision(RationalPoint.of(dy(0)), 6)
     big = scale_ball(b, Fraction(1 << 6))
-    assert big.radius == Fraction(4) and big.center == b.center
-    with pytest.raises(ValueError):
-        scale_ball(b, 0)
+    assert big.precision == 0 and big.radius == 1 and big.center == b.center
+    assert scale_ball(b, 1 << 4).precision == 2
+    assert scale_ball(b, Fraction(1, 8)).precision == 9
+    assert scale_ball(b, 1) == b
     # a float factor would scale by its binary double, not by 1/10, and a
-    # bool is not a number here; both are refused like a non-rational radius
+    # bool is not a number here; both are refused like a non-rational factor
     for alpha in (0.1, 2.0, True, "1/2"):
-        with pytest.raises(ValueError, match="scale factor"):
+        with pytest.raises(ValueError, match="int or a Fraction"):
             scale_ball(b, alpha)
-    assert scale_ball(b, 3).radius == Fraction(3, 16)
+    # a ball of precision r has radius 2**-r, so only powers of two scale it
+    for alpha in (0, -2, 3, Fraction(3, 2), Fraction(1, 3), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="power of two"):
+            scale_ball(b, alpha)
+    # and no precision below 0
+    for alpha in (1 << 7, Fraction(1 << 9)):
+        with pytest.raises(ValueError, match="int >= 0"):
+            scale_ball(b, alpha)
 
 
 def test_scaled_ball_radius_beats_half_sqrt_n():

@@ -373,6 +373,12 @@ class TestCli:
          "generator key 'n'"),
         ("dpi", {"functions": [{"name": "affine", "params": {
             "matrix": [[]], "offset": ["0"]}}]}, "matrix has no columns"),
+        # a suite that is not a string, here an unhashable list
+        ("machine", {"suite": ["machine"]}, "unknown suite: ['machine']"),
+        # the program count has over 4,300 digits; the refusal must not
+        # format it, nor walk 10**9 lengths to find it
+        ("machine", {"machine": {"max_program_len": 15000}}, "item cap"),
+        ("machine", {"machine": {"max_program_len": 10**9}}, "item cap"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):
@@ -386,6 +392,19 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert field in captured.err
         assert machine._ENUM_CACHE == {}
+
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe{}",
+        b'{"suite": "machine", "seed": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf8", "long-integer"])
+    def test_unreadable_config_exit(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        assert main(["machine", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config is not valid JSON: ")
+        assert captured.err.count("\n") == 1
 
     def test_unreachable_precision_exit(self, tmp_path, capsys):
         # refused before the sweep: this machine has no program printing 1
