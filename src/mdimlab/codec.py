@@ -262,3 +262,17 @@ def json_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+# most coordinates a config may name, as a generator's dimension or a function's
+# arity; a kprofile run at 64 coordinates takes about 3 s on a 2-CPU host
+DIMENSION_CAP = 64
+
+
+def json_dimension(name: str, value) -> int:
+    """``value`` if it is a JSON integer at most ``DIMENSION_CAP``."""
+    n = json_int(name, value)
+    if n > DIMENSION_CAP:
+        raise ValueError(f"{name} = {n} is over the dimension cap "
+                         f"DIMENSION_CAP = {DIMENSION_CAP}")
+    return n

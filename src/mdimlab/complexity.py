@@ -48,25 +48,18 @@ BALL_CENTER_DEPTH_MARGIN = 16
 class MinimizerSet:
     """Points of a region within d bits of the region's complexity."""
 
-    region: Ball | DyadicCube
-    d: int
     members: tuple[RationalPoint, ...]
     k_floor: int
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One measured inequality: holds exactly when lhs <= rhs."""
+    """One measured inequality, lhs <= rhs, and the constant it measured."""
 
     name: str
     lhs: float
     rhs: float
     measured_constant: float
-    holds: bool
-
-
-def _report(name: str, lhs: float, rhs: float, measured: float) -> BoundReport:
-    return BoundReport(name, lhs, rhs, measured, lhs <= rhs)
 
 
 # ---- fixed-width point representation (compressor) -----------------------
@@ -163,7 +156,7 @@ def minimizers(
         return None
     k_floor = min(k for _, k, _ in inside)
     members = tuple(q for q, k, _ in inside if k <= k_floor + d)
-    return MinimizerSet(region, d, members, k_floor)
+    return MinimizerSet(members, k_floor)
 
 
 # ---- measured-constant checks of the counting and coding bounds -----------
@@ -177,20 +170,29 @@ def k_of_precision(r: int, cfg: MachineConfig) -> int:
     return rep.value
 
 
+def _count_bound(
+    kind: str, r: int, d: int, cfg: MachineConfig,
+    regions: Iterable[Ball | DyadicCube], factor: int,
+    constant: float,
+) -> BoundReport:
+    """The worst log2(count of d-approximate minimizers) over ``regions``,
+    against d + factor * K(r) + ``constant``; the measured constant is the
+    least one that works."""
+    kr = factor * k_of_precision(r, cfg)
+    worst = max((math.log2(len(minimizers(region, d, cfg).members))
+                 for region in regions), default=float("-inf"))
+    return BoundReport(f"{kind}_count[r={r},d={d}]", worst, d + kr + constant,
+                       worst - d - kr)
+
+
 def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     """Worst cube at layer r: log2(count of d-approximate minimizers).
 
     The count in any precision-r cube must stay within 2**(d + K(r) + c);
-    the report carries the minimal c that works, and holds against the
-    pinned constant.
+    the report carries the minimal c that works.
     """
-    kr = k_of_precision(r, cfg)
     cubes = {cube_containing(q, r) for q, _, _ in enumerated_points(cfg)}
-    worst = max((math.log2(len(minimizers(cube, d, cfg).members))
-                 for cube in cubes), default=float("-inf"))
-    measured = worst - d - kr
-    rhs = d + kr + CUBE_COUNT_CONSTANT
-    return _report(f"cube_count[r={r},d={d}]", worst, rhs, measured)
+    return _count_bound("cube", r, d, cfg, cubes, 1, CUBE_COUNT_CONSTANT)
 
 
 def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
@@ -200,14 +202,8 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     are sampled at every enumerated point, the adversarial choice available
     at desk scale.
     """
-    kr = k_of_precision(r, cfg)
-    worst = max((
-        math.log2(len(minimizers(Ball.at_precision(q, r), d, cfg).members))
-        for q, _, _ in enumerated_points(cfg)
-    ), default=float("-inf"))
-    measured = worst - d - 2 * kr
-    rhs = d + 2 * kr + BALL_COUNT_CONSTANT
-    return _report(f"ball_count[r={r},d={d}]", worst, rhs, measured)
+    balls = (Ball.at_precision(q, r) for q, _, _ in enumerated_points(cfg))
+    return _count_bound("ball", r, d, cfg, balls, 2, BALL_COUNT_CONSTANT)
 
 
 def check_lds_coding_bound(
@@ -220,7 +216,6 @@ def check_lds_coding_bound(
     one.  Zero-mass blocks are skipped: their right-hand side is infinite.
     """
     enum = get_enumeration(cfg)
-    enum.ensure_complete()
     reports = []
     for rec in lds:
         if not rec.members:
@@ -233,14 +228,10 @@ def check_lds_coding_bound(
         log_inv_mass = math.log2(mass.denominator) - math.log2(mass.numerator)
         measured = k_block - log_inv_mass - kr
         rhs = log_inv_mass + kr + LDS_CODING_CONSTANT
-        reports.append(
-            _report(
-                f"lds_coding[layer={rec.layer},block={rec.block}]",
-                k_block,
-                rhs,
-                measured,
-            )
-        )
+        reports.append(BoundReport(
+            f"lds_coding[layer={rec.layer},block={rec.block}]",
+            k_block, rhs, measured,
+        ))
     return reports
 
 
@@ -262,4 +253,5 @@ def check_precision_improvement(
     n = x.dimension
     measured = refined - base - n * s
     rhs = base + n * s + PRECISION_IMPROVEMENT_CONSTANT
-    return _report(f"precision_improvement[r={r},s={s}]", refined, rhs, measured)
+    return BoundReport(f"precision_improvement[r={r},s={s}]", refined, rhs,
+                       measured)

@@ -36,6 +36,7 @@ from .codec import (
     RationalPoint,
     distance_sq,
     distance_sq_parts,
+    json_dimension,
     json_fraction,
     json_int,
     json_object,
@@ -356,12 +357,10 @@ def curve_digits(quads: Sequence[int]) -> tuple[int, int]:
 # ---- function library ---------------------------------------------------------
 
 
-def _ceil_log2_frac(value: Fraction) -> int:
-    """Smallest s >= 0 with 2**s >= value."""
-    s = 0
-    while (1 << s) * value.denominator < value.numerator:
-        s += 1
-    return s
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest s >= 0 with 2**s >= num / den, for num >= 0 and den > 0:
+    the bit length of ceil(num / den) - 1."""
+    return max(-(-num // den) - 1, 0).bit_length()
 
 
 def _dyadic_coefficient(name: str, value) -> DyadicRational:
@@ -405,7 +404,7 @@ def _linear_function(
     int_shift = tuple(c.num << (ec - c.exp) for c in shift)
     col_norm = max(sum(abs(row[j]) for row in int_rows) for j in range(n))
     row_norm = max(sum(map(abs, row)) for row in int_rows)
-    s = -(-_ceil_log2_frac(Fraction(col_norm * row_norm, 1 << (2 * ec))) // 2)
+    s = -(-_ceil_log2(col_norm * row_norm, 1 << (2 * ec)) // 2)
 
     def evaluate(x: PointOracle, r: int) -> RationalPoint:
         q = x.query(r + s)
@@ -431,7 +430,7 @@ def scale_function(c: Fraction) -> ComputableFunction:
     c = Fraction(c)
     if c == 0:
         raise ValueError("scale factor must be nonzero")
-    shrink = _ceil_log2_frac(1 / abs(c))
+    shrink = _ceil_log2(c.denominator, abs(c.numerator))
     return _linear_function(f"scale({c})", [[c]], [0],
                             [(SSelector(1, (1,)), linear_modulus(shrink))],
                             entry="scale factor c")
@@ -496,14 +495,15 @@ def _selector(n: int, positions) -> SSelector:
 
 def library_function(name: str, params: Mapping | None = None) -> ComputableFunction:
     """Build a library function from a plain-data description; a key of
-    ``params`` that its builder does not read is refused."""
+    ``params`` that its builder does not read is refused, and so is an
+    arity ``n`` over ``DIMENSION_CAP``, before the map is built."""
     with json_object(f"{name} params", params or {}) as params:
         if name == "identity":
-            return identity_function(json_int("n", params.get("n", 1)))
+            return identity_function(json_dimension("n", params.get("n", 1)))
         if name == "scale":
             return scale_function(json_fraction("c", params["c"]))
         if name == "sum":
-            return sum_function(json_int("n", params["n"]))
+            return sum_function(json_dimension("n", params["n"]))
         if name == "affine":
             matrix = [[json_fraction(f"matrix[{i}][{j}]", v)
                        for j, v in enumerate(row)]
@@ -519,7 +519,7 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
             return replace(f, declared_inverse_moduli=(inverse,))
         if name == "projection":
             return projection_function(
-                _selector(json_int("n", params["n"]), params["S"]))
+                _selector(json_dimension("n", params["n"]), params["S"]))
         if name == "hilbert2d":
             return hilbert2d_function()
         raise UnknownFunctionError(f"no library function named {name!r}")

@@ -24,6 +24,12 @@ class InternalGeometryError(RuntimeError):
     """Raised when a guaranteed-nonempty search comes up empty."""
 
 
+def _check_precision(shape: str, r) -> None:
+    """Refuse a precision that is not an int >= 0; a bool is refused too."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"{shape} precision must be an int >= 0, not {r!r}")
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open Euclidean ball of radius 2**-precision around ``center``.
@@ -35,9 +41,7 @@ class Ball:
     precision: int
 
     def __post_init__(self) -> None:
-        r = self.precision
-        if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-            raise ValueError(f"ball precision must be an int >= 0, not {r!r}")
+        _check_precision("ball", self.precision)
 
     @classmethod
     def at_precision(cls, center: RationalPoint, r: int) -> "Ball":
@@ -78,8 +82,7 @@ class DyadicCube:
     index: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.precision < 0:
-            raise ValueError("cube precision must be >= 0")
+        _check_precision("cube", self.precision)
 
     @property
     def dimension(self) -> int:

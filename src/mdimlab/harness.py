@@ -311,7 +311,6 @@ def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
 
 def _machine_suite(cfg: ExperimentConfig) -> SuiteReport:
     enum = get_enumeration(cfg.machine)
-    enum.ensure_complete()
     witnesses = PrefixCheck()
     witnesses.add_level(
         (w, w) for w in sorted(info.witness for info in enum.outputs.values())

@@ -36,7 +36,8 @@ level by level, only under a non-empty given.  Under the empty given the
 counter is 0, no jump is taken and each run reads its payload once, in
 order, so one depth-first walk over instruction prefixes (``_straight_walk``)
 runs each prefix once for every payload length and decides whole classes of
-payloads at a time.
+payloads at a time.  That walk runs when the enumeration is built, so an
+unconditional enumeration is complete from the start.
 """
 
 from __future__ import annotations
@@ -280,22 +281,17 @@ def capped_levels(cfg: MachineConfig) -> list[int]:
     """The payload lengths of ``cfg``'s programs; raises before any program
     runs when there are more programs than ``ITEM_CAP``.
 
-    The lengths are a prefix 0..top, as header_len(p) + p grows with p, so
-    the count is summed upward and the walk stops once it passes the cap.
+    The lengths are 0..top, as header_len(p) + p grows with p, so there are
+    2**(top + 1) - 1 programs: more than the cap exactly when the length
+    t = (ITEM_CAP + 1).bit_length() - 1 is valid.
     """
-    levels: list[int] = []
-    total = 0
-    p = 0
-    while header_len(p) + p <= cfg.max_program_len:
-        total += 1 << p
-        if total > ITEM_CAP:
-            raise ResourceExceededError(
-                f"machine max_program_len={cfg.max_program_len} has more "
-                f"programs than the item cap ITEM_CAP = {ITEM_CAP}"
-            )
-        levels.append(p)
-        p += 1
-    return levels
+    t = (ITEM_CAP + 1).bit_length() - 1
+    if header_len(t) + t <= cfg.max_program_len:
+        raise ResourceExceededError(
+            f"machine max_program_len={cfg.max_program_len} has more "
+            f"programs than the item cap ITEM_CAP = {ITEM_CAP}"
+        )
+    return valid_payload_lengths(cfg.max_program_len)
 
 
 def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
@@ -323,43 +319,38 @@ class PrefixCheck:
     (first, last) pair, in ascending lex order; a run's first program is
     compared only with the previous run's last of its level.  Programs
     inside a run share a length, so none prefixes another.  Runs of
-    different levels may interleave; ``close_levels`` files each open
-    level's first and last program as one run, in level order, and sorted
-    level runs must neither overlap nor have one run's last program prefix
-    the next run's first.  That is sound for any levels: every program
-    between ``a`` and a proper extension of ``a`` starts with ``a``.
+    different levels may interleave.  Each level keeps only its first and
+    last program, and ``count`` sorts those level ends: sorted, they must
+    neither overlap nor have one level's last program prefix the next
+    level's first.  That is sound for any levels: every program between
+    ``a`` and a proper extension of ``a`` starts with ``a``.
     """
 
     def __init__(self) -> None:
         self._in_level = 0
-        self._runs: list[tuple[str, str]] = []
-        self._open: dict[int, list[str]] = {}  # level -> [first, last]
+        self._ends: dict[object, list[str]] = {}  # level -> [first, last]
 
-    def add_run(self, level: int, first: str, last: str) -> None:
-        ends = self._open.get(level)
+    def add_run(self, level: object, first: str, last: str) -> None:
+        ends = self._ends.get(level)
         if ends is None:
-            self._open[level] = [first, last]
+            self._ends[level] = [first, last]
             return
         prev = ends[1]
         if first <= prev or first.startswith(prev):
             self._in_level += 1
         ends[1] = last
 
-    def close_levels(self) -> None:
-        for level in sorted(self._open):
-            self._runs.append(tuple(self._open[level]))
-        self._open.clear()
-
     def add_level(self, runs: Iterable[tuple[str, str]]) -> None:
+        """File ``runs`` as one level of their own."""
+        level = object()
         for first, last in runs:
-            self.add_run(0, first, last)
-        self.close_levels()
+            self.add_run(level, first, last)
 
     def count(self) -> int:
-        runs = sorted(self._runs)
+        ends = sorted(self._ends.values())
         return self._in_level + sum(
             first <= last or first.startswith(last)
-            for (_, last), (first, _) in zip(runs, runs[1:])
+            for (_, last), (first, _) in zip(ends, ends[1:])
         )
 
 
@@ -367,15 +358,15 @@ class Enumeration:
     """Cached exhaustive run of every valid program.
 
     Under the empty given, ``_straight_walk`` runs each instruction prefix
-    once for every payload length, so the first ``lookup`` or
-    ``ensure_complete`` finishes every level in one walk.  Under any other
-    given the counter makes jumps live: levels (payload lengths) run in
-    ascending order, each payload once through ``_execute``, one class per
-    halting program, so a lookup can stop as soon as its target appears:
-    every later program is longer.  Each class of halting programs feeds
-    the counts, the masses and ``prefix_check`` as one run.  ``outputs``
-    keeps its first producers in (k, witness) order.  Masses are integers
-    in units of ``2**-max_program_len``; ``kraft`` turns their total into a
+    once for every payload length while the enumeration is built, so it is
+    complete from the start.  Under any other given the counter makes jumps
+    live: levels (payload lengths) run in ascending order, each payload
+    once through ``_execute``, one class per halting program, so a lookup
+    can stop as soon as its target appears: every later program is longer.
+    Each class of halting programs feeds the counts, the masses and
+    ``prefix_check`` as one run.  ``outputs`` keeps its first producers in
+    (k, witness) order.  Masses are integers in units of
+    ``2**-max_program_len``; ``kraft`` turns their total into a
     ``Fraction``.  The package starts no threads, and an enumeration is not
     safe to advance from two threads at once.
     """
@@ -391,6 +382,8 @@ class Enumeration:
         self._headers = [gamma_encode(p + 1) for p in self.levels]
         self._units = [1 << (cfg.max_program_len - len(header) - p)
                        for p, header in enumerate(self._headers)]
+        if not given:
+            self.ensure_complete()
 
     @property
     def kraft(self) -> Fraction:
@@ -429,36 +422,28 @@ class Enumeration:
             p, program, program if count == 1 else header + last
         )
 
-    def _run_straight(self) -> None:
-        """Record every halting program under the empty given in one walk,
-        then put ``outputs`` back in (k, witness) order."""
-        _straight_walk(self.levels[-1], self.cfg.step_budget, self._record)
-        self.prefix_check.close_levels()
-        self.outputs = dict(sorted(
-            self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
-        ))
-        self._next_level = len(self.levels)
-
     def _advance_one_level(self) -> None:
         p = self.levels[self._next_level]
         self._next_level += 1
         for payload_class in _program_classes(p, self.given, self.cfg.step_budget):
             self._record(p, *payload_class)
-        self.prefix_check.close_levels()
 
     def ensure_complete(self) -> None:
+        """Run every level not yet run.  Under the empty given one walk
+        records them all, and ``outputs`` is put back in (k, witness) order."""
         if self.given:
             while self._next_level < len(self.levels):
                 self._advance_one_level()
         elif self._next_level < len(self.levels):
-            self._run_straight()
+            _straight_walk(self.levels[-1], self.cfg.step_budget, self._record)
+            self.outputs = dict(sorted(
+                self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
+            ))
+            self._next_level = len(self.levels)
 
     def lookup(self, target: str) -> OutputInfo | None:
-        """First producer of ``target``.  Under the empty given the first
-        lookup completes every level in one walk; under any other, levels
-        run only as deep as needed."""
-        if not self.given:
-            self.ensure_complete()
+        """First producer of ``target``; under a non-empty given, levels run
+        only as deep as needed."""
         while target not in self.outputs and self._next_level < len(self.levels):
             self._advance_one_level()
         return self.outputs.get(target)
@@ -489,15 +474,12 @@ def exact_k(target: str, given: str, cfg: MachineConfig) -> KReport | None:
 
 
 def kraft_mass(cfg: MachineConfig) -> Fraction:
-    enum = get_enumeration(cfg)
-    enum.ensure_complete()
-    return enum.kraft
+    return get_enumeration(cfg).kraft
 
 
 def apriori_mass(targets: set[str], cfg: MachineConfig) -> Fraction:
     """Sum of 2**-len over halting programs whose output lies in ``targets``."""
     enum = get_enumeration(cfg)
-    enum.ensure_complete()
     units = 0
     for t in targets:
         info = enum.outputs.get(t)
@@ -507,7 +489,5 @@ def apriori_mass(targets: set[str], cfg: MachineConfig) -> Fraction:
 
 
 def output_universe(cfg: MachineConfig) -> dict[str, OutputInfo]:
-    enum = get_enumeration(cfg)
-    enum.ensure_complete()
-    return enum.outputs
+    return get_enumeration(cfg).outputs
 

@@ -23,6 +23,7 @@ from .codec import (
     DyadicRational,
     RationalPoint,
     ceil_half_log2,
+    json_dimension,
     json_fraction,
     json_int,
     json_object,
@@ -220,27 +221,35 @@ def make_oracle(spec: Mapping) -> PointOracle:
     Kinds: ``random`` (seed, n), ``diluted`` (seed, rho, n), ``rational``
     (values, a list of fractions in [0, 1)), ``constant`` (coords, a list
     of dyadic fractions), ``product`` (factors, a list of specs).  A key
-    the kind does not read is refused.
+    the kind does not read is refused, and so is a dimension over
+    ``DIMENSION_CAP``, before the coordinates are built; a product stops
+    at the first factor that takes its total over.
     """
     with json_object("generator", spec) as spec:
         kind = spec.get("kind")
         if kind == "random":
             return random_oracle(json_int("seed", spec["seed"]),
-                                 json_int("n", spec.get("n", 1)))
+                                 json_dimension("n", spec.get("n", 1)))
         if kind == "diluted":
             return diluted_oracle(
                 json_int("seed", spec["seed"]), json_fraction("rho", spec["rho"]),
-                json_int("n", spec.get("n", 1)),
+                json_dimension("n", spec.get("n", 1)),
             )
         if kind == "rational":
+            json_dimension("rational dimension", len(spec["values"]))
             return rational_oracle([json_fraction(f"values[{i}]", v)
                                     for i, v in enumerate(spec["values"])])
         if kind == "constant":
+            json_dimension("constant dimension", len(spec["coords"]))
             coords = tuple(
                 DyadicRational.from_fraction(json_fraction(f"coords[{i}]", v))
                 for i, v in enumerate(spec["coords"])
             )
             return ConstantOracle(RationalPoint(coords))
         if kind == "product":
-            return ProductOracle(*(make_oracle(f) for f in spec["factors"]))
+            factors, total = [], 0
+            for f in spec["factors"]:
+                factors.append(make_oracle(f))
+                total = json_dimension("product dimension", total + factors[-1].dimension)
+            return ProductOracle(*factors)
         raise ValueError(f"unknown oracle kind: {kind!r}")

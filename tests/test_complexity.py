@@ -126,7 +126,7 @@ class TestCountingBounds:
         for r in range(5):
             for d in range(5):
                 rep = check_cube_count_bound(r, d, BOUNDS)
-                assert rep.holds, (r, d)
+                assert rep.lhs <= rep.rhs, (r, d)
                 if rep.measured_constant is not None:
                     worst = (rep.measured_constant if worst is None
                              else max(worst, rep.measured_constant))
@@ -137,7 +137,7 @@ class TestCountingBounds:
         for r in range(5):
             for d in range(5):
                 rep = check_ball_count_bound(r, d, BOUNDS)
-                assert rep.holds, (r, d)
+                assert rep.lhs <= rep.rhs, (r, d)
                 if rep.measured_constant is not None:
                     worst = (rep.measured_constant if worst is None
                              else max(worst, rep.measured_constant))
@@ -150,7 +150,7 @@ class TestCodingBound:
         for n in (1, 2):
             lds = dyadic_lds(3, 3, enumerated_points(BOUNDS), n)
             for rep in check_lds_coding_bound(lds, BOUNDS):
-                assert rep.holds, rep.name
+                assert rep.lhs <= rep.rhs, rep.name
                 if worst is None or rep.measured_constant > worst:
                     worst = rep.measured_constant
         assert worst is not None
@@ -163,7 +163,7 @@ class TestCodingBound:
         ]
         worst = None
         for rep in check_lds_coding_bound(singles, BOUNDS):
-            assert rep.holds, rep.name
+            assert rep.lhs <= rep.rhs, rep.name
             if worst is None or rep.measured_constant > worst:
                 worst = rep.measured_constant
         assert worst == C.LDS_CODING_CONSTANT
@@ -181,7 +181,7 @@ class TestPrecisionImprovement:
                     if rep is None:
                         continue
                     checked += 1
-                    assert rep.holds, (point, r, s)
+                    assert rep.lhs <= rep.rhs, (point, r, s)
                     if worst is None or rep.measured_constant > worst:
                         worst = rep.measured_constant
         assert checked > 0

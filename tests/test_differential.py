@@ -465,10 +465,9 @@ def test_straight_walk_visits_each_prefix_once():
         if event == "call" and frame.f_code is walk_code:
             visits += 1
 
-    enum = Enumeration(MachineConfig(24, 256), "")
     sys.setprofile(profile)
-    try:
-        enum.ensure_complete()
+    try:  # an unconditional enumeration walks when it is built
+        enum = Enumeration(MachineConfig(24, 256), "")
     finally:
         sys.setprofile(None)
     assert enum.halting_count == 31672

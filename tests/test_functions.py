@@ -249,6 +249,24 @@ class TestLibrary:
         with pytest.raises(ArityMismatchError):
             f.evaluate(_const((1, 1)), 3)
 
+    @pytest.mark.parametrize("name, extra", [
+        ("identity", {}), ("sum", {}), ("projection", {"S": [1]}),
+    ])
+    def test_arity_cap_is_the_largest_accepted(self, name, extra):
+        cap = codec.DIMENSION_CAP
+        assert library_function(name, {"n": cap, **extra}).n == cap
+        with pytest.raises(ValueError, match="over the dimension cap"):
+            library_function(name, {"n": cap + 1, **extra})
+
+    def test_ceil_log2_matches_the_doubling_loop(self):
+        # the closed form against the loop it replaced, num = 0 included
+        for num in range(300):
+            for den in range(1, 40):
+                s = 0
+                while (1 << s) * den < num:
+                    s += 1
+                assert functions._ceil_log2(num, den) == s, (num, den)
+
 
 LIBRARY_SPECS = [
     ("identity", {"n": 2}),

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,15 @@ def test_negative_precision_is_refused():
     for r in (-1, -5):
         with pytest.raises(ValueError, match=f"not {r}"):
             Ball.at_precision(RationalPoint.of(dy(0)), r)
+
+
+@pytest.mark.parametrize("precision", [1.5, True, "2", -1])
+def test_cube_precision_must_be_a_nonnegative_int(precision):
+    # refused as the ball refuses it, naming the value, before any
+    # predicate can fail on it
+    message = re.escape(f"cube precision must be an int >= 0, not {precision!r}")
+    with pytest.raises(ValueError, match=message):
+        DyadicCube(precision, (0,))
 
 
 def _random_dyadic_point(rng, n, span=6, depth=8):

@@ -129,12 +129,12 @@ class TestMachineSuite:
         # and they count every halting program of the per-program reference
         walks = []
         executed = 0
-        run_straight = machine.Enumeration._run_straight
+        straight_walk = machine._straight_walk
         execute = machine._execute
 
-        def counted_walk(enum):
-            walks.append(enum.given)
-            return run_straight(enum)
+        def counted_walk(top, budget, record):
+            walks.append(record.__self__.given)
+            return straight_walk(top, budget, record)
 
         def counted_execute(*args):
             nonlocal executed
@@ -142,7 +142,7 @@ class TestMachineSuite:
             return execute(*args)
 
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-        monkeypatch.setattr(machine.Enumeration, "_run_straight", counted_walk)
+        monkeypatch.setattr(machine, "_straight_walk", counted_walk)
         monkeypatch.setattr(machine, "_execute", counted_execute)
         cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
@@ -379,6 +379,31 @@ class TestCli:
         # format it, nor walk 10**9 lengths to find it
         ("machine", {"machine": {"max_program_len": 15000}}, "item cap"),
         ("machine", {"machine": {"max_program_len": 10**9}}, "item cap"),
+        # sizes that multiply work, refused before anything of that size
+        # is built: a library function's arity and a generator's dimension
+        ("dpi", {"functions": [{"name": "identity", "params": {"n": 20000}}]},
+         "dimension cap"),
+        ("dpi", {"functions": [{"name": "sum", "params": {"n": 10**8}}]},
+         "dimension cap"),
+        ("dpi", {"functions": [{"name": "projection",
+                                "params": {"n": 10**8, "S": [1]}}]},
+         "dimension cap"),
+        ("kprofile", {"generators": [{"kind": "random", "seed": 1,
+                                      "n": 10**8}]}, "dimension cap"),
+        ("kprofile", {"generators": [{"kind": "random", "seed": 1,
+                                      "n": 1000}]}, "dimension cap"),
+        ("kprofile", {"generators": [{"kind": "diluted", "seed": 1,
+                                      "rho": "1/2", "n": 10**8}]},
+         "dimension cap"),
+        ("kprofile", {"generators": [{"kind": "product", "factors": [
+            {"kind": "random", "seed": s, "n": 64} for s in range(10**4)]}]},
+         "dimension cap"),
+        ("kprofile", {"generators": [{"kind": "rational",
+                                      "values": ["1/3"] * 65}]}, "dimension cap"),
+        # the first bound over the item cap: level 22 takes the count of
+        # programs to 8,388,607
+        ("machine", {"machine": {"max_program_len": 31}},
+         "max_program_len=31 has more programs than the item cap"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):

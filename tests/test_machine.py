@@ -12,16 +12,19 @@ from mdimlab.codec import encode_int, encode_point, pair, RationalPoint
 from mdimlab.machine import (
     HALTED,
     INVALID,
+    ITEM_CAP,
     OUT_OF_BUDGET,
     MachineConfig,
     ResourceExceededError,
     apriori_mass,
+    capped_levels,
     enumerate_halting,
     exact_k,
     iter_valid_programs,
     kraft_mass,
     output_universe,
     run,
+    valid_payload_lengths,
 )
 
 CFG = MachineConfig(16, 1000)
@@ -203,6 +206,21 @@ def test_apriori_mass_known_singleton():
 def test_resource_cap():
     with pytest.raises(ResourceExceededError):
         enumerate_halting(MachineConfig(40, 256))
+
+
+def test_item_cap_boundary():
+    # the one comparison in capped_levels against the whole count: refused
+    # exactly when the valid lengths hold more than ITEM_CAP programs
+    for max_len in range(41):
+        levels = valid_payload_lengths(max_len)
+        if sum(1 << p for p in levels) > ITEM_CAP:
+            with pytest.raises(ResourceExceededError, match="item cap"):
+                capped_levels(MachineConfig(max_len, 1))
+        else:
+            assert capped_levels(MachineConfig(max_len, 1)) == levels
+    # the longest bound under the cap: levels 0..21, 4,194,303 programs
+    assert capped_levels(MachineConfig(30, 1)) == list(range(22))
+    assert sum(1 << p for p in range(22)) == 4_194_303
 
 
 def test_valid_program_count_at_16():

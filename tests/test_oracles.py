@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdimlab import oracles
-from mdimlab.codec import DyadicRational, RationalPoint
+from mdimlab.codec import DIMENSION_CAP, DyadicRational, RationalPoint
 from mdimlab.oracles import (
     DILUTION_PERIOD,
     BitStream,
@@ -170,6 +170,21 @@ def test_product_oracle_concatenates():
 def test_make_oracle_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_oracle({"kind": "perlin"})
+
+
+@pytest.mark.parametrize("spec_of", [
+    lambda n: {"kind": "random", "seed": 1, "n": n},
+    lambda n: {"kind": "diluted", "seed": 1, "rho": "1/2", "n": n},
+    lambda n: {"kind": "rational", "values": ["1/3"] * n},
+    lambda n: {"kind": "constant", "coords": ["1/2"] * n},
+    lambda n: {"kind": "product", "factors": [
+        {"kind": "random", "seed": 1, "n": 32},
+        {"kind": "random", "seed": 2, "n": n - 32}]},
+], ids=["random", "diluted", "rational", "constant", "product"])
+def test_dimension_cap_is_the_largest_accepted(spec_of):
+    assert make_oracle(spec_of(DIMENSION_CAP)).dimension == DIMENSION_CAP
+    with pytest.raises(ValueError, match="over the dimension cap DIMENSION_CAP = 64"):
+        make_oracle(spec_of(DIMENSION_CAP + 1))
 
 
 def test_diluted_oracle_dimension():
