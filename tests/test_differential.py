@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdimlab import functions, harness
+from mdimlab import functions, suite_geometry
 from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, distance_sq_parts
 from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
@@ -611,7 +611,7 @@ def test_geometry_suite_balls_match_references(n):
     # or a cover of the right size with the wrong cubes, fails here
     rng = random.Random(f"5:axis={n}")
     for _ in range(500):
-        ball = harness._random_ball(rng, n)
+        ball = suite_geometry._random_ball(rng, n)
         assert lattice_point_in_ball(ball) == lattice_point_reference(ball)
         assert cubes_intersecting_ball(ball) == cover_reference(ball)
 

@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -46,6 +47,18 @@ class TestConfig:
     def test_bad_format(self):
         with pytest.raises(InvalidConfigError):
             config_from_mapping({"suite": "machine", "format": "xml"})
+
+    def test_deep_values_refused(self):
+        # deeper than a JSON file can hold, so only a caller builds these
+        generator = {"kind": "rational", "values": ["1/3"]}
+        window = [1024, 2048]
+        for _ in range(3000):
+            generator = {"kind": "product", "factors": [generator]}
+            window = [window]
+        with pytest.raises(InvalidConfigError, match=r"generators\[0\]"):
+            config_from_mapping({"suite": "kprofile", "generators": [generator]})
+        with pytest.raises(InvalidConfigError, match="window"):
+            config_from_mapping({"suite": "mdim", "window": window})
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -418,17 +431,29 @@ class TestCli:
         assert field in captured.err
         assert machine._ENUM_CACHE == {}
 
-    @pytest.mark.parametrize("raw", [
-        b"\xff\xfe{}",
-        b'{"suite": "machine", "seed": ' + b"9" * 5000 + b"}",
-    ], ids=["not-utf8", "long-integer"])
-    def test_unreadable_config_exit(self, tmp_path, capsys, raw):
+    @pytest.mark.parametrize("suite, raw, message", [
+        ("machine", b"\xff\xfe{}", "config is not valid JSON"),
+        ("machine", b'{"suite": "machine", "seed": ' + b"9" * 5000 + b"}",
+         "config is not valid JSON"),
+        # json.load recurses once per level and overflows the stack
+        ("mdim", b"[" * 100000 + b"]" * 100000, "config nests too deeply"),
+        ("kprofile", b'{"suite": "kprofile", "generators": ['
+         + b'{"kind": "product", "factors": [' * 900
+         + b'{"kind": "rational", "values": ["1/3"]}' + b"]}" * 900 + b"]}",
+         "config nests too deeply"),
+        ("mdim", b'{"suite": "mdim", "window": '
+         + b"[" * 3000 + b"1024" + b"]" * 3000 + b"}",
+         "config nests too deeply"),
+    ], ids=["not-utf8", "long-integer", "deep-list", "deep-generator",
+            "deep-window"])
+    def test_unreadable_config_exit(self, tmp_path, capsys, suite, raw,
+                                    message):
         path = tmp_path / "cfg.json"
         path.write_bytes(raw)
-        assert main(["machine", "--config", str(path)]) == 2
+        assert main([suite, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: config is not valid JSON: ")
+        assert captured.err.startswith(f"error: {message}: ")
         assert captured.err.count("\n") == 1
 
     def test_unreachable_precision_exit(self, tmp_path, capsys):
@@ -547,7 +572,6 @@ class TestCli:
 # parse refuses every other key, so the declaration must match the runner
 
 
-HARNESS_SOURCE = Path(harness.__file__).read_text(encoding="utf-8")
 # config keys every suite reads, and fields named apart from their key
 COMMON_KEYS = {"suite", "format", "out"}
 FIELD_KEYS = {"grid": "window", "out_format": "format", "out_path": "out"}
@@ -561,8 +585,12 @@ KEY_VALUES = {
 }
 
 
-def _runner(name):
-    (node,) = [n for n in ast.parse(HARNESS_SOURCE).body
+def _runner(suite):
+    """The parsed runner of ``suite``, from its own module's source."""
+    module = importlib.import_module(f"mdimlab.{harness._SUITES[suite][0]}")
+    name = module.RUNNERS[suite].__name__
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body
                if isinstance(n, ast.FunctionDef) and n.name == name]
     return node
 
@@ -591,17 +619,17 @@ def test_config_reads_scan():
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suite_table_names_the_keys_its_runner_reads(suite):
-    run, keys = harness._SUITES[suite]
+    keys = harness._SUITES[suite][1]
     assert len(set(keys)) == len(keys)
-    assert set(keys) == _config_reads(_runner(run.__name__))
+    assert set(keys) == _config_reads(_runner(suite))
 
 
 def test_only_coding_bounds_refuses_config_in_its_runner():
     # every other check is made by the parse, before any suite work
     refusing = {
-        run.__name__ for run, _ in harness._SUITES.values()
+        runner.name for runner in map(_runner, SUITE_NAMES)
         if any(isinstance(n, ast.Raise) and "InvalidConfigError" in ast.unparse(n)
-               for n in ast.walk(_runner(run.__name__)))
+               for n in ast.walk(runner))
     }
     assert refusing == {"_coding_suite"}
 

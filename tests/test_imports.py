@@ -11,9 +11,12 @@ too, so a helper that a refactor leaves without callers shows up here.
 The package's own imports are checked against a pinned table of layers,
 from ``codec`` up to ``harness`` and ``cli``: a module may import only the
 modules its row names, and each row names only modules listed above it.
+A fresh interpreter per suite pins the modules that reading the suite's
+config loads, so a suite never pays for a layer it does not run.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -160,6 +163,7 @@ def test_every_constant_is_read():
 LAYERS = {
     "__init__": set(),
     "constants": set(),
+    "report": set(),
     "codec": set(),
     "compressor": set(),
     "machine": {"codec"},
@@ -169,8 +173,15 @@ LAYERS = {
     "complexity": {"codec", "compressor", "constants", "geometry", "machine",
                    "oracles"},
     "mutual": {"compressor", "complexity", "constants", "machine", "oracles"},
-    "harness": {"codec", "complexity", "constants", "functions", "geometry",
-                "machine", "mutual", "oracles"},
+    "suite_exact": {"complexity", "constants", "geometry", "machine", "oracles",
+                    "report"},
+    "suite_geometry": {"codec", "geometry", "report"},
+    "suite_estimate": {"complexity", "constants", "mutual", "oracles", "report"},
+    "suite_maps": {"codec", "complexity", "constants", "functions", "mutual",
+                   "oracles", "report"},
+    "harness": {"codec", "constants", "functions", "machine", "oracles",
+                "report", "suite_estimate", "suite_exact", "suite_geometry",
+                "suite_maps"},
     "cli": {"harness"},
 }
 
@@ -215,6 +226,15 @@ def test_module_imports_only_lower_layers(module):
     assert sorted(package_imports(source) - LAYERS[stem]) == []
 
 
+def test_harness_may_import_every_runner_module():
+    # harness imports a suite's runner module by the name in its suite
+    # table, which the scan of its source cannot see
+    from mdimlab import harness
+
+    runners = {module for module, _ in harness._SUITES.values()}
+    assert sorted(runners - LAYERS["harness"]) == []
+
+
 def test_functions_loads_neither_machine_nor_geometry():
     # a fresh interpreter, so no other test's imports are in sys.modules
     env = dict(os.environ)
@@ -226,3 +246,58 @@ def test_functions_loads_neither_machine_nor_geometry():
                          capture_output=True, text=True).stdout
     assert out.split() == [
         "mdimlab", "mdimlab.codec", "mdimlab.functions", "mdimlab.oracles"]
+
+
+# the modules besides ``mdimlab`` itself that reading a default config of
+# each suite loads: its runner module and the layers that module runs
+ENTRY = {"codec", "constants", "harness", "report"}
+EXACT = {"complexity", "compressor", "geometry", "machine", "oracles"}
+ESTIMATORS = EXACT | {"mutual"}
+SUITE_LOADS = {
+    "machine": ENTRY | EXACT | {"suite_exact"},
+    "geometry": ENTRY | {"geometry", "suite_geometry"},
+    "coding-bounds": ENTRY | EXACT | {"suite_exact"},
+    "kprofile": ENTRY | ESTIMATORS | {"suite_estimate"},
+    "mdim": ENTRY | ESTIMATORS | {"suite_estimate"},
+    "dpi": ENTRY | ESTIMATORS | {"functions", "suite_maps"},
+    "reverse-dpi": ENTRY | ESTIMATORS | {"functions", "suite_maps"},
+    "conservation": ENTRY | ESTIMATORS | {"functions", "suite_maps"},
+    "counterexample": ENTRY | ESTIMATORS | {"functions", "suite_maps"},
+}
+
+LOADS_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(m[len("mdimlab."):] for m in sys.modules
+                  if m.startswith("mdimlab."))
+
+import mdimlab.cli
+out = {"cli": loaded()}
+from mdimlab.harness import config_from_mapping, run_suite
+suite = sys.argv[1]
+out["config"] = (config_from_mapping({"suite": suite}), loaded())[1]
+if suite == "machine":
+    cfg = config_from_mapping({"suite": "machine", "machine": {
+        "max_program_len": 24, "step_budget": 256}})
+    run_suite(cfg)
+    out["run"] = loaded()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_LOADS))
+def test_each_suite_loads_only_the_layers_it_runs(suite):
+    # a fresh interpreter per suite, so only this suite's imports are loaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", LOADS_PROBE, suite], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    # the command line loads no runner module before the config is read
+    assert out["cli"] == sorted(ENTRY | {"cli"})
+    assert out["config"] == sorted(SUITE_LOADS[suite] | {"cli"})
+    if suite == "machine":
+        # the runner module was loaded with the config: the run loads nothing
+        assert out["run"] == out["config"]
