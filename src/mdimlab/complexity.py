@@ -11,7 +11,8 @@ this object":
 * the compressor (``k_r``): the emitted code length of the built-in
   dictionary compressor over a fixed-width binary representation of the
   point.  Deterministic and cheap at long inputs; this is what the
-  dimension estimators run on.
+  dimension estimators run on.  Each oracle's parses are memoized by
+  precision (``k_r_parse``), so the pair coder can go on from them.
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
@@ -23,11 +24,12 @@ approximant of the point.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import RationalPoint, encode_int, encode_point
-from .compressor import lz78_cost
+from .compressor import Lz78Parser
 from .constants import (
     BALL_COUNT_CONSTANT,
     CUBE_COUNT_CONSTANT,
@@ -131,9 +133,65 @@ def ball_points(
     return _points_in_region(Ball.at_precision(center, r), cfg)
 
 
+# ---- compressor K_r memo ----------------------------------------------------
+# Estimators sweep the same oracles over many precisions, and the pair coder
+# goes on from both arguments' parses, so each oracle's LZ78 parses are kept
+# frozen (``Lz78Parser.freeze``) by precision.  Most oracles hash by
+# identity, so the memo holds them weakly: an oracle's parses are freed with
+# the oracle instead of pinning it for the life of the process.
+#
+# LZ78 parses online, so when a representation extends the one at the
+# oracle's highest memoized precision, a copy of that parse fed the tail
+# costs the same as a parse of the whole string.  The highest representation
+# is kept as its length and integer value, enough to test that exactly
+# without querying the oracle again.  A one-coordinate point's columns nest
+# across precisions; the columns of a point of several coordinates seldom
+# do, since its first column grows into where the second one started.
+
+
+class _OracleParses:
+    """One oracle's frozen parses by precision, and the highest one's text."""
+
+    __slots__ = ("parses", "top", "top_length", "top_value")
+
+    def __init__(self) -> None:
+        self.parses: dict[int, Lz78Parser] = {}
+        self.top = -1
+        self.top_length = 0
+        self.top_value = 0
+
+    def parse(self, x: PointOracle, r: int) -> Lz78Parser:
+        text = point_representation(x.query(r), r)
+        n = self.top_length
+        if (r > self.top >= 0 and len(text) >= n
+                and int(text[:n], 2) == self.top_value):
+            parser = self.parses[self.top].copy().feed(text[n:])
+        else:
+            parser = Lz78Parser().feed(text)
+        self.parses[r] = parser.freeze()
+        if r > self.top:
+            self.top, self.top_length, self.top_value = r, len(text), int(text, 2)
+        return parser
+
+
+_PARSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def k_r_parse(x: PointOracle, r: int) -> Lz78Parser:
+    """The frozen LZ78 parse of ``point_representation`` at precision r.
+
+    Memoized per oracle and precision; fork it with ``copy`` to go on.
+    """
+    memo = _PARSES.get(x)
+    if memo is None:
+        memo = _PARSES[x] = _OracleParses()
+    parser = memo.parses.get(r)
+    return parser if parser is not None else memo.parse(x, r)
+
+
 def k_r(x: PointOracle, r: int) -> int:
     """Compressor K_r: code length of ``point_representation`` at precision r."""
-    return lz78_cost(point_representation(x.query(r), r))
+    return k_r_parse(x, r).cost
 
 
 def exact_k_r(x: PointOracle, r: int, cfg: MachineConfig) -> int | None:

@@ -15,7 +15,11 @@ phrase and the parse loop touches nothing but local ints and lists.
 
 ``Lz78Parser.copy()`` forks a parse: the copy and the original go on from
 the same state independently, so two strings that share a prefix can be
-costed with one parse of the prefix.
+costed with one parse of the prefix.  ``freeze()`` makes a parse that is
+kept for later forks read-only and compact: its child lists become 4-byte
+``array('I')``s (a list holds an 8-byte pointer per entry, and an int
+object per phrase).  A frozen parse refuses ``feed``; its copies are
+backed by lists again, since the parse loop runs slower on arrays.
 
 Costs are reproducible integers, so profiles taken at different times or
 processes agree bit for bit.
@@ -46,15 +50,25 @@ class Lz78Parser:
         self._length = 0
 
     def copy(self) -> "Lz78Parser":
-        """An independent parser in this one's state."""
+        """An independent, unfrozen parser in this one's state."""
         twin = Lz78Parser.__new__(Lz78Parser)
-        twin._zero = self._zero.copy()
-        twin._one = self._one.copy()
+        twin._zero = list(self._zero)
+        twin._one = list(self._one)
         twin._node = self._node
         twin._closed_cost = self._closed_cost
         twin._tokens = self._tokens
         twin._length = self._length
         return twin
+
+    def freeze(self) -> "Lz78Parser":
+        """Hold the trie in 4-byte arrays and refuse ``feed`` from now on."""
+        # imported here: the extension module adds about 0.15 MB of resident
+        # memory, which a run that never freezes a parse need not load
+        from array import array
+
+        self._zero = array("I", self._zero)
+        self._one = array("I", self._one)
+        return self
 
     def push(self, bit: str) -> None:
         if bit != "0" and bit != "1":
@@ -65,8 +79,10 @@ class Lz78Parser:
         """Parse ``bits`` on from the current state.
 
         The whole string is checked first, so a bad character raises
-        before any state changes.
+        before any state changes.  A frozen parser raises too: feed a copy.
         """
+        if not isinstance(self._zero, list):
+            raise ValueError("a frozen parse is not fed; feed a copy")
         if bits.count("0") + bits.count("1") != len(bits):
             bad = next(c for c in bits if c != "0" and c != "1")
             raise ValueError(f"bit must be '0' or '1', got {bad!r}")

@@ -145,6 +145,14 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
             raise InvalidConfigError(
                 f"window keeps {len(grid)} grid precision(s); a slope needs two"
             )
+        # mdim's tolerances were pinned on the full grid, and LZ78's slope
+        # bias grows as the top precision falls
+        top = C.COMPRESSOR_GRID[-1]
+        if suite == "mdim" and grid[-1] != top:
+            raise InvalidConfigError(
+                f"mdim's gates are calibrated on windows that reach {top}; "
+                f"window {list(window)} stops at {grid[-1]}"
+            )
     with _field("seed"):
         seed = json_int("seed", data.get("seed", 0))
     fmt = data.get("format", "json")

@@ -20,12 +20,11 @@ emitted bits.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 from .compressor import Lz78Parser, lz78_cost
-from .complexity import ball_points, k_r, point_columns
+from .complexity import ball_points, k_r, k_r_parse, point_columns
 from .constants import (
     GUARD_BITS,
     JOINT_FLAG_BITS,
@@ -64,7 +63,12 @@ def _xor_bits(a: str, b: str) -> str:
     return format(int(a[:n], 2) ^ int(b[:n], 2), f"0{n}b")
 
 
-def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
+def pair_cost(
+    cols_x: Sequence[str],
+    cols_y: Sequence[str],
+    first_x: Lz78Parser,
+    first_y: Lz78Parser,
+) -> int:
     """Code length of the cheapest decodable joint layout, plus flag bits.
 
     Four layouts are tried: each argument order, with the second block
@@ -73,47 +77,35 @@ def pair_cost(cols_x: Sequence[str], cols_y: Sequence[str]) -> int:
     symmetric.  Differencing makes a shared coordinate cost only its
     near-zero residue; the flag bits pay for naming the chosen layout.
 
-    Each order's first block is parsed once and shared by its two layouts:
-    a copy of that parse goes on with the plain second block, the parse
-    itself with the differenced one.  Equal arguments make both orders the
-    same two strings, so only one order is parsed.
+    ``first_x`` and ``first_y`` are parses of the joined ``cols_x`` and
+    ``cols_y``, such as ``complexity.k_r_parse`` holds: each layout goes on
+    from a copy of its first block's parse, so only second blocks are
+    parsed and the two parses are left as they were.  Equal arguments make
+    both orders the same two strings, so only one order is tried.
     """
-    orders = [(cols_x, cols_y)]
+    orders = [(cols_x, cols_y, first_x)]
     if list(cols_x) != list(cols_y):
-        orders.append((cols_y, cols_x))
-    return JOINT_FLAG_BITS + min(_order_cost(a, b) for a, b in orders)
+        orders.append((cols_y, cols_x, first_y))
+    return JOINT_FLAG_BITS + min(_order_cost(*order) for order in orders)
 
 
-def _order_cost(a: Sequence[str], b: Sequence[str]) -> int:
+def _order_cost(a: Sequence[str], b: Sequence[str], first: Lz78Parser) -> int:
     """Cheaper of ``a`` then ``b`` plain and ``a`` then ``b`` differenced."""
-    parser = Lz78Parser().feed("".join(a))
-    plain = parser.copy().feed("".join(b)).cost
+    plain = first.copy().feed("".join(b)).cost
     diffed = [
         _xor_bits(col, a[i]) if i < len(a) else col for i, col in enumerate(b)
     ]
-    return min(plain, parser.feed("".join(diffed)).cost)
-
-
-# ---- k_r memo --------------------------------------------------------------
-# Estimators sweep the same oracles over many precisions, so the compressor's
-# K_r is memoized per oracle.  Most oracles hash by identity, so the memo
-# holds them weakly: an oracle's entries are freed with the oracle instead of
-# pinning it for the life of the process.  A miss calls ``k_r`` through this
-# module's binding, so a wrapper rebound here sees every computed value.
-
-_KR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _k_r_cached(x: PointOracle, r: int) -> int:
-    memo = _KR_CACHE.setdefault(x, {})
-    if r not in memo:
-        memo[r] = k_r(x, r)
-    return memo[r]
+    return min(plain, first.copy().feed("".join(diffed)).cost)
 
 
 def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:
     """Compressor complexity of the pair point at precision r."""
-    return pair_cost(point_columns(x.query(r), r), point_columns(y.query(r), r))
+    return pair_cost(
+        point_columns(x.query(r), r),
+        point_columns(y.query(r), r),
+        k_r_parse(x, r),
+        k_r_parse(y, r),
+    )
 
 
 # ---- mutual information of points at precision r ---------------------------
@@ -213,7 +205,7 @@ class MutualProfile:
 def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> DimEstimate:
     """Estimated (dim, Dim) of the oracle's point over the precision grid."""
     _check_grid(grid)
-    raw = [_k_r_cached(x, r) for r in grid]
+    raw = [k_r(x, r) for r in grid]
     n = x.dimension
     series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
     slopes = _window_slopes(grid, series, WINDOW_DIM)
@@ -227,8 +219,8 @@ def mdim_estimate(
     _check_grid(grid)
     k_x, k_y, k_xy, i_vals = [], [], [], []
     for r in grid:
-        kx = _k_r_cached(x, r)
-        ky = _k_r_cached(y, r)
+        kx = k_r(x, r)
+        ky = k_r(y, r)
         kxy = k_r_pair(x, y, r)
         k_x.append(kx)
         k_y.append(ky)

@@ -273,6 +273,30 @@ def test_lz78_copy_of_an_empty_parser(bits):
     assert _state(empty) == (0, 0, 0)
 
 
+@settings(max_examples=200)
+@given(biased_bits, biased_bits, biased_bits)
+def test_lz78_copy_of_a_frozen_parse_forks_like_an_unfrozen_one(a, b, c):
+    frozen = Lz78Parser().feed(a).freeze()
+    assert _state(frozen) == _state(_dict_trie_of(a))
+    fork = frozen.copy()
+    assert _state(fork.feed(b)) == _state(Lz78Parser().feed(a).copy().feed(b))
+    assert _state(fork) == _state(_dict_trie_of(a + b))
+    # a second fork starts from a, however far the first one went
+    assert _state(frozen.copy().feed(c)) == _state(_dict_trie_of(a + c))
+    assert _state(frozen) == _state(_dict_trie_of(a))
+    with pytest.raises(ValueError, match="frozen"):
+        frozen.feed(c)
+    assert _state(frozen) == _state(_dict_trie_of(a))
+
+
+@given(biased_bits)
+def test_lz78_copy_of_a_frozen_empty_parser(bits):
+    frozen = Lz78Parser().freeze()
+    assert _state(frozen.copy()) == _state(DictTrieLz78()) == (0, 0, 0)
+    assert _state(frozen.copy().feed(bits)) == _state(_dict_trie_of(bits))
+    assert _state(frozen) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("stream", [
     hash_stream(5),
     diluted_stream(5, Fraction(1, 3), period=256),

@@ -456,6 +456,34 @@ class TestCli:
         assert captured.err.startswith(f"error: {message}: ")
         assert captured.err.count("\n") == 1
 
+    # mdim's tolerances hold on windows that reach the grid's top: at
+    # [1024, 2048], 4 of its 20 gated rows fail
+    @pytest.mark.parametrize("top", [2048, 4096, 8192, 32768])
+    def test_mdim_window_below_the_calibrated_top_exit(self, tmp_path, capsys,
+                                                       top):
+        path = self._config_file(tmp_path,
+                                 {"suite": "mdim", "window": [1024, top]})
+        assert main(["mdim", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mdim's gates ")
+        assert str(C.COMPRESSOR_GRID[-1]) in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("window", [[32768, 65536], [4096, 10**6]])
+    def test_mdim_window_reaching_the_calibrated_top_runs(self, tmp_path,
+                                                          capsys, window):
+        path = self._config_file(tmp_path, {"suite": "mdim", "window": window})
+        assert main(["mdim", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fail_count"] == 0
+
+    @pytest.mark.parametrize("suite", ["kprofile", "dpi", "reverse-dpi",
+                                       "conservation", "counterexample"])
+    def test_other_suites_keep_short_windows(self, suite):
+        cfg = config_from_mapping({"suite": suite, "window": [1024, 2048]})
+        assert cfg.grid == (1024, 2048)
+
     def test_unreachable_precision_exit(self, tmp_path, capsys):
         # refused before the sweep: this machine has no program printing 1
         path = self._config_file(
@@ -578,7 +606,7 @@ FIELD_KEYS = {"grid": "window", "out_format": "format", "out_path": "out"}
 # a well-formed value of each optional key
 KEY_VALUES = {
     "machine": FAST_MACHINE,
-    "window": [1024, 2048],
+    "window": [32768, 65536],
     "seed": 5,
     "generators": [{"kind": "random", "seed": 1}],
     "functions": [{"name": "identity", "params": {"n": 1}}],

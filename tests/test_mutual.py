@@ -4,14 +4,15 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdimlab import constants as C
 from mdimlab import mutual
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
-from mdimlab.complexity import k_r, point_columns
+from mdimlab.complexity import k_r, k_r_parse, point_columns, point_representation
 from mdimlab.compressor import Lz78Parser, lz78_cost
+from mdimlab.functions import ImageOracle, library_function
 from mdimlab.machine import MachineConfig
 from mdimlab.mutual import (
     dim_estimate,
@@ -58,6 +59,33 @@ def reference_pair_cost(cols_x, cols_y):
     )
 
 
+def _first(cols):
+    """A frozen parse of the joined columns, as ``k_r_parse`` holds one."""
+    return Lz78Parser().feed("".join(cols)).freeze()
+
+
+def _pair_cost(cols_x, cols_y):
+    return pair_cost(cols_x, cols_y, _first(cols_x), _first(cols_y))
+
+
+def _state(parser):
+    return parser.cost, parser.length, parser.phrase_count
+
+
+@pytest.fixture
+def fed_bits(monkeypatch):
+    """Lengths of the strings fed to any ``Lz78Parser`` from now on."""
+    fed = []
+    feed = Lz78Parser.feed
+
+    def counted_feed(parser, bits):
+        fed.append(len(bits))
+        return feed(parser, bits)
+
+    monkeypatch.setattr(Lz78Parser, "feed", counted_feed)
+    return fed
+
+
 def _column(width):
     return st.one_of(
         st.text(alphabet="01", min_size=width, max_size=width),
@@ -81,11 +109,11 @@ class TestPairCost:
         a = point_columns(make_oracle(D12).query(64), 64)
         b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 1})
                           .query(64), 64)
-        assert pair_cost(a, b) == pair_cost(b, a)
+        assert _pair_cost(a, b) == _pair_cost(b, a)
 
     def test_flag_overhead_on_identical(self):
         cols = point_columns(make_oracle(D12).query(64), 64)
-        single = pair_cost(cols, cols)
+        single = _pair_cost(cols, cols)
         assert single > 0
 
     # one column against two: the extra column has no partner to
@@ -96,29 +124,53 @@ class TestPairCost:
     @given(column_pairs())
     def test_matches_four_layout_reference(self, pair):
         cols_x, cols_y = pair
-        assert pair_cost(cols_x, cols_y) == reference_pair_cost(cols_x, cols_y)
-        assert pair_cost(cols_y, cols_x) == reference_pair_cost(cols_x, cols_y)
+        assert _pair_cost(cols_x, cols_y) == reference_pair_cost(cols_x, cols_y)
+        assert _pair_cost(cols_y, cols_x) == reference_pair_cost(cols_x, cols_y)
 
     @pytest.mark.parametrize("same", [False, True])
-    def test_each_first_block_is_parsed_once(self, monkeypatch, same):
-        fed = []
-        feed = Lz78Parser.feed
-
-        def counted_feed(parser, bits):
-            fed.append(len(bits))
-            return feed(parser, bits)
-
-        monkeypatch.setattr(Lz78Parser, "feed", counted_feed)
+    def test_feeds_only_second_blocks(self, fed_bits, same):
         a = point_columns(make_oracle(D12).query(64), 64)
         b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 2})
                           .query(64), 64)
         if same:
             b = list(a)
+        first_a, first_b = _first(a), _first(b)
         size_a, size_b = len("".join(a)), len("".join(b))
-        pair_cost(a, b)
-        # each order: its first block once, then the plain and the
-        # differenced second block; equal arguments try one order only
-        assert sum(fed) == (3 * size_a if same else 3 * (size_a + size_b))
+        del fed_bits[:]
+        pair_cost(a, b, first_a, first_b)
+        # each order feeds its plain and its differenced second block to
+        # copies of the first block's parse; equal arguments try one order
+        assert sum(fed_bits) == (2 * size_a if same else 2 * (size_a + size_b))
+
+    def test_passed_parses_are_left_as_they_were(self):
+        a = point_columns(make_oracle(D12).query(64), 64)
+        b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 1})
+                          .query(64), 64)
+        first_a, first_b = _first(a), _first(b)
+        before = _state(first_a), _state(first_b)
+        pair_cost(a, b, first_a, first_b)
+        pair_cost(a, a, first_a, first_a)
+        assert (_state(first_a), _state(first_b)) == before
+        # and the memo's parses, after a whole estimate goes on from them
+        x = make_oracle(D12)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 1})
+        held = [k_r_parse(o, r) for o in (x, y) for r in SHORT]
+        states = [_state(parser) for parser in held]
+        mdim_estimate(x, y, SHORT)
+        mdim_estimate(x, x, SHORT)
+        assert [k_r_parse(o, r) for o in (x, y) for r in SHORT] == held
+        assert [_state(parser) for parser in held] == states
+
+    def test_warm_k_r_pair_feeds_no_first_block(self, fed_bits):
+        x = make_oracle(D12)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 2})
+        r = 1024
+        k_r(x, r), k_r(y, r)
+        del fed_bits[:]
+        k_r_pair(x, y, r)
+        size_x = len(point_representation(x.query(r), r))
+        size_y = len(point_representation(y.query(r), r))
+        assert sum(fed_bits) == 2 * (size_x + size_y)
 
 
 class TestGridMutual:
@@ -213,6 +265,52 @@ class TestGridCheck:
             mdim_estimate(x, x, grid)
 
 
+def reference_k_r(x, r):
+    """Unmemoized K_r: a fresh parse of the whole representation."""
+    return lz78_cost(point_representation(x.query(r), r))
+
+
+# oracles whose representations nest across the grid, and oracles whose do
+# not: two coordinates do not nest, a negated random stream re-rounds at
+# every precision, and a negated diluted one nests only at the grid's bottom
+MEMO_ORACLES = {
+    "random-1d": lambda: make_oracle({"kind": "random", "seed": 7, "n": 1}),
+    "diluted": lambda: make_oracle(D12),
+    "rational": lambda: make_oracle({"kind": "rational", "values": ["1/3"]}),
+    "constant": lambda: make_oracle({"kind": "constant", "coords": ["-3/8"]}),
+    "random-2d": lambda: make_oracle({"kind": "random", "seed": 3, "n": 2}),
+    "scale-1": lambda: ImageOracle(
+        library_function("scale", {"c": "-1"}),
+        make_oracle({"kind": "random", "seed": 7, "n": 1})),
+    "scale-1-diluted": lambda: ImageOracle(
+        library_function("scale", {"c": "-1"}), make_oracle(D12)),
+}
+_REFERENCE = {}
+
+
+def _reference(name, r):
+    if (name, r) not in _REFERENCE:
+        _REFERENCE[name, r] = reference_k_r(MEMO_ORACLES[name](), r)
+    return _REFERENCE[name, r]
+
+
+def _counting_queries(oracle):
+    """The precisions an ``ImageOracle`` is asked for from now on."""
+    asked = []
+    query = oracle.query
+
+    def counted(r):
+        asked.append(r)
+        return query(r)
+
+    oracle.query = counted
+    return asked
+
+
+grid_requests = st.permutations(C.COMPRESSOR_GRID).flatmap(
+    lambda order: st.integers(1, len(order)).map(lambda k: order[:k]))
+
+
 class TestKrMemo:
     @pytest.mark.parametrize("window", [(1024, 2048, 4096), (1536, 4096)])
     def test_memo_matches_direct_k_r(self, window):
@@ -221,10 +319,51 @@ class TestKrMemo:
         for _ in range(2):  # the second pass is answered from the memo
             for oracle in (x, y):
                 est = dim_estimate(oracle, window)
-                assert est.k_values == tuple(k_r(oracle, r) for r in window)
+                assert est.k_values == tuple(reference_k_r(oracle, r)
+                                             for r in window)
             prof = mdim_estimate(x, y, window)
-            assert prof.k_x_values == tuple(k_r(x, r) for r in window)
-            assert prof.k_y_values == tuple(k_r(y, r) for r in window)
+            assert prof.k_x_values == tuple(reference_k_r(x, r) for r in window)
+            assert prof.k_y_values == tuple(reference_k_r(y, r) for r in window)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(MEMO_ORACLES)), grid_requests)
+    def test_any_request_order_matches_the_reference(self, name, requests):
+        x = MEMO_ORACLES[name]()
+        for _ in range(2):  # the second pass is answered from the memo
+            assert [k_r(x, r) for r in requests] == [
+                _reference(name, r) for r in requests]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(["scale-1", "scale-1-diluted"]), grid_requests)
+    def test_an_image_is_queried_once_per_new_precision(self, name, requests):
+        # an image query evaluates f again, so a continued parse must not
+        # ask for the precision it goes on from
+        x = MEMO_ORACLES[name]()
+        asked = _counting_queries(x)
+        for _ in range(2):
+            for r in requests:
+                k_r(x, r)
+        assert asked == list(requests)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_ORACLES))
+    @pytest.mark.parametrize("start", [1, 3, 5])
+    def test_windows_above_the_bottom_match_the_reference(self, name, start):
+        window = C.COMPRESSOR_GRID[start:]
+        x = MEMO_ORACLES[name]()
+        est = dim_estimate(x, window)
+        assert est.k_values == tuple(_reference(name, r) for r in window)
+
+    @pytest.mark.parametrize("name, nests", [("diluted", True),
+                                             ("random-2d", False)])
+    def test_nested_representations_are_parsed_once(self, fed_bits, name,
+                                                    nests):
+        x = MEMO_ORACLES[name]()
+        sizes = [len(point_representation(x.query(r), r))
+                 for r in C.COMPRESSOR_GRID]
+        del fed_bits[:]
+        for r in C.COMPRESSOR_GRID:
+            k_r(x, r)
+        assert sum(fed_bits) == (sizes[-1] if nests else sum(sizes))
 
     def test_memo_does_not_keep_oracles_alive(self):
         x = make_oracle(D12)

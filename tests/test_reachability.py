@@ -116,6 +116,7 @@ print(json.dumps(sorted(
 
 MACHINE = {"max_program_len": 24, "step_budget": 256}
 WINDOW = [1024, 2048]
+TOP_WINDOW = [32768, 65536]  # mdim refuses windows below the grid's top
 RUNS = [
     (["machine", "--format", "csv"], {"suite": "machine", "machine": MACHINE}),
     (["coding-bounds"], {"suite": "coding-bounds", "machine": MACHINE}),
@@ -128,7 +129,7 @@ RUNS = [
         {"kind": "product", "factors": [{"kind": "random", "seed": 2},
                                         {"kind": "rational", "values": ["1/5"]}]},
     ]}),
-    (["mdim"], {"suite": "mdim", "window": WINDOW}),
+    (["mdim"], {"suite": "mdim", "window": TOP_WINDOW}),
     (["dpi"], {"suite": "dpi", "window": WINDOW, "functions": [
         {"name": "identity", "params": {"n": 1}},
         {"name": "scale", "params": {"c": "1/2"}},
