@@ -31,13 +31,13 @@ time and output size and halting is decidable.  A taken jump that repeats an
 returns its output, or None when it never halts; ``run`` turns that into a
 ``RunResult``.
 
-The exhaustive enumeration runs programs one by one through ``_execute``,
-level by level, only under a non-empty given.  Under the empty given the
+The exhaustive enumeration runs under the empty given alone.  There the
 counter is 0, no jump is taken and each run reads its payload once, in
 order, so one depth-first walk over instruction prefixes (``_straight_walk``)
 runs each prefix once for every payload length and decides whole classes of
-payloads at a time.  That walk runs when the enumeration is built, so an
-unconditional enumeration is complete from the start.
+payloads at a time.  That walk runs once, when the enumeration is built.
+Conditional K under a non-empty given is a first-hit search in ``exact_k``:
+it runs payloads one by one through ``_execute`` and caches nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .codec import (
@@ -62,10 +61,6 @@ INVALID = "invalid"
 OP_EMIT0, OP_EMIT1, OP_ECHO, OP_REPEAT, OP_LIT, OP_JNZ, OP_DEC, OP_HALT = range(8)
 _OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 
-
-# (first, last, count, output): ``count`` consecutive same-length payloads
-# from ``first`` to ``last``, each halting with ``output``
-_PayloadClass = tuple[str, str, int, str]
 
 # most programs one enumeration may run; about 4.2 million, which admits
 # every max_program_len up to 30
@@ -248,16 +243,6 @@ def _straight_walk(
     walk("", "", 0)
 
 
-def _program_classes(p: int, given: str, budget: int) -> Iterator[_PayloadClass]:
-    """Every halting payload of length ``p``, each run by ``_execute`` and
-    yielded in lex order as a one-payload class."""
-    payloads = map(format, range(1 << p), repeat(f"0{p}b")) if p else ("",)
-    for payload in payloads:
-        output = _execute(payload, given, budget)
-        if output is not None:
-            yield payload, payload, 1, output
-
-
 def header_len(payload_len: int) -> int:
     return 2 * ((payload_len + 1).bit_length() - 1) + 1
 
@@ -355,35 +340,27 @@ class PrefixCheck:
 
 
 class Enumeration:
-    """Cached exhaustive run of every valid program.
+    """Exhaustive run of every valid program under the empty given.
 
-    Under the empty given, ``_straight_walk`` runs each instruction prefix
-    once for every payload length while the enumeration is built, so it is
-    complete from the start.  Under any other given the counter makes jumps
-    live: levels (payload lengths) run in ascending order, each payload
-    once through ``_execute``, one class per halting program, so a lookup
-    can stop as soon as its target appears: every later program is longer.
-    Each class of halting programs feeds the counts, the masses and
-    ``prefix_check`` as one run.  ``outputs`` keeps its first producers in
-    (k, witness) order.  Masses are integers in units of
-    ``2**-max_program_len``; ``kraft`` turns their total into a
-    ``Fraction``.  The package starts no threads, and an enumeration is not
-    safe to advance from two threads at once.
+    ``_straight_walk`` runs each instruction prefix once for every payload
+    length when the enumeration is built.  Each class of halting programs
+    it finds feeds the counts, the masses and ``prefix_check`` as one run.
+    ``outputs`` keeps its first producers in (k, witness) order.  Masses
+    are integers in units of ``2**-max_program_len``; ``kraft`` turns
+    their total into a ``Fraction``.
     """
 
-    def __init__(self, cfg: MachineConfig, given: str):
+    def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
-        self.given = given
         self.levels = capped_levels(cfg)  # 0..top, as header_len(p) + p grows
         self.outputs: dict[str, OutputInfo] = {}
         self.halting_count = 0
         self.prefix_check = PrefixCheck()
-        self._next_level = 0
+        self._complete = False
         self._headers = [gamma_encode(p + 1) for p in self.levels]
         self._units = [1 << (cfg.max_program_len - len(header) - p)
                        for p, header in enumerate(self._headers)]
-        if not given:
-            self.ensure_complete()
+        self.ensure_complete()
 
     @property
     def kraft(self) -> Fraction:
@@ -394,7 +371,6 @@ class Enumeration:
     def points(self) -> list[tuple[RationalPoint, int, str]]:
         """Every output that decodes to a point, as (point, K, encoding)
         triples sorted by K, then encoding."""
-        self.ensure_complete()
         points = []
         for output, info in self.outputs.items():
             point = try_decode_exact_point(output)
@@ -422,55 +398,55 @@ class Enumeration:
             p, program, program if count == 1 else header + last
         )
 
-    def _advance_one_level(self) -> None:
-        p = self.levels[self._next_level]
-        self._next_level += 1
-        for payload_class in _program_classes(p, self.given, self.cfg.step_budget):
-            self._record(p, *payload_class)
-
     def ensure_complete(self) -> None:
-        """Run every level not yet run.  Under the empty given one walk
-        records them all, and ``outputs`` is put back in (k, witness) order."""
-        if self.given:
-            while self._next_level < len(self.levels):
-                self._advance_one_level()
-        elif self._next_level < len(self.levels):
+        """Record every level in one walk, then put ``outputs`` in
+        (k, witness) order; the constructor calls it, later calls do
+        nothing."""
+        if self._complete:
+            return
+        if self.levels:
             _straight_walk(self.levels[-1], self.cfg.step_budget, self._record)
-            self.outputs = dict(sorted(
-                self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
-            ))
-            self._next_level = len(self.levels)
+        self.outputs = dict(sorted(
+            self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
+        ))
+        self._complete = True
 
     def lookup(self, target: str) -> OutputInfo | None:
-        """First producer of ``target``; under a non-empty given, levels run
-        only as deep as needed."""
-        while target not in self.outputs and self._next_level < len(self.levels):
-            self._advance_one_level()
+        """First producer of ``target``."""
         return self.outputs.get(target)
 
 
-_ENUM_CACHE: dict[tuple[MachineConfig, str], Enumeration] = {}
+_ENUM_CACHE: dict[MachineConfig, Enumeration] = {}
 
 
-def get_enumeration(cfg: MachineConfig, given: str = "") -> Enumeration:
-    key = (cfg, given)
-    enum = _ENUM_CACHE.get(key)
+def get_enumeration(cfg: MachineConfig) -> Enumeration:
+    enum = _ENUM_CACHE.get(cfg)
     if enum is None:
-        enum = Enumeration(cfg, given)
-        _ENUM_CACHE[key] = enum
+        enum = _ENUM_CACHE[cfg] = Enumeration(cfg)
     return enum
 
 
 def exact_k(target: str, given: str, cfg: MachineConfig) -> KReport | None:
-    """Length of the shortest (then lex-least) program producing ``target``.
+    """Length and witness of the first producer of ``target`` under
+    ``given``: the shortest program, then the lex-least.
 
-    Returns None when no program within the configured bounds produces it;
-    that outcome is data, not an error.
+    The empty given reads the cached enumeration.  Any other given runs a
+    first-hit search that caches nothing: each level's payloads run in lex
+    order through ``_execute``, levels in ascending program length, so the
+    first payload that outputs ``target`` is its first producer.  Returns
+    None when no program within the configured bounds produces it; that
+    outcome is data, not an error.
     """
-    info = get_enumeration(cfg, given).lookup(target)
-    if info is None:
-        return None
-    return KReport(info.k, info.witness)
+    if not given:
+        info = get_enumeration(cfg).lookup(target)
+        return None if info is None else KReport(info.k, info.witness)
+    for p in capped_levels(cfg):
+        for i in range(1 << p, 2 << p):
+            payload = bin(i)[3:]  # the p bits after i's leading 1
+            if _execute(payload, given, cfg.step_budget) == target:
+                program = gamma_encode(p + 1) + payload
+                return KReport(len(program), program)
+    return None
 
 
 def kraft_mass(cfg: MachineConfig) -> Fraction:

@@ -43,13 +43,14 @@ def mutual_info(p: str, q: str, cfg: MachineConfig) -> int | None:
     """I(p:q) = K(q) - K(q|p), in bits; may be slightly negative.
 
     K(q|p) runs the machine with p preloaded as the given string.  None
-    when the exact search finds nothing.
+    when the exact search finds nothing; an unreachable q returns before
+    the conditional search runs.
     """
     unconditional = exact_k(q, "", cfg)
-    conditional = exact_k(q, p, cfg)
-    if unconditional is None or conditional is None:
+    if unconditional is None:
         return None
-    return unconditional.value - conditional.value
+    conditional = exact_k(q, p, cfg)
+    return None if conditional is None else unconditional.value - conditional.value
 
 
 # ---- pair representation (compressor) --------------------------------------

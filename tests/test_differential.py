@@ -50,11 +50,13 @@ from mdimlab.geometry import (
 )
 from mdimlab.machine import (
     Enumeration,
+    KReport,
     MachineConfig,
     PrefixCheck,
     _execute,
     _straight_walk,
     enumerate_halting,
+    exact_k,
 )
 from mdimlab.oracles import (
     ConstantOracle,
@@ -417,16 +419,19 @@ def test_source_block_is_a_slice_of_the_prefix(kind, arg, size):
 # ---- exhaustive enumeration ----------------------------------------------------
 
 
-@pytest.mark.parametrize("max_len,budget,given_bits", [
-    (16, 1000, ""), (16, 1000, "0110"), (20, 10000, ""), (24, 256, ""),
-    (16, 3, ""), (16, 50, ""), (20, 50, ""),
-    (16, 1000, "1"), (16, 1000, "01111"), (16, 1000, "011011011"),
+UNCONDITIONAL_CONFIGS = [
+    (16, 1000), (20, 10000), (24, 256), (16, 3), (16, 50), (20, 50),
     # no level, a single level, and levels shorter than an opcode
-    (0, 1, ""), (1, 1, ""), (4, 1, ""), (5, 2, ""),
-])
-def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
+    (0, 1), (1, 1), (4, 1), (5, 2),
+]
+
+
+# each id ends in the empty given the enumeration runs under
+@pytest.mark.parametrize("max_len,budget", UNCONDITIONAL_CONFIGS,
+                         ids=[f"{m}-{b}-" for m, b in UNCONDITIONAL_CONFIGS])
+def test_enumeration_matches_per_program_reference(max_len, budget):
     cfg = MachineConfig(max_len, budget)
-    reference = enumerate_halting(cfg, given_bits)
+    reference = enumerate_halting(cfg)
     expected = {}
     for program, output in reference:
         weight = Fraction(1, 2 ** len(program))
@@ -434,8 +439,7 @@ def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
             expected[output][2] += weight
         else:
             expected[output] = [len(program), program, weight]
-    enum = Enumeration(cfg, given_bits)
-    enum.ensure_complete()
+    enum = Enumeration(cfg)
     assert enum.halting_count == len(reference)
     assert enum.kraft == sum(Fraction(1, 2 ** len(p)) for p, _ in reference)
     assert {
@@ -447,6 +451,21 @@ def test_enumeration_matches_per_program_reference(max_len, budget, given_bits):
     ) == 0
     # outputs keep the order in which the reference first produces them
     assert list(enum.outputs) == list(expected)
+
+
+@pytest.mark.parametrize("given_bits", ["0110", "1", "01111", "011011011"])
+def test_conditional_k_matches_first_producer(given_bits):
+    # the first-hit search finds each output's first producer in the
+    # per-program reference, and None for an output it never produces
+    cfg = MachineConfig(16, 1000)
+    first = {}
+    for program, output in enumerate_halting(cfg, given_bits):
+        first.setdefault(output, program)
+    for output, program in first.items():
+        assert exact_k(output, given_bits, cfg) == KReport(len(program), program)
+    missing = next(t for t in (bin(i)[3:] for i in itertools.count(2))
+                   if t not in first)
+    assert exact_k(missing, given_bits, cfg) is None
 
 
 @pytest.mark.parametrize("budget", [3, 50, 256, 1000])
@@ -490,8 +509,8 @@ def test_straight_walk_visits_each_prefix_once():
             visits += 1
 
     sys.setprofile(profile)
-    try:  # an unconditional enumeration walks when it is built
-        enum = Enumeration(MachineConfig(24, 256), "")
+    try:  # an enumeration walks when it is built
+        enum = Enumeration(MachineConfig(24, 256))
     finally:
         sys.setprofile(None)
     assert enum.halting_count == 31672

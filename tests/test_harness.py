@@ -137,7 +137,7 @@ class TestMachineSuite:
 
     def test_runs_each_program_once(self, monkeypatch):
         # one exhaustive pass feeds the counts, the mass and both prefix
-        # checks: the unconditional walk starts once for every level, its
+        # checks: the suite's one enumeration walks once for every level, its
         # classes share prefix runs instead of running payloads one by one,
         # and they count every halting program of the per-program reference
         walks = []
@@ -146,7 +146,7 @@ class TestMachineSuite:
         execute = machine._execute
 
         def counted_walk(top, budget, record):
-            walks.append(record.__self__.given)
+            walks.append(record.__self__)
             return straight_walk(top, budget, record)
 
         def counted_execute(*args):
@@ -160,9 +160,9 @@ class TestMachineSuite:
         cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
         assert run_suite(cfg).fail_count == 0
-        assert walks == [""]
-        assert executed == 0
         enum = machine.get_enumeration(cfg.machine)
+        assert walks == [enum]
+        assert executed == 0
         assert enum.halting_count == len(machine.enumerate_halting(cfg.machine))
 
 

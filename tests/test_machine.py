@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdimlab import constants
+from mdimlab import constants, machine
 from mdimlab.codec import encode_int, encode_point, pair, RationalPoint
 from mdimlab.machine import (
     HALTED,
@@ -26,6 +26,7 @@ from mdimlab.machine import (
     run,
     valid_payload_lengths,
 )
+from mdimlab.mutual import mutual_info
 
 CFG = MachineConfig(16, 1000)
 
@@ -175,10 +176,36 @@ def test_echo_constant():
         assert rep.witness == constants.ECHO_WITNESS
 
 
+UNREACHABLE = "".join(random.Random(23).choice("01") for _ in range(64))
+
+
 def test_exact_k_not_found_is_none():
-    rng = random.Random(23)
-    target = "".join(rng.choice("01") for _ in range(64))
-    assert exact_k(target, "", CFG) is None
+    assert exact_k(UNREACHABLE, "", CFG) is None
+
+
+def test_mutual_info_skips_the_search_for_an_unreachable_target(monkeypatch):
+    # K(q) is None, so I(p:q) is None without a conditional search, which
+    # would run every program
+    executed = 0
+    execute = machine._execute
+
+    def counted_execute(*args):
+        nonlocal executed
+        executed += 1
+        return execute(*args)
+
+    monkeypatch.setattr(machine, "_execute", counted_execute)
+    assert mutual_info("0110", UNREACHABLE, CFG) is None
+    assert executed == 0
+
+
+def test_conditional_k_leaves_one_cache_entry(monkeypatch):
+    # the enumeration cache is keyed by config alone; a conditional search
+    # caches nothing
+    monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+    for x in ("1", "0110", "11010010111010110010"):
+        assert exact_k(x, x, CFG) is not None
+    assert set(machine._ENUM_CACHE) <= {CFG}
 
 
 def test_conditioning_can_only_help_via_echo():
@@ -206,6 +233,8 @@ def test_apriori_mass_known_singleton():
 def test_resource_cap():
     with pytest.raises(ResourceExceededError):
         enumerate_halting(MachineConfig(40, 256))
+    with pytest.raises(ResourceExceededError):
+        exact_k("1", "0110", MachineConfig(40, 256))
 
 
 def test_item_cap_boundary():

@@ -56,9 +56,7 @@ UNREACHED = {
     "machine.run": "reference: tests/test_machine.py",
     "machine.kraft_mass": TRACED,
     "machine.output_universe": TRACED,
-    "machine._execute": "helper of mutual.mutual_info",
-    "machine._program_classes": "helper of mutual.mutual_info",
-    "machine.Enumeration._advance_one_level": "helper of mutual.mutual_info",
+    "machine._execute": "helper of machine.run",
     "complexity.k_of_set": TRACED,
     "mutual.mutual_info": TRACED,
     "mutual.i_r": TRACED,
