@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul, sub
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import (
     DyadicRational,
@@ -344,14 +344,15 @@ _CURVE = (
 )
 
 
-def curve_digits(quads: Sequence[int]) -> tuple[int, int]:
-    """Map base-4 parameter digits to the cell corner (x, y) bit-ints."""
-    state = x = y = 0
+def curve_digits(quads: Iterable[int]) -> tuple[int, int]:
+    """Map base-4 parameter digits to the cell corner (x, y) bit-ints in one
+    pass, linear in the number of digits: ASCII bits, one ``int`` each."""
+    state, xs, ys = 0, bytearray(b"0"), bytearray(b"0")
     for d in quads:
         bx, by, state = _CURVE[state][d]
-        x = (x << 1) | bx
-        y = (y << 1) | by
-    return x, y
+        xs.append(48 + bx)
+        ys.append(48 + by)
+    return int(xs, 2), int(ys, 2)
 
 
 # ---- function library ---------------------------------------------------------
@@ -464,10 +465,10 @@ def projection_function(sel: SSelector) -> ComputableFunction:
 def hilbert2d_function() -> ComputableFunction:
     """Space-filling curve [0,1] -> [0,1]^2, anchored at f(0) = (0,0).
 
-    The evaluator truncates the parameter to 2L base-4 digits (L = r + 3)
-    and returns the entry corner of the level-L cell; the corner is within
-    sqrt(2) * 2**-L of the true value and parameter truncation moves the
-    value at most sqrt(5) * 2**-(r+2), keeping the total under 2**-r.
+    The evaluator keeps L = r + 3 base-4 digits (2L bits) of a query at
+    2r + 4 bits and returns the entry corner of the level-L cell; the corner
+    is within sqrt(2) * 2**-L of the true value and parameter truncation
+    moves the value at most sqrt(5) * 2**-(r+2), keeping the total under 2**-r.
     Parameters outside [0, 1] clamp to the nearest endpoint.
     """
 
@@ -476,8 +477,8 @@ def hilbert2d_function() -> ComputableFunction:
         q = x.query(2 * r + 4)
         cells = 1 << (2 * level)
         idx = min(max(q.coords[0].floor_shift(2 * level), 0), cells - 1)
-        quads = [(idx >> k) & 3 for k in range(2 * level - 2, -1, -2)]
-        xb, yb = curve_digits(quads)
+        bits = format(idx, f"0{2 * level}b").encode()  # ASCII '0' is 48
+        xb, yb = curve_digits(2 * a + b - 144 for a, b in zip(bits[::2], bits[1::2]))
         return _as_point([DyadicRational(xb, level), DyadicRational(yb, level)])
 
     return ComputableFunction(

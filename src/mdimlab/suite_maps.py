@@ -149,15 +149,13 @@ def _conservation_suite(cfg) -> SuiteReport:
     base2 = mdim_estimate(x2, x2, cfg.grid)
     rows = []
 
-    ident = library_function("identity", {"n": 1})
-    prof = mdim_estimate(ImageOracle(ident, d12), ImageOracle(ident, d12),
-                         cfg.grid)
+    ident_img = ImageOracle(library_function("identity", {"n": 1}), d12)
+    prof = mdim_estimate(ident_img, ident_img, cfg.grid)
     rows.append(at_most("conservation_identity", "id:id on diluted-1/2",
                         prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
 
-    half = library_function("scale", {"c": "1/2"})
-    prof = mdim_estimate(ImageOracle(half, d12), ImageOracle(half, d12),
-                         cfg.grid)
+    half_img = ImageOracle(library_function("scale", {"c": "1/2"}), d12)
+    prof = mdim_estimate(half_img, half_img, cfg.grid)
     rows.append(at_most("conservation_contraction",
                         "scale(1/2) pair on diluted-1/2",
                         prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
@@ -179,8 +177,7 @@ def _conservation_suite(cfg) -> SuiteReport:
                         delta, C.TWO_SIDED_SLACK))
 
     hilb = library_function("hilbert2d")
-    prof = mdim_estimate(ImageOracle(hilb, d12), ImageOracle(ident, d12),
-                         cfg.grid)
+    prof = mdim_estimate(ImageOracle(hilb, d12), ident_img, cfg.grid)
     rows.append(at_most("conservation_holder",
                         "hilbert2d:identity factor 2 on diluted-1/2",
                         prof.slope_hi,

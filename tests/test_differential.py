@@ -828,12 +828,13 @@ def hilbert2d_reference(t: Fraction, r: int) -> tuple[DyadicRational, ...]:
 
 
 # below 0, at 0 and 1, above 1, on cell boundaries of every level, and
-# just inside either end
+# just inside either end; levels r + 3 cover every residue mod 4, and the
+# two largest are at the scale of the precisions the map suites evaluate
 @pytest.mark.parametrize("t", ["-3", "-1/64", "-1/1099511627776", "0", "1",
                                "5/4", "7", "1/4", "1/64", "63/64",
                                "12345/65536", "1099511627775/1099511627776",
                                "3/1099511627776"])
-@pytest.mark.parametrize("r", [0, 1, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 1021, 16381])
 def test_hilbert2d_matches_fraction_reference(t, r):
     t = Fraction(t)
     point = _point((DyadicRational.from_fraction(t),))

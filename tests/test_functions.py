@@ -174,6 +174,7 @@ class TestCurveDigits:
                 quads = [(d >> (2 * (level - 1 - i))) & 3
                          for i in range(level)]
                 assert curve_digits(quads) == _reference_cell(level, d), d
+                assert curve_digits(iter(quads)) == _reference_cell(level, d), d
 
     def test_surjective_on_cells(self):
         for level in range(1, 6):
