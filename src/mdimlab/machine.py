@@ -33,11 +33,14 @@ returns its output, or None when it never halts; ``run`` turns that into a
 
 The exhaustive enumeration runs under the empty given alone.  There the
 counter is 0, no jump is taken and each run reads its payload once, in
-order, so one depth-first walk over instruction prefixes (``_straight_walk``)
-runs each prefix once for every payload length and decides whole classes of
-payloads at a time.  That walk runs once, when the enumeration is built.
-Conditional K under a non-empty given is a first-hit search in ``exact_k``:
-it runs payloads one by one through ``_execute`` and caches nothing.
+order, so the halting payloads that extend a prefix depend on the prefix
+only through the machine state it leaves: (pc, output, steps).  One pass
+per distinct state (``_root_summary``) composes a summary of every payload
+length at once, deciding whole classes of payloads at a time, and the
+prefixes that reach one state share its summary.  That pass runs once,
+when the enumeration is built, and its memo goes with it.  Conditional K
+under a non-empty given is a first-hit search in ``exact_k``: it runs
+payloads one by one through ``_execute`` and caches nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .codec import (
     RationalPoint,
@@ -62,13 +65,16 @@ OP_EMIT0, OP_EMIT1, OP_ECHO, OP_REPEAT, OP_LIT, OP_JNZ, OP_DEC, OP_HALT = range(
 _OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 
 
-# most programs one enumeration may run; about 4.2 million, which admits
-# every max_program_len up to 30
+# most valid programs a machine config may have; about 4.2 million, which
+# admits every max_program_len up to 30.  The enumeration summarizes
+# machine states and runs no program on its own, so the cap bounds the
+# config; the first-hit search and ``enumerate_halting`` still run up to
+# that many programs one by one
 ITEM_CAP = 1 << 22
 
 
 class ResourceExceededError(RuntimeError):
-    """An enumeration would run more programs than ``ITEM_CAP``."""
+    """A machine config has more programs than ``ITEM_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -190,57 +196,148 @@ def _operands(room: int, cap: int) -> Iterator[tuple[str, int]]:
             yield pad + bin(arg)[2:], arg
 
 
-def _straight_walk(
-    top: int, budget: int, record: Callable[[int, str, str, int, str], None]
-) -> None:
-    """Pass every halting payload of length at most ``top`` under the empty
-    given to ``record(p, first, last, count, output)``, as classes of
-    ``count`` consecutive length-``p`` payloads from ``first`` to ``last``.
+def _next_states(
+    out: str, steps: int, room: int, budget: int
+) -> Iterator[tuple[str, str, int]]:
+    """(edge, output, steps) of each instruction but ``HALT`` that can run
+    next under the empty given, from a state with ``room`` bits after the
+    opcode and ``steps`` charged, base charge included; ``edge`` is the
+    instruction's bits.
 
     With no given the counter is 0: ``JNZ`` never jumps, and ``ECHO`` and
     ``DEC`` append nothing, so a run reads its payload once, front to back,
-    exactly as ``_execute`` would.  One depth-first walk over instruction
-    prefixes runs each prefix once for every length, carrying (output,
-    steps) to the next instruction start.  A prefix of length p is itself a
-    payload that halts at its end, a class of level p.  A ``HALT`` at pc
-    decides, for each level p >= pc + 3, its 2**(p - pc - 3) suffixes in one
-    class.  A charge over ``budget``, a partial fetch, a truncated operand
-    or a literal past ``top`` decides a whole subtree, which has no longer
-    halting program.  Opcodes and literals are visited in bit order and
-    operands in codeword lex order, so each level's classes come in payload
-    lex order; the levels interleave.
+    exactly as ``_execute`` would.  A charge over ``budget``, a truncated
+    operand or a literal past the payload end has no halting suffix and is
+    left out.  Opcodes and literals come in bit order and operands in
+    codeword lex order, so the edges come in lex order.
     """
+    if steps < budget:  # emit-0 and emit-1 charge 2
+        yield "000", out + "0", steps + 1
+        yield "001", out + "1", steps + 1
+    yield "010", out, steps  # echo of ""
+    any_arg = 1 << room  # above every value a room-bit code can hold
+    cap = (budget - steps) // len(out) if out else any_arg
+    for code, arg in _operands(room, cap):  # repeat
+        yield "011" + code, out * (arg + 1), steps + arg * len(out)
+    for code, arg in _operands(room, min(room - 1, budget - steps)):
+        if len(code) + arg <= room:  # lit, inside the payload
+            head = "100" + code
+            for lit in range(1 << arg):
+                bits = format(lit, f"0{arg}b")
+                yield head + bits, out + bits, steps + arg
+    for code, _ in _operands(room, any_arg):  # jump, never taken
+        yield "101" + code, out, steps
+    yield "110", out, steps  # dec of 0
 
-    def walk(prefix: str, out: str, steps: int) -> None:
-        pc = len(prefix)
-        record(pc, prefix, prefix, 1, out)
-        room = top - pc - 3  # most bits after the opcode
+
+def _root_summary(top: int, budget: int, units: list[int]) -> tuple:
+    """Summary of every halting payload of length at most ``top`` under
+    the empty given, as (halting, violations, outputs, ends, weights).
+
+    The halting payloads that start with a prefix depend on the prefix
+    only through the machine state it leaves, (pc, output, steps), so one
+    summary per state serves every prefix that reaches it.  A state's
+    summary holds its halting count; its in-level prefix-check violations
+    (a level's payloads must come in strict lex order); in ``ends``, the
+    first and last of the level-p payloads at 2(p - pc) and 2(p - pc) + 1,
+    or -1 twice; and in ``weights``, the i-th output's mass in ``units``
+    at 2i and its best key, ``p << top | payload`` of its shortest, then
+    lex-least producer, at 2i + 1.  Payloads are ints left-aligned to
+    ``top`` bits with the prefix's bits clear, so a parent adds an edge to
+    a child's entries with one OR, and payloads of one level compare as
+    ints.
+
+    A state's own payload, which halts at its end, is a class of one at
+    level pc; then come its successors in lex order, then its ``HALT``,
+    which decides for each level p >= pc + 3 its 2**(p - pc - 3) suffixes
+    in one class.  A successor with no room for an opcode or no budget
+    left is a class of one.  Only states with room for an opcode in some
+    successor are kept, frozen into arrays; the others cost less to
+    derive again.  The memo lives for one call.
+    """
+    # imported here: the extension module adds resident memory, which a
+    # run that builds no enumeration need not load
+    from array import array
+
+    memo: dict[tuple[int, str, int], tuple] = {}
+
+    def summarize(pc: int, out: str, steps: int) -> tuple:
+        ends = [-1] * (2 * (top - pc + 1))
+        ends[0] = ends[1] = 0
+        outs, weights = [out], [units[pc], pc << top]
+        index = {out: 0}  # output -> its mass's place in weights
+        halting, violations = 1, 0
+
+        def add_class(p, first, last, count, output):
+            nonlocal halting
+            halting += count
+            add_run(p, first, last)
+            add_output(output, units[p] * count, p << top | first)
+
+        def add_run(p, first, last):
+            nonlocal violations
+            j = 2 * (p - pc)
+            if ends[j] < 0:
+                ends[j] = first
+            elif first <= ends[j + 1]:
+                violations += 1
+            ends[j + 1] = last
+
+        def add_output(output, mass, key):
+            i = index.get(output)
+            if i is None:
+                index[output] = len(weights)
+                outs.append(output)
+                weights.extend((mass, key))
+            else:
+                weights[i] += mass
+                if key < weights[i + 1]:
+                    weights[i + 1] = key
+
         steps += 1  # every instruction's base charge
-        if room < 0 or steps > budget:
-            return
-        if steps < budget:  # emit-0 and emit-1 charge 2
-            walk(prefix + "000", out + "0", steps + 1)
-            walk(prefix + "001", out + "1", steps + 1)
-        walk(prefix + "010", out, steps)  # echo of ""
-        any_arg = 1 << room  # above every value a room-bit code can hold
-        cap = (budget - steps) // len(out) if out else any_arg
-        for code, arg in _operands(room, cap):  # repeat
-            walk(prefix + "011" + code, out * (arg + 1), steps + arg * len(out))
-        for code, arg in _operands(room, min(room - 1, budget - steps)):
-            if len(code) + arg <= room:  # lit, inside the payload
-                head = prefix + "100" + code
-                for lit in range(1 << arg):
-                    bits = format(lit, f"0{arg}b")
-                    walk(head + bits, out + bits, steps + arg)
-        for code, _ in _operands(room, any_arg):  # jump, never taken
-            walk(prefix + "101" + code, out, steps)
-        walk(prefix + "110", out, steps)  # dec of 0
-        halt = prefix + "111"  # every suffix halts here
-        for fill in range(room + 1):
-            record(pc + 3 + fill, halt + "0" * fill, halt + "1" * fill,
-                   1 << fill, out)
+        room = top - pc - 3  # most bits after the opcode
+        if room >= 0 and steps <= budget:
+            for edge, child_out, child_steps in _next_states(
+                out, steps, room, budget
+            ):
+                child_pc = pc + len(edge)
+                shift = int(edge, 2) << (top - child_pc)
+                if child_pc + 3 > top or child_steps >= budget:
+                    add_class(child_pc, shift, shift, 1, child_out)
+                    continue
+                state = (child_pc, child_out, child_steps)
+                summary = memo.get(state)
+                if summary is None:
+                    summary = summarize(*state)
+                    if child_pc + 6 <= top:  # a successor has room
+                        # a mass is at most 2**max_program_len <= 2**30 and
+                        # a key below 22 << 21, so 4-byte ints hold both
+                        summary = memo[state] = (
+                            *summary[:2], tuple(summary[2]),
+                            array("i", summary[3]), array("i", summary[4]),
+                        )
+                (child_halting, child_violations, child_outs, child_ends,
+                 child_weights) = summary
+                halting += child_halting
+                violations += child_violations
+                pairs = iter(child_ends)
+                for p, first, last in zip(range(child_pc, top + 1), pairs,
+                                          pairs):
+                    if first >= 0:
+                        add_run(p, first | shift, last | shift)
+                pairs = iter(child_weights)
+                for output, mass, key in zip(child_outs, pairs, pairs):
+                    add_output(output, mass, key | shift)
+            halt = 0b111 << room  # every suffix halts here
+            for fill in range(room + 1):
+                ones = ((1 << fill) - 1) << (room - fill)
+                add_class(pc + 3 + fill, halt, halt | ones, 1 << fill, out)
+        return halting, violations, outs, ends, weights
 
-    walk("", "", 0)
+    try:
+        return summarize(0, "", 0)
+    finally:  # summarize holds itself: free its memo now, not at a gc pass
+        del summarize
 
 
 def header_len(payload_len: int) -> int:
@@ -290,7 +387,7 @@ def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, st
     return halted
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputInfo:
     k: int            # length of the first (shortest, lex-least) producer
     witness: str
@@ -342,9 +439,11 @@ class PrefixCheck:
 class Enumeration:
     """Exhaustive run of every valid program under the empty given.
 
-    ``_straight_walk`` runs each instruction prefix once for every payload
-    length when the enumeration is built.  Each class of halting programs
-    it finds feeds the counts, the masses and ``prefix_check`` as one run.
+    ``_root_summary`` composes the halting payloads of every length in one
+    pass per distinct machine state when the enumeration is built.  Its
+    summary gives the counts, the masses, each output's first producer
+    and ``prefix_violations``, the out-of-order and prefix pairs that
+    ``PrefixCheck`` counts among the halting programs, which must be 0.
     ``outputs`` keeps its first producers in (k, witness) order.  Masses
     are integers in units of ``2**-max_program_len``; ``kraft`` turns
     their total into a ``Fraction``.
@@ -355,11 +454,8 @@ class Enumeration:
         self.levels = capped_levels(cfg)  # 0..top, as header_len(p) + p grows
         self.outputs: dict[str, OutputInfo] = {}
         self.halting_count = 0
-        self.prefix_check = PrefixCheck()
+        self.prefix_violations = 0
         self._complete = False
-        self._headers = [gamma_encode(p + 1) for p in self.levels]
-        self._units = [1 << (cfg.max_program_len - len(header) - p)
-                       for p, header in enumerate(self._headers)]
         self.ensure_complete()
 
     @property
@@ -379,37 +475,39 @@ class Enumeration:
         points.sort(key=lambda t: (t[1], t[2]))
         return points
 
-    def _record(self, p: int, first: str, last: str, count: int,
-                output: str) -> None:
-        """Count a class of halting payloads of length ``p``; a level's
-        classes come in lex order, levels in any order."""
-        self.halting_count += count
-        header = self._headers[p]
-        program = header + first
-        mass = self._units[p] * count
-        info = self.outputs.get(output)
-        if info is None:
-            self.outputs[output] = OutputInfo(len(program), program, mass)
-        else:
-            info.mass_units += mass
-            if len(program) < info.k:  # a shorter level met later
-                info.k, info.witness = len(program), program
-        self.prefix_check.add_run(
-            p, program, program if count == 1 else header + last
-        )
-
     def ensure_complete(self) -> None:
-        """Record every level in one walk, then put ``outputs`` in
-        (k, witness) order; the constructor calls it, later calls do
+        """Summarize every level in one pass per distinct machine state,
+        then fill ``outputs`` in (k, witness) order and check the level
+        ends against each other; the constructor calls it, later calls do
         nothing."""
         if self._complete:
             return
         if self.levels:
-            _straight_walk(self.levels[-1], self.cfg.step_budget, self._record)
-        self.outputs = dict(sorted(
-            self.outputs.items(), key=lambda item: (item[1].k, item[1].witness)
-        ))
+            self._fill()
         self._complete = True
+
+    def _fill(self) -> None:
+        """Take every count from the root summary."""
+        top = self.levels[-1]
+        headers = [gamma_encode(p + 1) for p in self.levels]
+        units = [1 << (self.cfg.max_program_len - len(header) - p)
+                 for p, header in enumerate(headers)]
+        halting, violations, outs, ends, weights = _root_summary(
+            top, self.cfg.step_budget, units
+        )
+
+        def program(p: int, payload: int) -> str:
+            return headers[p] + bin(1 << p | payload >> (top - p))[3:]
+
+        for key, output, mass in sorted(zip(weights[1::2], outs, weights[::2])):
+            witness = program(key >> top, key & ((1 << top) - 1))
+            self.outputs[output] = OutputInfo(len(witness), witness, mass)
+        self.halting_count = halting
+        check = PrefixCheck()  # one run per level: compares the levels alone
+        for p, (first, last) in enumerate(zip(ends[::2], ends[1::2])):
+            if first >= 0:
+                check.add_run(p, program(p, first), program(p, last))
+        self.prefix_violations = violations + check.count()
 
     def lookup(self, target: str) -> OutputInfo | None:
         """First producer of ``target``."""

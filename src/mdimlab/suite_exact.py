@@ -39,7 +39,7 @@ def _machine_suite(cfg) -> SuiteReport:
     mass = enum.kraft
     rows = [
         at_most("prefix_free", "witness set", witnesses.count(), 0),
-        at_most("prefix_free", "halting set", enum.prefix_check.count(), 0),
+        at_most("prefix_free", "halting set", enum.prefix_violations, 0),
         check_row("kraft", "mass <= 1", str(mass), "1", mass <= 1),
     ]
     key = (cfg.machine.max_program_len, cfg.machine.step_budget)

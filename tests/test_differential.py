@@ -5,8 +5,9 @@ dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
 ``Fraction`` formulas behind the diluted and rational bit streams, the
 brute-force minimum over every index of a left-inverse search box, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
-enumeration (``machine.enumerate_halting``), every payload of a
-straight-line class run through ``machine._execute``, and the full 3**n
+enumeration (``machine.enumerate_halting``), the per-class walk over
+instruction prefixes that the state walk replaced, with every payload of
+its classes run through ``machine._execute``, and the full 3**n
 candidate scans behind the lattice point and the cube cover of a ball.  They are
 kept here, outside the package, as oracles for differential tests.
 """
@@ -21,8 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdimlab import functions, suite_geometry
-from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, distance_sq_parts
+from mdimlab import functions, machine, suite_geometry
+from mdimlab.codec import (
+    DyadicRational,
+    RationalPoint,
+    distance_sq,
+    distance_sq_parts,
+    gamma_encode,
+)
 from mdimlab.compressor import Lz78Parser
 from mdimlab.functions import (
     ModulusSpec,
@@ -54,9 +61,9 @@ from mdimlab.machine import (
     MachineConfig,
     PrefixCheck,
     _execute,
-    _straight_walk,
     enumerate_halting,
     exact_k,
+    valid_payload_lengths,
 )
 from mdimlab.oracles import (
     ConstantOracle,
@@ -203,6 +210,70 @@ def sorted_prefix_violations(programs):
     """Adjacent pairs of the sorted programs where one properly prefixes the next."""
     progs = sorted(programs)
     return sum(b.startswith(a) and a != b for a, b in zip(progs, progs[1:]))
+
+
+def straight_walk(top, budget, record):
+    """Pass every halting payload of length at most ``top`` under the empty
+    given to ``record(p, first, last, count, output)``, as classes of
+    ``count`` consecutive length-``p`` payloads from ``first`` to ``last``.
+
+    One depth-first walk over instruction prefixes, which runs each prefix
+    once for every length and reaches equal machine states once per
+    prefix.  A prefix of length p is itself a payload that halts at its
+    end; a ``HALT`` at pc decides, for each level p >= pc + 3, its
+    2**(p - pc - 3) suffixes in one class.  Each level's classes come in
+    payload lex order; the levels interleave.  Operands come from
+    ``machine._operands``, looked up on each call, so a test can plant a
+    fault in both walks at once.
+    """
+
+    def walk(prefix, out, steps):
+        pc = len(prefix)
+        record(pc, prefix, prefix, 1, out)
+        room = top - pc - 3  # most bits after the opcode
+        steps += 1  # every instruction's base charge
+        if room < 0 or steps > budget:
+            return
+        if steps < budget:  # emit-0 and emit-1 charge 2
+            walk(prefix + "000", out + "0", steps + 1)
+            walk(prefix + "001", out + "1", steps + 1)
+        walk(prefix + "010", out, steps)  # echo of ""
+        any_arg = 1 << room
+        cap = (budget - steps) // len(out) if out else any_arg
+        for code, arg in machine._operands(room, cap):  # repeat
+            walk(prefix + "011" + code, out * (arg + 1), steps + arg * len(out))
+        for code, arg in machine._operands(room, min(room - 1, budget - steps)):
+            if len(code) + arg <= room:  # lit, inside the payload
+                head = prefix + "100" + code
+                for lit in range(1 << arg):
+                    bits = format(lit, f"0{arg}b")
+                    walk(head + bits, out + bits, steps + arg)
+        for code, _ in machine._operands(room, any_arg):  # jump, never taken
+            walk(prefix + "101" + code, out, steps)
+        walk(prefix + "110", out, steps)  # dec of 0
+        halt = prefix + "111"  # every suffix halts here
+        for fill in range(room + 1):
+            record(pc + 3 + fill, halt + "0" * fill, halt + "1" * fill,
+                   1 << fill, out)
+
+    walk("", "", 0)
+
+
+def straight_walk_counts(cfg):
+    """(halting count, halting-set prefix violations) of ``cfg`` from the
+    per-class walk, each class filed as one ``PrefixCheck`` run."""
+    levels = valid_payload_lengths(cfg.max_program_len)
+    headers = [gamma_encode(p + 1) for p in levels]
+    check = PrefixCheck()
+    halting = 0
+
+    def record(p, first, last, count, output):
+        nonlocal halting
+        halting += count
+        check.add_run(p, headers[p] + first, headers[p] + last)
+
+    straight_walk(levels[-1], cfg.step_budget, record)
+    return halting, check.count()
 
 
 # ---- LZ78 --------------------------------------------------------------------
@@ -446,7 +517,7 @@ def test_enumeration_matches_per_program_reference(max_len, budget):
         output: [info.k, info.witness, Fraction(info.mass_units, 2**max_len)]
         for output, info in enum.outputs.items()
     } == expected
-    assert enum.prefix_check.count() == sorted_prefix_violations(
+    assert enum.prefix_violations == sorted_prefix_violations(
         p for p, _ in reference
     ) == 0
     # outputs keep the order in which the reference first produces them
@@ -484,7 +555,7 @@ def test_straight_classes_expand_to_per_program_runs(budget):
             assert _execute(payload, "", budget) == output
             expanded[p].append(payload)
 
-    _straight_walk(top, budget, record)
+    straight_walk(top, budget, record)
     for p in range(top + 1):
         payloads = (format(i, "b")[1:] for i in range(1 << p, 2 << p))
         assert expanded[p] == [
@@ -493,20 +564,21 @@ def test_straight_classes_expand_to_per_program_runs(budget):
         ]
 
 
-def test_straight_walk_visits_each_prefix_once():
-    # the unconditional (24, 256) enumeration walks its 9,217 instruction
-    # prefixes once for all 16 payload lengths; a walk per length made
-    # 18,482 visits
-    walk_code = next(
-        c for c in _straight_walk.__code__.co_consts
-        if getattr(c, "co_name", None) == "walk"
+def test_walk_summarizes_states_not_prefixes():
+    # the unconditional (24, 256) enumeration has 9,217 instruction
+    # prefixes, which the per-class walk visited once each; the state walk
+    # computes one summary per kept state and per state it derives again,
+    # 520 in all
+    summarize = next(
+        c for c in machine._root_summary.__code__.co_consts
+        if getattr(c, "co_name", None) == "summarize"
     )
-    visits = 0
+    summaries = 0
 
     def profile(frame, event, arg):
-        nonlocal visits
-        if event == "call" and frame.f_code is walk_code:
-            visits += 1
+        nonlocal summaries
+        if event == "call" and frame.f_code is summarize:
+            summaries += 1
 
     sys.setprofile(profile)
     try:  # an enumeration walks when it is built
@@ -514,7 +586,44 @@ def test_straight_walk_visits_each_prefix_once():
     finally:
         sys.setprofile(None)
     assert enum.halting_count == 31672
-    assert visits <= 10_000
+    assert summaries <= 1_000
+
+
+# each fault rewrites the operand codes of every call: the first codes are
+# the longest and lead to classes of one, the last are the shortest and
+# lead to states with successors of their own
+PLANTED_FAULTS = {
+    "first-duplicated": lambda codes: codes[:1] + codes,
+    "first-two-swapped": lambda codes: codes[1::-1] + codes[2:],
+    "last-duplicated": lambda codes: codes + codes[-1:],
+    "last-two-swapped": lambda codes: codes[:-2] + codes[:-3:-1],
+}
+# halting-set violations under each fault at (16, 1000), (20, 50), (24, 256)
+PLANTED_VIOLATIONS = {
+    "first-duplicated": (20, 410, 1286),
+    "first-two-swapped": (10, 90, 378),
+    "last-duplicated": (43, 803, 3209),
+    "last-two-swapped": (3, 39, 143),
+}
+PLANTED_CONFIGS = [(16, 1000), (20, 50), (24, 256)]
+
+
+@pytest.mark.parametrize("config", range(len(PLANTED_CONFIGS)),
+                         ids=[f"{m}-{b}" for m, b in PLANTED_CONFIGS])
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_halting_set_check_flags_planted_walk_faults(monkeypatch, fault,
+                                                     config):
+    # a walk that emits an operand twice or two out of order files
+    # payloads twice or out of lex order; the state walk's halting-set
+    # check counts exactly the violations the per-class reference does
+    operands, rewrite = machine._operands, PLANTED_FAULTS[fault]
+    monkeypatch.setattr(machine, "_operands", lambda room, cap: iter(
+        rewrite(list(operands(room, cap)))))
+    cfg = MachineConfig(*PLANTED_CONFIGS[config])
+    enum = Enumeration(cfg)
+    reference = straight_walk_counts(cfg)
+    assert (enum.halting_count, enum.prefix_violations) == reference
+    assert enum.prefix_violations == PLANTED_VIOLATIONS[fault][config] >= 1
 
 
 def _prefix_check_count(levels):

@@ -137,17 +137,17 @@ class TestMachineSuite:
 
     def test_runs_each_program_once(self, monkeypatch):
         # one exhaustive pass feeds the counts, the mass and both prefix
-        # checks: the suite's one enumeration walks once for every level, its
-        # classes share prefix runs instead of running payloads one by one,
-        # and they count every halting program of the per-program reference
-        walks = []
+        # checks: the suite's one enumeration summarizes its machine states
+        # once for every level, instead of running payloads one by one, and
+        # it counts every halting program of the per-program reference
+        builds = []
         executed = 0
-        straight_walk = machine._straight_walk
+        root_summary = machine._root_summary
         execute = machine._execute
 
-        def counted_walk(top, budget, record):
-            walks.append(record.__self__)
-            return straight_walk(top, budget, record)
+        def counted_summary(top, budget, units):
+            builds.append((top, budget))
+            return root_summary(top, budget, units)
 
         def counted_execute(*args):
             nonlocal executed
@@ -155,13 +155,13 @@ class TestMachineSuite:
             return execute(*args)
 
         monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-        monkeypatch.setattr(machine, "_straight_walk", counted_walk)
+        monkeypatch.setattr(machine, "_root_summary", counted_summary)
         monkeypatch.setattr(machine, "_execute", counted_execute)
         cfg = config_from_mapping({"suite": "machine",
                                    "machine": FAST_MACHINE})
         assert run_suite(cfg).fail_count == 0
         enum = machine.get_enumeration(cfg.machine)
-        assert walks == [enum]
+        assert builds == [(enum.levels[-1], cfg.machine.step_budget)]
         assert executed == 0
         assert enum.halting_count == len(machine.enumerate_halting(cfg.machine))
 

@@ -208,6 +208,19 @@ def test_conditional_k_leaves_one_cache_entry(monkeypatch):
     assert set(machine._ENUM_CACHE) <= {CFG}
 
 
+def test_enumeration_adds_no_cache(monkeypatch):
+    # the state walk's memo lives for one build: the module keeps its two
+    # dicts and the enumeration holds no table besides its outputs
+    monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+    enum = machine.Enumeration(MachineConfig(24, 256))
+    assert {name for name, value in vars(machine).items()
+            if isinstance(value, dict) and not name.startswith("__")
+            } == {"_OPCODES", "_ENUM_CACHE"}
+    assert machine._ENUM_CACHE == {}
+    assert set(vars(enum)) == {"cfg", "levels", "outputs", "halting_count",
+                               "prefix_violations", "_complete"}
+
+
 def test_conditioning_can_only_help_via_echo():
     # a target that is unreachable unconditionally costs only the echo
     # program once it is supplied as the conditional input

@@ -172,7 +172,7 @@ def defined_functions():
 def test_scanner_names_nested_functions_and_methods():
     names = set(defined_functions().values())
     assert {"machine.Enumeration.ensure_complete",
-            "machine._straight_walk.<locals>.walk",
+            "machine._root_summary.<locals>.summarize",
             "codec.json_int"} <= names
     assert not any("<lambda>" in name or "<genexpr>" in name for name in names)
 
