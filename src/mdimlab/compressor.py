@@ -21,11 +21,22 @@ kept for later forks read-only and compact: its child lists become 4-byte
 object per phrase).  A frozen parse refuses ``feed``; its copies are
 backed by lists again, since the parse loop runs slower on arrays.
 
+``feed`` takes an optional cost ceiling, so a caller after the cheapest of
+several strings can stop parsing one that cannot win.  The cost never
+decreases as bits are fed: a bit that extends the partial phrase leaves it
+unchanged, one that starts a phrase adds that phrase's charge, and closing
+a phrase adds exactly the charge the partial phrase already carried.  So
+once the closed cost reaches the ceiling, the whole string's cost does too,
+and the parse stops there; the comparison is made only when a phrase
+closes, not once per bit.
+
 Costs are reproducible integers, so profiles taken at different times or
 processes agree bit for bit.
 """
 
 from __future__ import annotations
+
+from operator import length_hint
 
 
 # ASCII '0'/'1' to the byte values 0/1, so a bit indexes the child lists
@@ -75,11 +86,17 @@ class Lz78Parser:
             raise ValueError(f"bit must be '0' or '1', got {bit!r}")
         self.feed(bit)
 
-    def feed(self, bits: str) -> "Lz78Parser":
+    def feed(self, bits: str, ceiling: float = float("inf")) -> "Lz78Parser":
         """Parse ``bits`` on from the current state.
 
         The whole string is checked first, so a bad character raises
         before any state changes.  A frozen parser raises too: feed a copy.
+
+        With a ``ceiling``, the parse stops at the first phrase close that
+        brings the cost to the ceiling or above.  The parser then holds the
+        exact parse of the bits consumed so far, and ``length`` counts
+        only those.  Since ``cost`` never decreases as bits are fed, the
+        parse of the whole string would cost at least the ceiling too.
         """
         if not isinstance(self._zero, list):
             raise ValueError("a frozen parse is not fed; feed a copy")
@@ -91,7 +108,8 @@ class Lz78Parser:
         node = self._node
         cost = self._closed_cost
         tokens = self._tokens
-        for bit in bits.encode().translate(_BIT_VALUES):
+        unread = iter(bits.encode().translate(_BIT_VALUES))
+        for bit in unread:
             children = children_by_bit[bit]
             child = children[node]
             if child:
@@ -103,10 +121,12 @@ class Lz78Parser:
                 zero.append(0)
                 one.append(0)
                 node = 0
+                if cost >= ceiling:
+                    break
         self._node = node
         self._closed_cost = cost
         self._tokens = tokens
-        self._length += len(bits)
+        self._length += len(bits) - length_hint(unread)
         return self
 
     @property

@@ -20,6 +20,7 @@ emitted bits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,20 +84,26 @@ def pair_cost(
     from a copy of its first block's parse, so only second blocks are
     parsed and the two parses are left as they were.  Equal arguments make
     both orders the same two strings, so only one order is tried.
+
+    Each layout is parsed with the cheapest cost so far as its ceiling
+    (``Lz78Parser.feed``), so one that cannot win stops early.  The
+    differenced layouts go first, since they are usually the cheaper, and
+    each second block is built only when it is parsed.
     """
     orders = [(cols_x, cols_y, first_x)]
     if list(cols_x) != list(cols_y):
         orders.append((cols_y, cols_x, first_y))
-    return JOINT_FLAG_BITS + min(_order_cost(*order) for order in orders)
+    best = math.inf
+    for differenced in (True, False):
+        for a, b, first in orders:
+            second = _differenced(b, a) if differenced else b
+            best = min(best, first.copy().feed("".join(second), best).cost)
+    return JOINT_FLAG_BITS + best
 
 
-def _order_cost(a: Sequence[str], b: Sequence[str], first: Lz78Parser) -> int:
-    """Cheaper of ``a`` then ``b`` plain and ``a`` then ``b`` differenced."""
-    plain = first.copy().feed("".join(b)).cost
-    diffed = [
-        _xor_bits(col, a[i]) if i < len(a) else col for i, col in enumerate(b)
-    ]
-    return min(plain, first.copy().feed("".join(diffed)).cost)
+def _differenced(b: Sequence[str], a: Sequence[str]) -> list[str]:
+    """Each column of ``b`` XOR its partner in ``a``; unpartnered ones as is."""
+    return [_xor_bits(col, a[i]) if i < len(a) else col for i, col in enumerate(b)]
 
 
 def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:

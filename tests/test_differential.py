@@ -387,6 +387,58 @@ def test_lz78_matches_dict_trie_on_long_streams(stream):
         assert _state(fast) == _state(slow)
 
 
+@settings(max_examples=200)
+@given(biased_bits)
+def test_lz78_cost_never_decreases_as_bits_are_fed(bits):
+    # a ceilinged feed stops once the cost reaches its ceiling, which is
+    # exact only because the cost never falls back below it
+    parser = Lz78Parser()
+    costs = [parser.cost]
+    for bit in bits:
+        parser.push(bit)
+        costs.append(parser.cost)
+    assert costs == sorted(costs)
+
+
+def _ceiling_stop(prefix, bits, ceiling):
+    """Bits of ``bits`` fed after ``prefix`` up to and including the first
+    phrase close whose cost reaches ``ceiling``; all of them if none does."""
+    slow = _dict_trie_of(prefix)
+    for at, bit in enumerate(bits, 1):
+        closed = slow.tokens
+        slow.push(bit)
+        if slow.tokens > closed and slow.cost >= ceiling:
+            return at
+    return len(bits)
+
+
+@settings(max_examples=300)
+@given(biased_bits, biased_bits, st.data())
+def test_lz78_feed_stops_at_the_first_close_reaching_the_ceiling(
+        prefix, bits, data):
+    start, full = _dict_trie_of(prefix).cost, _dict_trie_of(prefix + bits).cost
+    # half the ceilings fall within what ``bits`` adds to the cost
+    ceiling = data.draw(st.integers(min_value=0, max_value=full)
+                        | st.integers(min_value=start, max_value=full))
+    parser = Lz78Parser().feed(prefix).feed(bits, ceiling)
+    consumed = parser.length - len(prefix)
+    assert consumed == _ceiling_stop(prefix, bits, ceiling)
+    # the exact parse of what was consumed, and nothing of the rest
+    assert _state(parser) == _state(_dict_trie_of(prefix + bits[:consumed]))
+    if consumed < len(bits):
+        assert parser.cost >= ceiling
+
+
+@settings(max_examples=200)
+@given(biased_bits, biased_bits, st.integers(min_value=0, max_value=40))
+def test_lz78_ceiling_at_or_above_the_full_cost_parses_everything(
+        prefix, bits, above):
+    whole = _state(_dict_trie_of(prefix + bits))
+    assert _state(Lz78Parser().feed(prefix).feed(bits)) == whole
+    ceiling = whole[0] + above
+    assert _state(Lz78Parser().feed(prefix).feed(bits, ceiling)) == whole
+
+
 # ---- dyadic canonicalization -----------------------------------------------------
 
 

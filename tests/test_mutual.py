@@ -1,5 +1,6 @@
 """Mutual information profiles and the slope-based dimension estimator."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -73,17 +74,33 @@ def _state(parser):
 
 
 @pytest.fixture
-def fed_bits(monkeypatch):
-    """Lengths of the strings fed to any ``Lz78Parser`` from now on."""
-    fed = []
+def feeds(monkeypatch):
+    """Bits offered to and consumed by any ``Lz78Parser.feed`` from now on,
+    one entry per call in each of two lists."""
+    offered, consumed = [], []
     feed = Lz78Parser.feed
 
-    def counted_feed(parser, bits):
-        fed.append(len(bits))
-        return feed(parser, bits)
+    def counted_feed(parser, bits, *ceiling):
+        before = parser.length
+        feed(parser, bits, *ceiling)
+        offered.append(len(bits))
+        consumed.append(parser.length - before)
+        return parser
 
     monkeypatch.setattr(Lz78Parser, "feed", counted_feed)
-    return fed
+    return offered, consumed
+
+
+@pytest.fixture
+def fed_bits(feeds):
+    """Lengths of the strings offered to any ``Lz78Parser`` from now on."""
+    return feeds[0]
+
+
+@pytest.fixture
+def parsed_bits(feeds):
+    """How many bits of each string offered from now on were parsed."""
+    return feeds[1]
 
 
 def _column(width):
@@ -128,7 +145,7 @@ class TestPairCost:
         assert _pair_cost(cols_y, cols_x) == reference_pair_cost(cols_x, cols_y)
 
     @pytest.mark.parametrize("same", [False, True])
-    def test_feeds_only_second_blocks(self, fed_bits, same):
+    def test_feeds_only_second_blocks(self, fed_bits, parsed_bits, same):
         a = point_columns(make_oracle(D12).query(64), 64)
         b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 2})
                           .query(64), 64)
@@ -136,11 +153,15 @@ class TestPairCost:
             b = list(a)
         first_a, first_b = _first(a), _first(b)
         size_a, size_b = len("".join(a)), len("".join(b))
-        del fed_bits[:]
+        del fed_bits[:], parsed_bits[:]
         pair_cost(a, b, first_a, first_b)
         # each order feeds its plain and its differenced second block to
         # copies of the first block's parse; equal arguments try one order
         assert sum(fed_bits) == (2 * size_a if same else 2 * (size_a + size_b))
+        if same:
+            # the differenced block, all zeros, is parsed whole; the plain
+            # one stops once it costs as much
+            assert sum(parsed_bits) == 112  # of 144 offered
 
     def test_passed_parses_are_left_as_they_were(self):
         a = point_columns(make_oracle(D12).query(64), 64)
@@ -161,7 +182,7 @@ class TestPairCost:
         assert [k_r_parse(o, r) for o in (x, y) for r in SHORT] == held
         assert [_state(parser) for parser in held] == states
 
-    def test_warm_k_r_pair_feeds_no_first_block(self, fed_bits):
+    def test_warm_k_r_pair_feeds_no_first_block(self, fed_bits, parsed_bits):
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 2})
         r = 1024
@@ -171,6 +192,11 @@ class TestPairCost:
         size_x = len(point_representation(x.query(r), r))
         size_y = len(point_representation(y.query(r), r))
         assert sum(fed_bits) == 2 * (size_x + size_y)
+        # equal arguments: the plain layout stops once it cannot win
+        del fed_bits[:], parsed_bits[:]
+        k_r_pair(x, x, r)
+        assert sum(fed_bits) == 2 * size_x == 2064
+        assert sum(parsed_bits) == 1325
 
 
 class TestGridMutual:
@@ -344,6 +370,23 @@ class TestKrMemo:
             for r in requests:
                 k_r(x, r)
         assert asked == list(requests)
+
+    @pytest.mark.parametrize("spec", [("scale", {"c": "-1"}),
+                                      ("hilbert2d", {})])
+    def test_an_image_is_evaluated_once_per_precision(self, spec):
+        # k_r and the pair coder both read each precision's image point
+        f = library_function(*spec)
+        evaluated = []
+
+        def counted(x, r):
+            evaluated.append(r)
+            return f.evaluator(x, r)
+
+        counted_f = dataclasses.replace(f, evaluator=counted)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 1})
+        prof = mdim_estimate(ImageOracle(counted_f, make_oracle(D12)), y, SHORT)
+        assert evaluated == list(SHORT)
+        assert prof == mdim_estimate(ImageOracle(f, make_oracle(D12)), y, SHORT)
 
     @pytest.mark.parametrize("name", sorted(MEMO_ORACLES))
     @pytest.mark.parametrize("start", [1, 3, 5])
