@@ -30,6 +30,19 @@ once the closed cost reaches the ceiling, the whole string's cost does too,
 and the parse stops there; the comparison is made only when a phrase
 closes, not once per bit.
 
+``feed`` checks its input in one pass: it translates the string through a
+table that sends ``0`` and ``1`` to the byte values 0 and 1 and every other
+character to 2, then looks for a 2.  It then skips whole phrases along long
+runs of one bit.  The dictionary is prefix-closed, so the phrases made only
+of zeros form one chain 0, 00, ..., 0^D.  A phrase that starts at the root
+inside a zero run with at least D + 1 bits left is 0^(D+1): the zero child
+of the chain's tip, added at O(1) cost with no step per bit.  Runs of ones
+work the same way.  Runs of at least ``RUN_MIN`` bits are found with
+``bytes.find``; a run entered mid-phrase is walked bit by bit until that
+phrase closes, and the bits left after the last whole phrase of a run end
+at the chain node of that length.  The parse, the costs and the ceiling
+stops are exactly those of the bit-by-bit loop.
+
 Costs are reproducible integers, so profiles taken at different times or
 processes agree bit for bit.
 """
@@ -39,8 +52,13 @@ from __future__ import annotations
 from operator import length_hint
 
 
-# ASCII '0'/'1' to the byte values 0/1, so a bit indexes the child lists
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# ASCII '0'/'1' to the byte values 0/1, so a bit indexes the child lists;
+# every other byte to 2, which marks a bad character
+_BIT_VALUES = bytes(0 if c == 48 else 1 if c == 49 else 2 for c in range(256))
+
+# the shortest run of one bit that ``feed`` skips phrase by phrase
+RUN_MIN = 64
+_RUNS = (bytes(RUN_MIN), b"\x01" * RUN_MIN)
 
 
 def _token_cost(index: int) -> int:
@@ -89,8 +107,11 @@ class Lz78Parser:
     def feed(self, bits: str, ceiling: float = float("inf")) -> "Lz78Parser":
         """Parse ``bits`` on from the current state.
 
-        The whole string is checked first, so a bad character raises
-        before any state changes.  A frozen parser raises too: feed a copy.
+        The whole string is checked first, in one translate pass, so a bad
+        character raises before any state changes.  A frozen parser raises
+        too: feed a copy.  Runs of at least ``RUN_MIN`` equal bits are
+        parsed a phrase at a time rather than a bit at a time, with the
+        same result.
 
         With a ``ceiling``, the parse stops at the first phrase close that
         brings the cost to the ceiling or above.  The parser then holds the
@@ -100,7 +121,8 @@ class Lz78Parser:
         """
         if not isinstance(self._zero, list):
             raise ValueError("a frozen parse is not fed; feed a copy")
-        if bits.count("0") + bits.count("1") != len(bits):
+        data = bits.encode("ascii", "replace").translate(_BIT_VALUES)
+        if 2 in data:
             bad = next(c for c in bits if c != "0" and c != "1")
             raise ValueError(f"bit must be '0' or '1', got {bad!r}")
         zero, one = self._zero, self._one
@@ -108,25 +130,82 @@ class Lz78Parser:
         node = self._node
         cost = self._closed_cost
         tokens = self._tokens
-        unread = iter(bits.encode().translate(_BIT_VALUES))
-        for bit in unread:
-            children = children_by_bit[bit]
-            child = children[node]
-            if child:
-                node = child
+        pos, end = 0, len(data)
+        # where the next run of each bit starts, end if none; -1 until found
+        run_at = [-1, -1]
+        # the nodes of the phrases 0, 00, ... and 1, 11, ..., root first
+        chains = ([0], [0])
+        while True:
+            for bit in (0, 1):
+                if run_at[bit] < pos:
+                    at = data.find(_RUNS[bit], pos)
+                    run_at[bit] = end if at < 0 else at
+            bit = 0 if run_at[0] < run_at[1] else 1
+            start = run_at[bit]
+            unread = iter(data[pos:start])
+            for b in unread:
+                children = children_by_bit[b]
+                child = children[node]
+                if child:
+                    node = child
+                else:
+                    cost += tokens.bit_length() + 1
+                    tokens += 1
+                    children[node] = tokens
+                    zero.append(0)
+                    one.append(0)
+                    node = 0
+                    if cost >= ceiling:
+                        break
             else:
-                cost += tokens.bit_length() + 1
-                tokens += 1
-                children[node] = tokens
-                zero.append(0)
-                one.append(0)
-                node = 0
-                if cost >= ceiling:
+                pos = start
+                if pos == end:
                     break
+                run_end = data.find(1 - bit, pos)
+                if run_end < 0:
+                    run_end = end
+                children = children_by_bit[bit]
+                chain = chains[bit]
+                tip = children[chain[-1]]
+                while tip:
+                    chain.append(tip)
+                    tip = children[tip]
+                # a phrase open where the run starts goes on bit by bit; one
+                # that starts at the root is the chain's next link if it fits
+                while pos < run_end:
+                    if not node:
+                        depth = len(chain) - 1
+                        if run_end - pos <= depth:
+                            node = chain[run_end - pos]
+                            pos = run_end
+                            continue
+                        node = chain[depth]
+                        pos += depth
+                    pos += 1
+                    child = children[node]
+                    if child:
+                        node = child
+                        continue
+                    cost += tokens.bit_length() + 1
+                    tokens += 1
+                    children[node] = tokens
+                    zero.append(0)
+                    one.append(0)
+                    if node == chain[-1]:
+                        chain.append(tokens)
+                    node = 0
+                    if cost >= ceiling:
+                        break
+                else:
+                    continue
+                break  # stopped at the ceiling inside the run
+            # stopped at the ceiling in the bit loop
+            pos = start - length_hint(unread)
+            break
         self._node = node
         self._closed_cost = cost
         self._tokens = tokens
-        self._length += len(bits) - length_hint(unread)
+        self._length += pos
         return self
 
     @property

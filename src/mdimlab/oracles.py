@@ -50,8 +50,11 @@ class BitStream:
     Source contract: ``block(i)`` returns, as a ``str`` of ``0``/``1``, the
     bits from index i to the end of the block that holds i.  It must answer
     any index in any order, so a source keeps no state between calls; the
-    stream asks at its buffer length and appends the whole run.  A result
-    that is not a non-empty string of ``0``/``1`` raises ``ValueError``.
+    stream asks at its buffer length and writes the whole run at that
+    offset.  Two threads that extend one stream at once may both fetch a
+    block, but both write the same bits to the same place, so no lock is
+    needed.  A result that is not a non-empty string of ``0``/``1`` raises
+    ``ValueError``.
     """
 
     def __init__(self, block: Callable[[int], str]):
@@ -61,10 +64,11 @@ class BitStream:
     def _extend(self, k: int) -> None:
         buf = self._buf
         while len(buf) < k:
-            bits = self._block(len(buf))
+            start = len(buf)
+            bits = self._block(start)
             if not isinstance(bits, str) or not bits or bits.strip("01"):
                 raise ValueError(f"bit source produced {bits!r}")
-            buf += bits.encode()
+            buf[start:start + len(bits)] = bits.encode()
 
     def prefix(self, k: int) -> str:
         if len(self._buf) < k:

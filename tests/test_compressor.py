@@ -5,6 +5,8 @@ ceil-log of the dictionary size plus one bit, and a dangling partial
 phrase at the end of input is charged like a finished one.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,9 +77,12 @@ def test_cost_scales_sublinearly_on_constant_input():
 def test_feed_rejects_bad_character_before_any_state_change():
     parser = Lz78Parser().feed("0110")
     state = (parser.length, parser.cost, parser.phrase_count)
-    with pytest.raises(ValueError, match="'x'"):
-        parser.feed("01x1")
-    assert (parser.length, parser.cost, parser.phrase_count) == state
+    # the bytes 0 and 1 are the parse's own bit values, not input bits
+    for bad in ("x", chr(0), chr(1), "2", "\u00e9", "\ud800"):
+        for bits in ("01" + bad + "1", "1" * 200 + bad + "0" * 100):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                parser.feed(bits)
+            assert (parser.length, parser.cost, parser.phrase_count) == state
     # the parse goes on as if the bad string had never been offered
     assert parser.feed("0111").cost == lz78_cost("01100111")
 

@@ -281,6 +281,10 @@ def straight_walk_counts(cfg):
 biased_bits = st.one_of(
     st.text(alphabet="01", max_size=600),
     st.lists(st.sampled_from("0000000001"), max_size=600).map("".join),
+    # runs of either bit on both sides of RUN_MIN, which ``feed`` skips a
+    # phrase at a time: entered mid-phrase, ending the string, holding a stop
+    st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 300)),
+             max_size=8).map(lambda runs: "".join(b * n for b, n in runs)),
 )
 
 
@@ -374,6 +378,7 @@ def test_lz78_copy_of_a_frozen_empty_parser(bits):
     hash_stream(5),
     diluted_stream(5, Fraction(1, 3), period=256),
     rational_stream(Fraction(5, 7)),
+    diluted_stream(5, Fraction(1, 2)),
 ])
 def test_lz78_matches_dict_trie_on_long_streams(stream):
     # thousands of phrases, past anything the sampled strings reach
@@ -385,6 +390,8 @@ def test_lz78_matches_dict_trie_on_long_streams(stream):
         for bit in chunk:
             slow.push(bit)
         assert _state(fast) == _state(slow)
+    # in one feed, the diluted padding is runs of a thousand zeros
+    assert _state(Lz78Parser().feed(bits)) == _state(slow)
 
 
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
 from mdimlab.complexity import k_r, k_r_parse, point_columns, point_representation
 from mdimlab.compressor import Lz78Parser, lz78_cost
 from mdimlab.functions import ImageOracle, library_function
+from mdimlab.harness import config_from_mapping, run_suite
 from mdimlab.machine import MachineConfig
 from mdimlab.mutual import (
     dim_estimate,
@@ -197,6 +198,16 @@ class TestPairCost:
         k_r_pair(x, x, r)
         assert sum(fed_bits) == 2 * size_x == 2064
         assert sum(parsed_bits) == 1325
+
+
+def test_default_mdim_run_offers_and_parses_pinned_bits(feeds):
+    # every feed of one default ``mdim`` run, reference parses included;
+    # the consumed count holds only if runs of one bit, parsed a phrase at
+    # a time, add to ``length`` exactly what the bit loop would
+    reference_ratio.cache_clear()
+    run_suite(config_from_mapping({"suite": "mdim"}))
+    offered, consumed = feeds
+    assert (sum(offered), sum(consumed)) == (3_967_488, 3_398_351)
 
 
 class TestGridMutual:

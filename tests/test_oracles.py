@@ -1,6 +1,8 @@
 """Point-oracle tests: pinned streams, dilution layout, query consistency."""
 
 import hashlib
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,36 @@ def test_bit_stream_rejects_bad_source():
         stream = BitStream(source)
         with pytest.raises(ValueError):
             stream.bit(0)
+
+
+def test_threads_reading_one_stream_see_its_bits():
+    # threads that extend one stream at once can fetch the same block; each
+    # block lands at its own offset, so none is appended twice
+    n = 1 << 13
+    expected = hash_stream(11).prefix(n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            stream = hash_stream(11)
+            start = threading.Barrier(8, timeout=30)
+            read = []
+
+            def reader(k):
+                start.wait()
+                read.append(stream.prefix(k) == expected[:k])
+
+            threads = [threading.Thread(target=reader, args=(n - 97 * t,))
+                       for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert read == [True] * 8
+            assert stream.prefix(n) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stream_asks_its_source_once_per_block(monkeypatch):
