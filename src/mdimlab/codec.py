@@ -13,7 +13,6 @@ Layout
 * ``encode_point(p)`` = ``encode_int(n)`` then ``encode_int(R)`` then the
   ``n`` coordinate numerators at the common exponent ``R = max(exp_i)``,
   each via ``encode_int``.
-* ``pair(a, b)``      = ``encode_int(len(a))`` then ``a`` then ``b``.
 
 All decoders consume an unambiguous prefix; trailing bits are ignored and
 returned to the caller via the new position.
@@ -25,10 +24,6 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class MalformedPairError(ValueError):
-    """A bit string does not parse as a self-delimiting pair."""
 
 
 def zigzag(z: int) -> int:
@@ -198,19 +193,6 @@ def try_decode_exact_point(bits: str) -> RationalPoint | None:
     if pos != len(bits) or encode_point(p) != bits:
         return None
     return p
-
-
-def pair(a: str, b: str) -> str:
-    return encode_int(len(a)) + a + b
-
-def unpair(bits: str) -> tuple[str, str]:
-    try:
-        alen, pos = decode_int(bits, 0)
-    except ValueError as err:
-        raise MalformedPairError(str(err)) from None
-    if alen < 0 or pos + alen > len(bits):
-        raise MalformedPairError(f"declared first length {alen} overruns input")
-    return bits[pos : pos + alen], bits[pos + alen :]
 
 
 class _ReadKeys(Mapping):

@@ -143,34 +143,35 @@ def ball_points(
 # LZ78 parses online, so when a representation extends the one at the
 # oracle's highest memoized precision, a copy of that parse fed the tail
 # costs the same as a parse of the whole string.  The highest representation
-# is kept as its length and integer value, enough to test that exactly
-# without querying the oracle again.  A one-coordinate point's columns nest
+# is kept as its precision, length and integer value, enough to test that
+# exactly without querying the oracle again.  The three go in one ``top``
+# record, written in one store: equal ``ConstantOracle``s hash by value and
+# share one memo entry, so a reader on another thread sees the old record
+# or the new one, never a mix.  A one-coordinate point's columns nest
 # across precisions; the columns of a point of several coordinates seldom
 # do, since its first column grows into where the second one started.
 
 
 class _OracleParses:
-    """One oracle's frozen parses by precision, and the highest one's text."""
+    """One oracle's frozen parses by precision, and the highest one's text
+    as ``top``: (precision, length, integer value), precision -1 at first."""
 
-    __slots__ = ("parses", "top", "top_length", "top_value")
+    __slots__ = ("parses", "top")
 
     def __init__(self) -> None:
         self.parses: dict[int, Lz78Parser] = {}
-        self.top = -1
-        self.top_length = 0
-        self.top_value = 0
+        self.top = (-1, 0, 0)
 
     def parse(self, x: PointOracle, r: int) -> Lz78Parser:
         text = point_representation(x.query(r), r)
-        n = self.top_length
-        if (r > self.top >= 0 and len(text) >= n
-                and int(text[:n], 2) == self.top_value):
-            parser = self.parses[self.top].copy().feed(text[n:])
+        top, n, value = self.top
+        if r > top >= 0 and len(text) >= n and int(text[:n], 2) == value:
+            parser = self.parses[top].copy().feed(text[n:])
         else:
             parser = Lz78Parser().feed(text)
         self.parses[r] = parser.freeze()
-        if r > self.top:
-            self.top, self.top_length, self.top_value = r, len(text), int(text, 2)
+        if r > self.top[0]:
+            self.top = (r, len(text), int(text, 2))
         return parser
 
 

@@ -99,11 +99,6 @@ class Lz78Parser:
         self._one = array("I", self._one)
         return self
 
-    def push(self, bit: str) -> None:
-        if bit != "0" and bit != "1":
-            raise ValueError(f"bit must be '0' or '1', got {bit!r}")
-        self.feed(bit)
-
     def feed(self, bits: str, ceiling: float = float("inf")) -> "Lz78Parser":
         """Parse ``bits`` on from the current state.
 

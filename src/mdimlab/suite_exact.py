@@ -17,7 +17,7 @@ from .complexity import (
     k_of_precision,
 )
 from .geometry import LdsRecord, dyadic_lds
-from .machine import PrefixCheck, get_enumeration
+from .machine import count_prefix_pairs, get_enumeration
 from .oracles import ConstantOracle
 from .report import (
     InvalidConfigError,
@@ -31,14 +31,13 @@ from .report import (
 
 def _machine_suite(cfg) -> SuiteReport:
     enum = get_enumeration(cfg.machine)
-    witnesses = PrefixCheck()
-    witnesses.add_level(
-        (w, w) for w in sorted(info.witness for info in enum.outputs.values())
+    witnesses = count_prefix_pairs(
+        (info.witness, info.witness) for info in enum.outputs.values()
     )
     halting = enum.halting_count
     mass = enum.kraft
     rows = [
-        at_most("prefix_free", "witness set", witnesses.count(), 0),
+        at_most("prefix_free", "witness set", witnesses, 0),
         at_most("prefix_free", "halting set", enum.prefix_violations, 0),
         check_row("kraft", "mass <= 1", str(mass), "1", mass <= 1),
     ]

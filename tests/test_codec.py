@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from mdimlab.codec import (
     DyadicRational,
-    MalformedPairError,
     RationalPoint,
     ceil_half_log2,
     decode_int,
@@ -16,9 +15,7 @@ from mdimlab.codec import (
     distance_sq,
     encode_int,
     encode_point,
-    pair,
     try_decode_exact_point,
-    unpair,
     zigzag,
 )
 
@@ -150,25 +147,6 @@ def test_negative_common_exponent_rejected():
     bits = encode_int(1) + encode_int(-1) + encode_int(0)
     with pytest.raises(ValueError):
         decode_point(bits)
-
-
-def test_pair_laws():
-    rng = random.Random(17)
-    assert pair("", "") == encode_int(0)
-    for la in range(0, 65, 7):
-        for lb in range(0, 65, 9):
-            a = "".join(rng.choice("01") for _ in range(la))
-            b = "".join(rng.choice("01") for _ in range(lb))
-            s = pair(a, b)
-            assert len(s) == len(encode_int(la)) + la + lb
-            assert unpair(s) == (a, b)
-
-
-def test_unpair_rejects_malformed():
-    with pytest.raises(MalformedPairError):
-        unpair("")
-    with pytest.raises(MalformedPairError):
-        unpair(encode_int(5) + "01")  # declares 5 bits, provides 2
 
 
 def test_distance_sq_exact():

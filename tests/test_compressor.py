@@ -43,7 +43,7 @@ def test_parser_incremental_matches_batch():
     bits = "011010011001011010010110011010"
     parser = Lz78Parser()
     for b in bits:
-        parser.push(b)
+        parser.feed(b)
     assert parser.cost == lz78_cost(bits)
     assert parser.length == len(bits)
 
@@ -87,16 +87,6 @@ def test_feed_rejects_bad_character_before_any_state_change():
     assert parser.feed("0111").cost == lz78_cost("01100111")
 
 
-@pytest.mark.parametrize("bad", ["01", "2", "", "x"])
-def test_push_rejects_anything_but_one_bit(bad):
-    parser = Lz78Parser()
-    with pytest.raises(ValueError):
-        parser.push(bad)
-    assert (parser.length, parser.cost) == (0, 0)
-
-
 def test_rejects_non_bits():
     with pytest.raises(ValueError):
         lz78_cost("012")
-    with pytest.raises(ValueError):
-        Lz78Parser().push("2")

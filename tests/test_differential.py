@@ -7,9 +7,11 @@ brute-force minimum over every index of a left-inverse search box, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
 enumeration (``machine.enumerate_halting``), the per-class walk over
 instruction prefixes that the state walk replaced, with every payload of
-its classes run through ``machine._execute``, and the full 3**n
-candidate scans behind the lattice point and the cube cover of a ball.  They are
-kept here, outside the package, as oracles for differential tests.
+its classes run through ``machine._execute`` and filed in the incremental
+prefix check that ``machine.count_prefix_pairs`` replaced, and the full
+3**n candidate scans behind the lattice point and the cube cover of a
+ball.  They are kept here, outside the package, as oracles for
+differential tests.
 """
 
 import itertools
@@ -59,8 +61,8 @@ from mdimlab.machine import (
     Enumeration,
     KReport,
     MachineConfig,
-    PrefixCheck,
     _execute,
+    count_prefix_pairs,
     enumerate_halting,
     exact_k,
     valid_payload_lengths,
@@ -259,6 +261,48 @@ def straight_walk(top, budget, record):
     walk("", "", 0)
 
 
+class PrefixCheck:
+    """Counts proper-prefix pairs in a set of programs without keeping it.
+
+    A level arrives as runs of consecutive same-length programs, each a
+    (first, last) pair, in ascending lex order; a run's first program is
+    compared only with the previous run's last of its level.  Programs
+    inside a run share a length, so none prefixes another.  Runs of
+    different levels may interleave.  Each level keeps only its first and
+    last program, and ``count`` sorts those level ends: sorted, they must
+    neither overlap nor have one level's last program prefix the next
+    level's first.  That is sound for any levels: every program between
+    ``a`` and a proper extension of ``a`` starts with ``a``.
+    """
+
+    def __init__(self):
+        self._in_level = 0
+        self._ends = {}  # level -> [first, last]
+
+    def add_run(self, level, first, last):
+        ends = self._ends.get(level)
+        if ends is None:
+            self._ends[level] = [first, last]
+            return
+        prev = ends[1]
+        if first <= prev or first.startswith(prev):
+            self._in_level += 1
+        ends[1] = last
+
+    def add_level(self, runs):
+        """File ``runs`` as one level of their own."""
+        level = object()
+        for first, last in runs:
+            self.add_run(level, first, last)
+
+    def count(self):
+        ends = sorted(self._ends.values())
+        return self._in_level + sum(
+            first <= last or first.startswith(last)
+            for (_, last), (first, _) in zip(ends, ends[1:])
+        )
+
+
 def straight_walk_counts(cfg):
     """(halting count, halting-set prefix violations) of ``cfg`` from the
     per-class walk, each class filed as one ``PrefixCheck`` run."""
@@ -298,7 +342,7 @@ def test_lz78_matches_dict_trie_after_every_bit(bits):
     fast, slow = Lz78Parser(), DictTrieLz78()
     assert _state(fast) == _state(slow)
     for bit in bits:
-        fast.push(bit)
+        fast.feed(bit)
         slow.push(bit)
         assert _state(fast) == _state(slow)
 
@@ -402,7 +446,7 @@ def test_lz78_cost_never_decreases_as_bits_are_fed(bits):
     parser = Lz78Parser()
     costs = [parser.cost]
     for bit in bits:
-        parser.push(bit)
+        parser.feed(bit)
         costs.append(parser.cost)
     assert costs == sorted(costs)
 
@@ -692,6 +736,13 @@ def _prefix_check_count(levels):
     return check.count()
 
 
+def _prefix_pairs_count(levels):
+    # the function sorts its ranges, so it takes every level in one list
+    return count_prefix_pairs(
+        (program, program) for level in levels for program in level
+    )
+
+
 @pytest.mark.parametrize("levels", [
     [["00", "01"], ["010", "011"]],   # "01" prefixes the next run's first
     [["0", "1"], ["01"]],             # overlapping runs
@@ -700,10 +751,15 @@ def _prefix_check_count(levels):
 ])
 def test_prefix_check_flags_planted_violations(levels):
     assert _prefix_check_count(levels) >= 1
+    if all(level == sorted(level) for level in levels):
+        # an order fault is the incremental check's alone: the function
+        # sorts its input first
+        assert _prefix_pairs_count(levels) >= 1
 
 
 def test_prefix_check_passes_prefix_free_levels():
-    assert _prefix_check_count([["1"], ["010", "011"], ["00100", "00111"]]) == 0
+    levels = [["1"], ["010", "011"], ["00100", "00111"]]
+    assert _prefix_check_count(levels) == _prefix_pairs_count(levels) == 0
 
 
 @pytest.mark.parametrize("runs,count", [
@@ -714,6 +770,7 @@ def test_prefix_check_compares_runs_at_their_ends(runs, count):
     check = PrefixCheck()
     check.add_level(runs)
     assert check.count() == count
+    assert count_prefix_pairs(runs) == count
 
 
 @given(st.sets(st.text(alphabet="01", min_size=1, max_size=6), max_size=40))
@@ -727,6 +784,15 @@ def test_prefix_check_is_sound(programs):
     if reference:
         assert _prefix_check_count(by_length.values()) >= 1
     assert _prefix_check_count([sorted(programs)]) == reference
+    # the function in the two shapes the package passes: one range per
+    # program, as the machine suite checks its witnesses, and one range per
+    # level, as the enumeration checks its level ends
+    assert count_prefix_pairs((p, p) for p in programs) == reference
+    ends = [(level[0], level[-1]) for level in by_length.values()]
+    check = PrefixCheck()
+    for level, (first, last) in enumerate(ends):
+        check.add_run(level, first, last)
+    assert count_prefix_pairs(ends) == check.count()
 
 
 # ---- exact geometry and evaluators --------------------------------------------

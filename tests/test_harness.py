@@ -8,13 +8,16 @@ import io
 import json
 import os
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mdimlab import constants as C
-from mdimlab import harness, machine
+from mdimlab import harness, machine, mutual
 from mdimlab.cli import main
 from mdimlab.complexity import point_columns
 from mdimlab.functions import ImageOracle, library_function
@@ -26,7 +29,7 @@ from mdimlab.harness import (
     run_suite,
     write_report,
 )
-from mdimlab.oracles import make_oracle
+from mdimlab.oracles import hash_stream, make_oracle
 
 FAST_MACHINE = {"max_program_len": 16, "step_budget": 1000}
 
@@ -210,23 +213,87 @@ GOLDEN_DIGESTS = {
 }
 
 
+# the same reports as files, one per suite and format, so a report change
+# shows as a row diff; each pinned digest is the digest of its file
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_FORMATS = ("json", "csv")
+
+
+def _golden_config(suite):
+    payload = {"suite": suite}
+    if suite == "geometry":
+        payload["seed"] = 5
+    if suite in ("machine", "coding-bounds"):
+        payload["machine"] = GOLDEN_MACHINE
+    return config_from_mapping(payload)
+
+
+def _golden_text(suite, fmt):
+    return (GOLDEN_DIR / f"{suite}.{fmt}").read_bytes().decode("utf-8")
+
+
+def _first_difference(expected, actual):
+    """Where two texts first differ, as a line number and the two lines."""
+    want, got = expected.split("\n"), actual.split("\n")
+    for number, (a, b) in enumerate(zip(want, got), 1):
+        if a != b:
+            return f"line {number}: expected {a!r}, got {b!r}"
+    return f"expected {len(want)} lines, got {len(got)}"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_golden_digests_cover_every_suite():
     assert set(GOLDEN_DIGESTS) == set(SUITE_NAMES)
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_DIGESTS))
 def test_report_golden_digest(suite):
-    payload = {"suite": suite}
-    if suite == "geometry":
-        payload["seed"] = 5
-    if suite in ("machine", "coding-bounds"):
-        payload["machine"] = GOLDEN_MACHINE
-    report = run_suite(config_from_mapping(payload))
-    digests = tuple(
-        hashlib.sha256(report.render(fmt).encode()).hexdigest()
-        for fmt in ("json", "csv")
-    )
-    assert digests == GOLDEN_DIGESTS[suite]
+    report = run_suite(_golden_config(suite))
+    texts = tuple(report.render(fmt) for fmt in GOLDEN_FORMATS)
+    for fmt, text in zip(GOLDEN_FORMATS, texts):
+        golden = _golden_text(suite, fmt)
+        assert text == golden, f"{suite}.{fmt} " + _first_difference(golden, text)
+    assert tuple(map(_digest, texts)) == GOLDEN_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_DIGESTS))
+def test_golden_files_match_pinned_digests(suite):
+    assert tuple(_digest(_golden_text(suite, fmt))
+                 for fmt in GOLDEN_FORMATS) == GOLDEN_DIGESTS[suite]
+
+
+def test_concurrent_runs_match_golden_digests(monkeypatch):
+    # two threads each of two estimator suites in one process, switching
+    # often: they share the reference stream, its ratio cache and the K_r
+    # memo of equal constant oracles, and every report stays exact.  Each
+    # trial starts on a fresh stream and an empty cache and releases the
+    # threads together; against a stream that appended its blocks, one
+    # trial caught the race in 4 runs of 10 and three trials in 10 of 10
+    suites = ("kprofile", "counterexample") * 2
+    configs = [_golden_config(suite) for suite in suites]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            mutual.reference_ratio.cache_clear()
+            monkeypatch.setattr(mutual, "_REF_STREAM",
+                                hash_stream(C.REFERENCE_SEED, 0))
+            start = threading.Barrier(len(configs), timeout=60)
+
+            def run(cfg):
+                start.wait()
+                return run_suite(cfg)
+
+            with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                reports = list(pool.map(run, configs))
+            for suite, report in zip(suites, reports):
+                assert (_digest(report.render("json"))
+                        == GOLDEN_DIGESTS[suite][0]), suite
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mdimlab import constants, machine
-from mdimlab.codec import encode_int, encode_point, pair, RationalPoint
+from mdimlab.codec import encode_int, encode_point, RationalPoint
 from mdimlab.machine import (
     HALTED,
     INVALID,
@@ -218,7 +218,7 @@ def test_enumeration_adds_no_cache(monkeypatch):
             } == {"_OPCODES", "_ENUM_CACHE"}
     assert machine._ENUM_CACHE == {}
     assert set(vars(enum)) == {"cfg", "levels", "outputs", "halting_count",
-                               "prefix_violations", "_complete"}
+                               "prefix_violations"}
 
 
 def test_conditioning_can_only_help_via_echo():
@@ -283,6 +283,11 @@ class SymmetryRow:
 # 4-output sample at (24, 256); alarm fires above the threshold
 SYMMETRY_MAX_DELTA = 12
 SYMMETRY_ALARM = 16
+
+
+def pair(a: str, b: str) -> str:
+    """The self-delimiting pair <a, b>: ``encode_int(len(a))``, a, then b."""
+    return encode_int(len(a)) + a + b
 
 
 def symmetry_of_information_report(

@@ -33,12 +33,9 @@ PROTOCOL = "protocol method"
 UNREACHED = {
     "codec.DyadicRational.__repr__": PROTOCOL,
     "codec.RationalPoint.of": "test hook: tests/test_geometry.py",
-    "codec.pair": "test hook: tests/test_machine.py",
-    "codec.unpair": "test hook: tests/test_codec.py",
     "codec._ReadKeys.__iter__": PROTOCOL,
     "codec._ReadKeys.__len__": PROTOCOL,
     "compressor.conditional_cost": TRACED,
-    "compressor.Lz78Parser.push": "test hook: tests/test_differential.py",
     "compressor.Lz78Parser.length": "test hook: tests/test_differential.py",
     "compressor.Lz78Parser.phrase_count": "test hook: tests/test_differential.py",
     "functions.modulus_check": "test hook: tests/test_functions.py",
