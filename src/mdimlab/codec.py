@@ -246,6 +246,14 @@ def json_int(name: str, value) -> int:
     return value
 
 
+def json_list(name: str, value) -> list | tuple:
+    """``value`` if it is a JSON array; list fields refuse the strings and
+    objects that iterating would quietly read one element at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {value!r}")
+    return value
+
+
 # most coordinates a config may name, as a generator's dimension or a function's
 # arity; a kprofile run at 64 coordinates takes about 3 s on a 2-CPU host
 DIMENSION_CAP = 64

@@ -39,6 +39,7 @@ from .codec import (
     json_dimension,
     json_fraction,
     json_int,
+    json_list,
     json_object,
 )
 from .oracles import ConstantOracle, PointOracle
@@ -501,7 +502,8 @@ def hilbert2d_function() -> ComputableFunction:
 
 
 def _selector(n: int, positions) -> SSelector:
-    return SSelector(n, tuple(json_int("S position", p) for p in positions))
+    return SSelector(n, tuple(json_int("S position", p)
+                              for p in json_list("S", positions)))
 
 
 def library_function(name: str, params: Mapping | None = None) -> ComputableFunction:
@@ -516,11 +518,12 @@ def library_function(name: str, params: Mapping | None = None) -> ComputableFunc
         if name == "sum":
             return sum_function(json_dimension("n", params["n"]))
         if name == "affine":
+            rows = json_list("matrix", params["matrix"])
             matrix = [[json_fraction(f"matrix[{i}][{j}]", v)
-                       for j, v in enumerate(row)]
-                      for i, row in enumerate(params["matrix"])]
-            offset = [json_fraction(f"offset[{i}]", v)
-                      for i, v in enumerate(params["offset"])]
+                       for j, v in enumerate(json_list(f"matrix[{i}]", row))]
+                      for i, row in enumerate(rows)]
+            offset = [json_fraction(f"offset[{i}]", v) for i, v in
+                      enumerate(json_list("offset", params["offset"]))]
             f = affine_function(matrix, offset)
             if "inverse_modulus" not in params:
                 return f

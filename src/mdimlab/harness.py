@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from . import constants as C
-from .codec import json_int, json_object
+from .codec import json_int, json_list, json_object
 from .report import InvalidConfigError, SuiteReport
 
 if TYPE_CHECKING:
@@ -71,9 +71,8 @@ def _field(name: str):
 
 def _built(data: Mapping, name: str, build) -> tuple:
     """(spec, build(spec)) for each spec of the config list ``name``."""
-    specs = data.get(name, [])
-    if not isinstance(specs, (list, tuple)):
-        raise InvalidConfigError(f"{name} must be a list")
+    with _field(name):
+        specs = json_list(name, data.get(name, []))
     built = []
     for i, spec in enumerate(specs):
         with _field(f"{name}[{i}]"):
@@ -134,10 +133,10 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     runner = _runner_module(suite)
     machine = _machine(data) if "machine" in keys else None
     grid = C.COMPRESSOR_GRID
-    window = data.get("window")
-    if window is not None:
+    if "window" in data:
         with _field("window"):
-            window = tuple(json_int("window bound", v) for v in window)
+            window = tuple(json_int("window bound", v)
+                           for v in json_list("window", data["window"]))
         if len(window) != 2 or window[0] > window[1]:
             raise InvalidConfigError("window must be [lo, hi] with lo <= hi")
         grid = tuple(r for r in grid if window[0] <= r <= window[1])
@@ -159,8 +158,8 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     if fmt not in ("json", "csv"):
         raise InvalidConfigError(f"unknown output format: {fmt!r}")
     out = data.get("out")
-    if out is not None:
-        if not isinstance(out, str):
+    if "out" in data:
+        if not isinstance(out, str) or not out:
             raise InvalidConfigError(f"out must be a file path, not {out!r}")
         directory = os.path.dirname(out) or "."
         if (os.path.isdir(out) or not os.path.isdir(directory)
@@ -193,16 +192,29 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key named twice, whose
+    first value the run would silently ignore."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise InvalidConfigError(f"config names key {key!r} twice")
+        data[key] = value
+    return data
+
+
 def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
     """Parse the JSON config at ``path``; each of ``flags`` replaces the
     file's value for its key before the check."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config: {exc}") from exc
     except RecursionError as exc:
         raise InvalidConfigError(f"config nests too deeply: {exc}") from exc
+    except InvalidConfigError:  # a key named twice
+        raise
     except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -40,9 +40,10 @@ length at once, deciding whole classes of payloads at a time, and the
 prefixes that reach one state share its summary.  That pass runs once,
 when the enumeration is built, and its memo goes with it.  The summary
 counts the prefix pairs inside each level, and ``count_prefix_pairs`` the
-ones between levels.  Conditional K under a non-empty given is a
-first-hit search in ``exact_k``: it runs payloads one by one through
-``_execute`` and caches nothing.
+ones between levels.  ``_halting`` is the one loop that runs programs,
+one by one through ``_execute`` in length-lex order: ``enumerate_halting``
+lists its halting programs, and conditional K under a non-empty given is a
+first-hit search over them in ``exact_k`` that caches nothing.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ _OPCODES = {format(op, "03b"): op for op in range(8)}  # a partial fetch misses
 # most valid programs a machine config may have; about 4.2 million, which
 # admits every max_program_len up to 30.  The enumeration summarizes
 # machine states and runs no program on its own, so the cap bounds the
-# config; the first-hit search and ``enumerate_halting`` still run up to
-# that many programs one by one
+# config; ``_halting`` still runs up to that many programs one by one
 ITEM_CAP = 1 << 22
 
 
@@ -144,30 +144,20 @@ def _execute(payload: str, given: str, budget: int) -> str | None:
                 arg, pc = gamma_decode(payload, pc)
         except (KeyError, ValueError):
             return None
-        if op <= OP_EMIT1:
-            appended = 1
-        elif op == OP_ECHO:
-            appended = len(given)
-        elif op == OP_REPEAT:
-            appended = arg * len(out)
-        elif op == OP_LIT:
-            if pc + arg > plen:
-                return None
-            appended = arg
-        else:
-            appended = 0
-        steps += 1 + appended
+        steps += 1 + (0 if op > OP_LIT else 1 if op <= OP_EMIT1 else
+                      len(given) if op == OP_ECHO else
+                      arg * len(out) if op == OP_REPEAT else arg)
         if steps > budget:
             return None
-        if op == OP_EMIT0:
-            out += "0"
-        elif op == OP_EMIT1:
-            out += "1"
+        if op <= OP_EMIT1:
+            out += "01"[op]
         elif op == OP_ECHO:
             out += given
         elif op == OP_REPEAT:
             out *= arg + 1
         elif op == OP_LIT:
+            if pc + arg > plen:
+                return None
             out += payload[pc : pc + arg]
             pc += arg
         elif op == OP_JNZ:
@@ -354,11 +344,8 @@ def iter_valid_programs(max_program_len: int) -> Iterator[str]:
     """All well-formed programs up to the length bound, in length-lex order."""
     for p in valid_payload_lengths(max_program_len):
         header = gamma_encode(p + 1)
-        if p == 0:
-            yield header
-            continue
-        for i in range(1 << p):
-            yield header + format(i, f"0{p}b")
+        for i in range(1 << p, 2 << p):
+            yield header + bin(i)[3:]  # the p bits after i's leading 1
 
 
 def capped_levels(cfg: MachineConfig) -> list[int]:
@@ -378,15 +365,22 @@ def capped_levels(cfg: MachineConfig) -> list[int]:
     return valid_payload_lengths(cfg.max_program_len)
 
 
-def enumerate_halting(cfg: MachineConfig, given: str = "") -> list[tuple[str, str]]:
+def _halting(cfg: MachineConfig, given: str) -> Iterator[tuple[str, str]]:
+    """(program, output) of each halting program under ``given``, in
+    length-lex order; raises before any program runs when ``cfg`` is over
+    the item cap."""
+    for p in capped_levels(cfg):
+        header = gamma_encode(p + 1)
+        for i in range(1 << p, 2 << p):
+            payload = bin(i)[3:]  # the p bits after i's leading 1
+            output = _execute(payload, given, cfg.step_budget)
+            if output is not None:
+                yield header + payload, output
+
+
+def enumerate_halting(cfg: MachineConfig) -> list[tuple[str, str]]:
     """(program, output) for every halting program, in length-lex order."""
-    capped_levels(cfg)
-    halted = []
-    for bits in iter_valid_programs(cfg.max_program_len):
-        res = run(bits, given, cfg)
-        if res.status == HALTED:
-            halted.append((bits, res.output))
-    return halted
+    return list(_halting(cfg, ""))
 
 
 @dataclass(slots=True)
@@ -509,21 +503,17 @@ def exact_k(target: str, given: str, cfg: MachineConfig) -> KReport | None:
     ``given``: the shortest program, then the lex-least.
 
     The empty given reads the cached enumeration.  Any other given runs a
-    first-hit search that caches nothing: each level's payloads run in lex
-    order through ``_execute``, levels in ascending program length, so the
-    first payload that outputs ``target`` is its first producer.  Returns
-    None when no program within the configured bounds produces it; that
-    outcome is data, not an error.
+    first-hit search that caches nothing: ``_halting`` runs the programs
+    in length-lex order, so the first that outputs ``target`` is its first
+    producer.  Returns None when no program within the configured bounds
+    produces it; that outcome is data, not an error.
     """
     if not given:
         info = get_enumeration(cfg).lookup(target)
         return None if info is None else KReport(info.k, info.witness)
-    for p in capped_levels(cfg):
-        for i in range(1 << p, 2 << p):
-            payload = bin(i)[3:]  # the p bits after i's leading 1
-            if _execute(payload, given, cfg.step_budget) == target:
-                program = gamma_encode(p + 1) + payload
-                return KReport(len(program), program)
+    for program, output in _halting(cfg, given):
+        if output == target:
+            return KReport(len(program), program)
     return None
 
 
@@ -533,12 +523,8 @@ def kraft_mass(cfg: MachineConfig) -> Fraction:
 
 def apriori_mass(targets: set[str], cfg: MachineConfig) -> Fraction:
     """Sum of 2**-len over halting programs whose output lies in ``targets``."""
-    enum = get_enumeration(cfg)
-    units = 0
-    for t in targets:
-        info = enum.outputs.get(t)
-        if info is not None:
-            units += info.mass_units
+    outputs = get_enumeration(cfg).outputs
+    units = sum(outputs[t].mass_units for t in targets if t in outputs)
     return Fraction(units, 1 << cfg.max_program_len)
 
 

@@ -184,14 +184,19 @@ def _check_grid(grid: Sequence[int]) -> None:
         )
 
 
-def _window_slopes(
-    grid: Sequence[int], values: Sequence[float], width: int
-) -> tuple[float, ...]:
+def _slope_range(
+    grid: Sequence[int], raw: Sequence[int], n: int, width: int
+) -> tuple[float, float]:
+    """(min, max) of the least-squares slopes over each ``width``
+    consecutive precisions, each value of ``raw`` divided by the reference
+    ratio at its input length of ``n * (GUARD_BITS + r)`` bits."""
+    series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
     width = min(width, len(grid))
-    return tuple(
-        _least_squares_slope(grid[i : i + width], values[i : i + width])
+    slopes = [
+        _least_squares_slope(grid[i : i + width], series[i : i + width])
         for i in range(len(grid) - width + 1)
-    )
+    ]
+    return min(slopes), max(slopes)
 
 
 @dataclass(frozen=True)
@@ -221,10 +226,8 @@ def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> DimEstimate:
     """Estimated (dim, Dim) of the oracle's point over the precision grid."""
     _check_grid(grid)
     raw = [k_r(x, r) for r in grid]
-    n = x.dimension
-    series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
-    slopes = _window_slopes(grid, series, WINDOW_DIM)
-    return DimEstimate(min(slopes), max(slopes), grid, tuple(raw))
+    lo, hi = _slope_range(grid, raw, x.dimension, WINDOW_DIM)
+    return DimEstimate(lo, hi, grid, tuple(raw))
 
 
 def mdim_estimate(
@@ -241,17 +244,13 @@ def mdim_estimate(
         k_y.append(ky)
         k_xy.append(kxy)
         i_vals.append(kx + ky - kxy)
-    n_joint = x.dimension + y.dimension
-    series = [
-        v / reference_ratio(n_joint * (GUARD_BITS + r))
-        for v, r in zip(i_vals, grid)
-    ]
-    slopes = _window_slopes(grid, series, WINDOW_MUTUAL)
+    lo, hi = _slope_range(grid, i_vals, x.dimension + y.dimension,
+                          WINDOW_MUTUAL)
     return MutualProfile(
         grid,
         tuple(i_vals),
-        min(slopes),
-        max(slopes),
+        lo,
+        hi,
         tuple(k_x),
         tuple(k_y),
         tuple(k_xy),

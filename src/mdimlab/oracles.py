@@ -26,6 +26,7 @@ from .codec import (
     json_dimension,
     json_fraction,
     json_int,
+    json_list,
     json_object,
 )
 
@@ -240,19 +241,21 @@ def make_oracle(spec: Mapping) -> PointOracle:
                 json_dimension("n", spec.get("n", 1)),
             )
         if kind == "rational":
-            json_dimension("rational dimension", len(spec["values"]))
+            values = json_list("values", spec["values"])
+            json_dimension("rational dimension", len(values))
             return rational_oracle([json_fraction(f"values[{i}]", v)
-                                    for i, v in enumerate(spec["values"])])
+                                    for i, v in enumerate(values)])
         if kind == "constant":
-            json_dimension("constant dimension", len(spec["coords"]))
+            coords = json_list("coords", spec["coords"])
+            json_dimension("constant dimension", len(coords))
             coords = tuple(
                 DyadicRational.from_fraction(json_fraction(f"coords[{i}]", v))
-                for i, v in enumerate(spec["coords"])
+                for i, v in enumerate(coords)
             )
             return ConstantOracle(RationalPoint(coords))
         if kind == "product":
             factors, total = [], 0
-            for f in spec["factors"]:
+            for f in json_list("factors", spec["factors"]):
                 factors.append(make_oracle(f))
                 total = json_dimension("product dimension", total + factors[-1].dimension)
             return ProductOracle(*factors)

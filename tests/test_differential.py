@@ -5,7 +5,9 @@ dict-trie LZ78 parser, bit-at-a-time dyadic canonicalization, the
 ``Fraction`` formulas behind the diluted and rational bit streams, the
 brute-force minimum over every index of a left-inverse search box, the
 sorted-list prefix check with ``Fraction`` masses over the per-program
-enumeration (``machine.enumerate_halting``), the per-class walk over
+enumeration (``machine.enumerate_halting``), ``machine.run`` over every
+program (which decodes each header) behind that enumeration and the
+conditional first-hit search, the per-class walk over
 instruction prefixes that the state walk replaced, with every payload of
 its classes run through ``machine._execute`` and filed in the incremental
 prefix check that ``machine.count_prefix_pairs`` replaced, and the full
@@ -58,6 +60,7 @@ from mdimlab.geometry import (
     lattice_point_in_ball,
 )
 from mdimlab.machine import (
+    HALTED,
     Enumeration,
     KReport,
     MachineConfig,
@@ -65,6 +68,8 @@ from mdimlab.machine import (
     count_prefix_pairs,
     enumerate_halting,
     exact_k,
+    iter_valid_programs,
+    run,
     valid_payload_lengths,
 )
 from mdimlab.oracles import (
@@ -212,6 +217,18 @@ def sorted_prefix_violations(programs):
     """Adjacent pairs of the sorted programs where one properly prefixes the next."""
     progs = sorted(programs)
     return sum(b.startswith(a) and a != b for a, b in zip(progs, progs[1:]))
+
+
+def halting_by_run(cfg, given):
+    """(program, output) of each halting program under ``given``, in
+    length-lex order, from ``run`` on each program ``iter_valid_programs``
+    yields: the header-decoding path, not the payload loop it checks."""
+    halted = []
+    for program in iter_valid_programs(cfg.max_program_len):
+        res = run(program, given, cfg)
+        if res.status == HALTED:
+            halted.append((program, res.output))
+    return halted
 
 
 def straight_walk(top, budget, record):
@@ -627,13 +644,20 @@ def test_enumeration_matches_per_program_reference(max_len, budget):
     assert list(enum.outputs) == list(expected)
 
 
+@pytest.mark.parametrize("max_len,budget", UNCONDITIONAL_CONFIGS,
+                         ids=[f"{m}-{b}" for m, b in UNCONDITIONAL_CONFIGS])
+def test_enumerate_halting_matches_run_reference(max_len, budget):
+    cfg = MachineConfig(max_len, budget)
+    assert enumerate_halting(cfg) == halting_by_run(cfg, "")
+
+
 @pytest.mark.parametrize("given_bits", ["0110", "1", "01111", "011011011"])
 def test_conditional_k_matches_first_producer(given_bits):
     # the first-hit search finds each output's first producer in the
     # per-program reference, and None for an output it never produces
     cfg = MachineConfig(16, 1000)
     first = {}
-    for program, output in enumerate_halting(cfg, given_bits):
+    for program, output in halting_by_run(cfg, given_bits):
         first.setdefault(output, program)
     for output, program in first.items():
         assert exact_k(output, given_bits, cfg) == KReport(len(program), program)

@@ -611,6 +611,64 @@ class TestCli:
             assert captured.err.startswith("error: out ")
         assert machine._ENUM_CACHE == {}
 
+    # a string iterates one character at a time, so a list field given as
+    # one would be read as a list of characters
+    @pytest.mark.parametrize("suite, payload, field", [
+        ("kprofile", {"generators": "ab"}, "generators"),
+        ("kprofile", {"generators": [{"kind": "rational", "values": "00"}]},
+         "values"),
+        ("kprofile", {"generators": [{"kind": "constant", "coords": "01"}]},
+         "coords"),
+        ("kprofile", {"generators": [{"kind": "product", "factors": "ab"}]},
+         "factors"),
+        ("dpi", {"functions": "ab"}, "functions"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": "1", "offset": ["0"]}}]}, "matrix"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": ["1"], "offset": ["0"]}}]}, "matrix[0]"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1"]], "offset": "0"}}]}, "offset"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1"]], "offset": ["0"],
+            "inverse_modulus": {"S": "1", "s": 0}}}]}, "S"),
+        ("dpi", {"functions": [{"name": "projection",
+                                "params": {"n": 2, "S": "1"}}]}, "S"),
+        ("mdim", {"window": "ab"}, "window"),
+    ])
+    def test_string_list_field_exit(self, tmp_path, capsys, suite, payload,
+                                    field):
+        path = self._config_file(tmp_path, {"suite": suite, **payload})
+        assert main([suite, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be a list" in captured.err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"suite": "geometry", "seed": 1, "seed": 2}', "'seed'"),
+        ('{"suite": "machine", "machine": {"max_program_len": 16, '
+         '"max_program_len": 12}}', "'max_program_len'"),
+        ('{"suite": "mdim", "window": null}', "window"),
+        ('{"suite": "geometry", "out": null}', "out"),
+        ('{"suite": "geometry", "out": ""}', "out"),
+    ], ids=["duplicate-key", "nested-duplicate-key", "null-window",
+            "null-out", "empty-out"])
+    def test_ignored_setting_exit(self, tmp_path, capsys, text, field):
+        # each config names a setting the run would otherwise ignore
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        suite = json.loads(text)["suite"]
+        assert main([suite, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+
+    def test_empty_out_flag_exit(self, capsys):
+        assert main(["geometry", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out must be a file path, not ''\n"
+
     def test_seed_flag_replaces_config_seed(self, tmp_path, capsys):
         reports = []
         for payload, flags in (({"suite": "geometry", "seed": 1},

@@ -49,6 +49,7 @@ UNREACHED = {
     "geometry.DyadicCube.closure_distance_sq": TRACED,
     "geometry._gap_sq": "helper of geometry.DyadicCube.closure_distance_sq",
     "machine.enumerate_halting": TRACED,
+    "machine._halting": "helper of machine.enumerate_halting",
     "machine.iter_valid_programs": "reference: tests/test_machine.py",
     "machine.run": "reference: tests/test_machine.py",
     "machine.kraft_mass": TRACED,
