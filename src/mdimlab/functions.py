@@ -15,10 +15,12 @@ The linear library maps (identity, scale, sum, projection and affine) are
 one core, x -> Ax + c with dyadic A and c, and one evaluator builds every
 output from integer numerators without a ``Fraction``.  Such a map carries
 that core, and the left-inverse search, which inverts linear maps only,
-tests each box of grid indices on it: the core's exact interval over the
-box bounds the squared distance from below, as an integer count of one
-power of 4.  ``Fraction`` remains where a value need not be dyadic: Holder
-exponents and the sampled checks.
+runs on it in integers.  It starts at the bounding box of the ellipsoid of
+grid indices the core can accept, from one fraction-free elimination, and
+tests each box of grid indices it splits off: the core's exact interval
+over the box bounds the squared distance from below, as an integer count
+of one power of 4.  ``Fraction`` remains where a value need not be dyadic:
+Holder exponents and the sampled checks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import heapq
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from operator import mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -570,6 +573,51 @@ def _box_gap_sq(steps, base, lo, hi) -> int:
     return total
 
 
+def _start_box(steps, base, accept_sq, cells):
+    """The grid [0, cells)**width clipped to the bounding box of the
+    ellipsoid |steps . i + base|**2 <= accept_sq, which holds every
+    acceptor, as (lo, hi); None when no acceptor can lie in the grid.
+
+    With G = steps^T steps and h = steps^T base, one fraction-free
+    Gauss-Jordan pass over [G | I | h] (Bareiss) leaves det G, adj G and
+    adj(G) h, in integers.  The centre is -adj(G) h / det, rounded down,
+    and the half-width on axis j is sqrt(N adj_jj) / det, rounded up past
+    an integer, with N = det (accept_sq - |base|**2) + h^T adj(G) h; N < 0
+    means the ellipsoid is empty.  Every pivot is a leading minor of the
+    semidefinite G, so a zero pivot means det G = 0: the acceptors then
+    fill an unbounded cylinder, and the whole grid is kept.
+    """
+    width = len(steps[0])
+    cols = list(zip(*steps))
+    h = [sum(map(mul, col, base)) for col in cols]
+    # [G | I | h]: each update divides exactly by the previous pivot, and
+    # after the last, m = [det I | adj G | adj(G) h]
+    m = [[sum(map(mul, a, b)) for b in cols] + [int(i == j) for j in range(width)] + [h[i]]
+         for i, a in enumerate(cols)]
+    det = 1
+    for k in range(width):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return (0,) * width, (cells,) * width
+        for i, row in enumerate(m):
+            if i != k:
+                m[i] = [(pivot * a - row[k] * b) // det for a, b in zip(row, pivot_row)]
+        det = pivot
+    n = det * (accept_sq - sum(map(mul, base, base))) + sum(c * row[-1] for c, row in zip(h, m))
+    if n < 0:
+        return None
+    lo, hi = [], []
+    for j, row in enumerate(m):
+        centre = -row[-1] // det
+        reach = isqrt(n * row[width + j]) // det + 1
+        lo.append(max(centre - reach, 0))
+        hi.append(min(centre + reach + 1, cells))
+        if lo[j] >= hi[j]:
+            return None
+    return tuple(lo), tuple(hi)
+
+
 def left_inverse_synthesize(
     f: ComputableFunction,
     sel: SSelector,
@@ -584,9 +632,14 @@ def left_inverse_synthesize(
     2**-m(m'(r)+2) inside the box, in lexicographic index order, and
     returns the first candidate q whose image at working precision
     m'(r)+3 lands within 2**-(m'(r)+1) of the observed value.  The
-    inverse modulus then forces |q - x| <= 2**-r.  The grid is split into
-    index boxes, and a box is dropped when the interval of f's linear core
-    over it proves it holds no such candidate (``_box_gap_sq``); on a single
+    inverse modulus then forces |q - x| <= 2**-r.  The accepted grid
+    indices are the integer points of an ellipsoid, and the search starts
+    at the grid clipped to its bounding box, which a fraction-free
+    Gauss-Jordan elimination gives in integers (``_start_box``); when the
+    map's columns at S are dependent the ellipsoid is unbounded and the
+    search starts at the whole grid.  It splits the start into index
+    boxes, and a box is dropped when the interval of f's linear core over
+    it proves it holds no such candidate (``_box_gap_sq``); on a single
     grid point that test is exact.  The evaluator confirms the candidate
     returned, and a disagreement raises.  An empty selector is refused.
     """
@@ -654,10 +707,12 @@ def left_inverse_synthesize(
             return _as_point(q)
 
         # best-first over half-open index boxes lo <= i < hi, ordered by the
-        # minimal corner lo, the box's lexicographically least candidate; a
-        # box is dropped only when the core's interval proves it empty, so
-        # the first singleton kept is the lex-least acceptor
-        heap = [((0,) * width, (cells,) * width)]
+        # minimal corner lo, the box's lexicographically least candidate; the
+        # start box holds every acceptor, and a box is dropped only when the
+        # core's interval proves it empty, so the first singleton kept is
+        # the lex-least acceptor
+        start = _start_box(steps, base, accept_sq, cells)
+        heap = [start] if start else []
         while heap:
             lo, hi = heapq.heappop(heap)
             if _box_gap_sq(steps, base, lo, hi) > accept_sq:

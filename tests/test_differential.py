@@ -39,6 +39,7 @@ from mdimlab.functions import (
     ModulusSpec,
     SSelector,
     _box_gap_sq,
+    _start_box,
     affine_function,
     curve_digits,
     hilbert2d_function,
@@ -1125,6 +1126,13 @@ GRID_SCAN_CASES = {
                                _NEGATIVE_CERT, ("7/16", "-9/8"), ()),
     "scale-minus-2": (_SCALE_MINUS_F, _SCALE_MINUS_F.declared_inverse_moduli[0],
                       ("13/16",), ()),
+    # width 3, through the general elimination; x lies on the grid's lower
+    # edge, so the acceptor ellipsoid reaches below index 0
+    "identity-3-lower-edge": (identity_function(3),
+                              identity_function(3).declared_inverse_moduli[0],
+                              ("-2", "-15/8", "3/4"), ()),
+    # x = 2 lies just past the grid's last point, and so do half its acceptors
+    "scale-2-upper-edge": (_SCALE_F, _SCALE_F.declared_inverse_moduli[0], ("2",), ()),
 }
 
 
@@ -1171,3 +1179,38 @@ def test_box_gap_sq_is_a_sound_lower_bound(data):
         upper = [i + 1 for i in indices]
         assert (_box_gap_sq(steps, base, indices, upper)
                 == box_gap_sq_reference(steps, base, indices, upper))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_start_box_holds_every_acceptor(data):
+    # random small integer maps, zero columns and singular steps^T steps
+    # included: every grid index whose image lands within the limit lies in
+    # the start box, the start box lies in the grid, and no start box means
+    # no such index
+    width = data.draw(st.integers(1, 3), label="width")
+    rows = data.draw(st.integers(1, 3), label="rows")
+    small = st.integers(-6, 6)
+    steps = data.draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                               min_size=rows, max_size=rows), label="steps")
+    zero = data.draw(st.sampled_from([None, *range(width)]), label="zero column")
+    if zero is not None:
+        for row in steps:
+            row[zero] = 0
+    base = data.draw(st.lists(st.integers(-60, 60), min_size=rows, max_size=rows),
+                     label="base")
+    accept_sq = data.draw(st.integers(0, 100), label="limit")
+    cells = data.draw(st.integers(1, 9), label="cells")
+    acceptors = [
+        indices for indices in itertools.product(range(cells), repeat=width)
+        if sum((sum(s * i for s, i in zip(row, indices)) + b) ** 2
+               for row, b in zip(steps, base)) <= accept_sq
+    ]
+    start = _start_box(steps, base, accept_sq, cells)
+    if start is None:
+        assert acceptors == []
+        return
+    lo, hi = start
+    assert all(0 <= a < z <= cells for a, z in zip(lo, hi))
+    for indices in acceptors:
+        assert all(a <= i < z for a, i, z in zip(lo, indices, hi))

@@ -39,6 +39,20 @@ def _as_fractions(point):
     return tuple(c.to_fraction() for c in point.coords)
 
 
+@pytest.fixture
+def bounds(monkeypatch):
+    """One entry per box the left-inverse search bounds."""
+    calls = []
+    bound = functions._box_gap_sq
+
+    def counting(*args):
+        calls.append(None)
+        return bound(*args)
+
+    monkeypatch.setattr(functions, "_box_gap_sq", counting)
+    return calls
+
+
 def project(v, sel):
     """Split a vector into its selected part and the rest: the reference
     that ``interleave`` inverts."""
@@ -381,6 +395,36 @@ class TestLeftInverse:
         with pytest.raises(SearchExhaustedError):
             g.evaluate(distant, 3)
 
+    @pytest.mark.parametrize("name, params, certificate, w", [
+        # the preimage 2000 lies outside the box: the ellipsoid misses the grid
+        ("scale", {"c": "2"}, None, _const((4000, 0))),
+        # x -> (x, x) comes nowhere near (0, 4): the ellipsoid is empty, N < 0
+        ("affine", {"matrix": [["1"], ["1"]], "offset": ["0", "0"]},
+         (SSelector(1, (1,)), linear_modulus(0)), _const((0, 0), (4, 0))),
+    ], ids=["preimage-outside-box", "off-the-image"])
+    def test_empty_start_box_exhausts_at_once(self, bounds, name, params,
+                                              certificate, w):
+        # a start box with a side of 0 would never split down to side 1, so
+        # the heap starts empty and the search gives up before bounding a box
+        f = library_function(name, params)
+        sel, spec = certificate or f.declared_inverse_moduli[0]
+        g = left_inverse_synthesize(f, sel, spec, box=(-4, 4))
+        for r in (0, 3, 9):
+            del bounds[:]
+            with pytest.raises(SearchExhaustedError, match=r"no candidate in \(-4, 4\)"):
+                g.evaluate(w, r)
+            assert bounds == []
+
+    def test_singular_map_searches_the_whole_grid(self):
+        # every (x1, x2) with x1 + x2 near 1 is accepted: steps^T steps is
+        # singular, the acceptors fill a strip across the grid, and the
+        # lex-least of them sits where the strip leaves the top of the grid
+        f = library_function("sum", {"n": 2})
+        g = left_inverse_synthesize(f, SSelector(2, (1, 2)), linear_modulus(1),
+                                    box=(-4, 4))
+        got = g.evaluate(_const((1, 0)), 0)
+        assert _as_fractions(got) == (Fraction(-51, 16), Fraction(63, 16))
+
     def test_function_without_linear_core_refused(self):
         with pytest.raises(ValueError, match="hilbert2d has no linear core"):
             left_inverse_synthesize(library_function("hilbert2d"),
@@ -394,8 +438,9 @@ class TestLeftInverse:
                                     SSelector(2, ()), linear_modulus(1))
 
     def test_affine_search_pops_few_boxes(self, monkeypatch):
-        # criterion 10's 33 affine inputs at r = 20: the box interval pops
-        # 7,877 boxes, where the prune by the forward modulus popped 42,873
+        # criterion 10's 33 affine inputs at r = 20: from the bounding box of
+        # the acceptor ellipsoid the search pops 561 boxes; from the whole
+        # grid it popped 7,877, and the prune by the forward modulus 42,873
         f = library_function("affine", {
             "matrix": [["1", "1/2"], ["0", "1"]], "offset": ["1/4", "0"],
             "inverse_modulus": {"S": [1, 2], "s": 1},
@@ -425,6 +470,36 @@ class TestLeftInverse:
                        for v, x in zip(_as_fractions(got), want))
         assert len(points) == 33
         assert pops <= 10_000
+
+    def test_criterion_10_trials_bound_pinned_boxes(self, bounds):
+        # every box bounded over criterion 10's seeded trials at r = 0..20:
+        # starting at the bounding box of the acceptor ellipsoid, the search
+        # bounds this many; starting at the whole grid it bounded 158,524
+        f2 = library_function("scale", {"c": "2"})
+        fs = library_function("sum", {"n": 2})
+        fa = library_function("affine", {
+            "matrix": [["1", "1/2"], ["0", "1"]], "offset": ["1/4", "0"],
+            "inverse_modulus": {"S": [1, 2], "s": 1},
+        })
+        g2 = left_inverse_synthesize(f2, *f2.declared_inverse_moduli[0])
+        gs = left_inverse_synthesize(fs, SSelector(2, (1,)), linear_modulus(1))
+        ga = left_inverse_synthesize(fa, *fa.declared_inverse_moduli[0])
+        rng = random.Random(42)
+        trials = []
+        for trial in range(100):
+            a = rng.randrange(-100 << 10, 100 << 10)
+            b = rng.randrange(-100 << 10, 100 << 10)
+            if trial % 3 == 0:
+                trials.append((g2, ImageOracle(f2, _const((a, 10)))))
+            elif trial % 3 == 1:
+                trials.append((gs, ProductOracle(ImageOracle(fs, _const((a, 10), (b, 10))),
+                                                 _const((b, 10)))))
+            else:
+                trials.append((ga, ImageOracle(fa, _const((a, 10), (b, 10)))))
+        for g, w in trials:
+            for r in range(21):
+                g.evaluate(w, r)
+        assert len(bounds) == 19_657
 
     def test_core_and_evaluator_disagreeing_raises(self):
         # the core says -2x while the evaluator computes 2x: the search finds
