@@ -62,7 +62,7 @@ def decode_int(bits: str, pos: int = 0) -> tuple[int, int]:
     return unzigzag(u - 1), newpos
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class DyadicRational:
     """Exact rational m / 2**r, canonicalized so r >= 0 and (m odd or r == 0)."""
 
@@ -109,7 +109,7 @@ class DyadicRational:
 DYADIC_ZERO = DyadicRational(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalPoint:
     """A point of Q^n with exact dyadic coordinates, n >= 1."""
 
@@ -143,12 +143,15 @@ def ceil_half_log2(n: int) -> int:
 
 def distance_sq_parts(p: RationalPoint, q: RationalPoint) -> tuple[int, int]:
     """(t, e) with |p - q|**2 == t / 4**e, e the common exponent."""
-    if p.dimension != q.dimension:
+    pc, qc = p.coords, q.coords
+    if len(pc) != len(qc):
         raise ValueError("dimension mismatch")
-    pairs = tuple(zip(p.coords, q.coords))
-    e = max(max(a.exp, b.exp) for a, b in pairs)
+    e = 0  # canonical exponents are >= 0
+    for a in pc + qc:
+        if a.exp > e:
+            e = a.exp
     total = 0
-    for a, b in pairs:
+    for a, b in zip(pc, qc):
         d = (a.num << (e - a.exp)) - (b.num << (e - b.exp))
         total += d * d
     return total, e

@@ -30,7 +30,7 @@ def _check_precision(shape: str, r) -> None:
         raise ValueError(f"{shape} precision must be an int >= 0, not {r!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ball:
     """Open Euclidean ball of radius 2**-precision around ``center``.
 
@@ -74,7 +74,7 @@ def scale_ball(ball: Ball, alpha: Fraction | int) -> Ball:
     return Ball(ball.center, ball.precision - a.bit_length() + b.bit_length())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicCube:
     """Half-open cube prod_i [m_i * 2**-r, (m_i + 1) * 2**-r)."""
 
@@ -89,16 +89,20 @@ class DyadicCube:
         return len(self.index)
 
     def contains(self, q: RationalPoint) -> bool:
-        if q.dimension != self.dimension:
+        if len(q.coords) != len(self.index):
             raise ValueError("dimension mismatch")
         r = self.precision
         for c, m in zip(q.coords, self.index):
-            if c.floor_shift(r) != m:
+            # floor(c * 2**r), as DyadicRational.floor_shift
+            s = r - c.exp
+            if (c.num << s if s >= 0 else c.num >> -s) != m:
                 return False
         return True
 
     def closure_distance_sq(self, p: RationalPoint) -> Fraction:
         """Exact squared distance from p to the cube's closure."""
+        if p.dimension != self.dimension:
+            raise ValueError("dimension mismatch")
         r = self.precision
         # integer numerators over 2**e, e the finest exponent in play
         e = max(r, max(c.exp for c in p.coords))
@@ -120,7 +124,11 @@ def _gap_sq(v: int, lo: int, hi: int) -> int:
 
 
 def cube_containing(q: RationalPoint, r: int) -> DyadicCube:
-    return DyadicCube(r, tuple(c.floor_shift(r) for c in q.coords))
+    # floor(c * 2**r) per coordinate, as DyadicRational.floor_shift
+    return DyadicCube(r, tuple([
+        c.num << (r - c.exp) if r >= c.exp else c.num >> (c.exp - r)
+        for c in q.coords
+    ]))
 
 
 def cubes_intersecting_ball(ball: Ball) -> list[tuple[int, ...]]:
@@ -137,28 +145,29 @@ def cubes_intersecting_ball(ball: Ball) -> list[tuple[int, ...]]:
     computed once, as integers over 2**(2e) with e the finest exponent in
     play: a center coordinate f above its own cube's lower face is f away
     from the cube below, 0 from its own and side - f from the cube above.
-    The hits are built one axis at a time.  A partial sum that reaches the
-    radius bound is dropped: the terms are non-negative, so it can never
-    come back under it.
+    ``product`` walks the index tuples and the term tuples in the same
+    order, so each hit is the index tuple whose terms sum below the radius
+    bound.
     """
     r = ball.precision
-    e = max(r, max(c.exp for c in ball.center.coords))
+    coords = ball.center.coords
+    e = r
+    for c in coords:
+        if c.exp > e:
+            e = c.exp
     unit = e - r
     side = 1 << unit
-    limit = side * side
-    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for c in ball.center.coords:
+    axes = []
+    terms = []
+    for c in coords:
         v = c.num << (e - c.exp)
         base = v >> unit
         f = v - (base << unit)
-        terms = ((base - 1, f * f), (base, 0), (base + 1, (side - f) ** 2))
-        partial = [
-            (idx + (m,), total + term)
-            for idx, total in partial
-            for m, term in terms
-            if total + term < limit
-        ]
-    return [idx for idx, _ in partial]
+        axes.append((base - 1, base, base + 1))
+        terms.append((f * f, 0, (side - f) ** 2))
+    limit = side * side
+    hits = [t < limit for t in map(sum, itertools.product(*terms))]
+    return list(itertools.compress(itertools.product(*axes), hits))
 
 
 def lattice_point_in_ball(ball: Ball) -> RationalPoint:
@@ -177,14 +186,17 @@ def lattice_point_in_ball(ball: Ball) -> RationalPoint:
     indicates a bug, not bad input.
     """
     r = ball.precision
-    n = ball.dimension
-    s = r + ceil_half_log2(n)
+    coords = ball.center.coords
+    s = r + ceil_half_log2(len(coords))
     # integer numerators over 2**e, e the finest exponent in play
-    e = max(s, max(c.exp for c in ball.center.coords))
+    e = s
+    for c in coords:
+        if c.exp > e:
+            e = c.exp
     k = e - s
     total = 0
     idx = []
-    for c in ball.center.coords:
+    for c in coords:
         v = c.num << (e - c.exp)
         # ceil(c * 2**s - 1/2): floor(c * 2**s + 1/2), one lower at a midpoint
         m = ((v << 1) + (1 << k) - 1) >> (k + 1)
@@ -194,7 +206,7 @@ def lattice_point_in_ball(ball: Ball) -> RationalPoint:
         raise InternalGeometryError(
             f"no lattice point at spacing 2**-{s} inside {ball}"
         )
-    return RationalPoint(tuple(DyadicRational(m, s) for m in idx))
+    return RationalPoint(tuple([DyadicRational(m, s) for m in idx]))
 
 
 # n -> (the points of Z^n with squared norm below the bound, in enumeration

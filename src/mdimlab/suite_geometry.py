@@ -22,17 +22,15 @@ from .report import SuiteReport, at_most, check_row, finish
 
 def _random_point(rng: random.Random, n: int, depth: int) -> RationalPoint:
     """n coordinates m / 2**depth, each m drawn from [-2**(depth+1), 2**(depth+1))."""
-    return RationalPoint(
-        tuple(
-            DyadicRational(rng.randrange(-(2 << depth), 2 << depth), depth)
-            for _ in range(n)
-        )
-    )
+    span = 2 << depth
+    return RationalPoint(tuple([
+        DyadicRational(rng.randrange(-span, span), depth) for _ in range(n)
+    ]))
 
 
 def _random_ball(rng: random.Random, n: int) -> Ball:
     r = rng.randrange(0, 13)
-    return Ball.at_precision(_random_point(rng, n, r + 2), r)
+    return Ball(_random_point(rng, n, r + 2), r)
 
 
 def _geometry_axis_task(seed: int, n: int) -> tuple[list[dict], int]:
