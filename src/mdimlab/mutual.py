@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .compressor import Lz78Parser, lz78_cost
-from .complexity import ball_points, k_r, k_r_parse, point_columns
+from .complexity import ball_points, k_r, k_r_parse, point_representation
 from .constants import (
     GUARD_BITS,
     JOINT_FLAG_BITS,
@@ -57,60 +57,49 @@ def mutual_info(p: str, q: str, cfg: MachineConfig) -> int | None:
 # ---- pair representation (compressor) --------------------------------------
 
 
-def _xor_bits(a: str, b: str) -> str:
-    """Bitwise XOR of the common-length prefixes of two bit strings."""
-    n = min(len(a), len(b))
-    if n == 0:
-        return ""
-    return format(int(a[:n], 2) ^ int(b[:n], 2), f"0{n}b")
-
-
 def pair_cost(
-    cols_x: Sequence[str],
-    cols_y: Sequence[str],
-    first_x: Lz78Parser,
-    first_y: Lz78Parser,
+    rep_x: str, rep_y: str, first_x: Lz78Parser, first_y: Lz78Parser
 ) -> int:
     """Code length of the cheapest decodable joint layout, plus flag bits.
 
     Four layouts are tried: each argument order, with the second block
-    either plain or column-wise XOR-differenced against the first.  The
-    layout family is closed under argument swap, so the result is exactly
-    symmetric.  Differencing makes a shared coordinate cost only its
-    near-zero residue; the flag bits pay for naming the chosen layout.
+    either plain or XOR-differenced against the first: XOR the first
+    representation, cut or padded with zeros on the right to the second's
+    length.  Columns at one precision share one width, so that is each
+    column XOR its partner.  The layout family is closed under argument
+    swap, so the result is exactly symmetric.  Differencing makes a shared
+    coordinate cost only its near-zero residue; the flag bits pay for
+    naming the chosen layout.
 
-    ``first_x`` and ``first_y`` are parses of the joined ``cols_x`` and
-    ``cols_y``, such as ``complexity.k_r_parse`` holds: each layout goes on
-    from a copy of its first block's parse, so only second blocks are
-    parsed and the two parses are left as they were.  Equal arguments make
-    both orders the same two strings, so only one order is tried.
+    ``first_x`` and ``first_y`` are parses of ``rep_x`` and ``rep_y``, such
+    as ``complexity.k_r_parse`` holds: each layout goes on from a copy of
+    its first block's parse, so only second blocks are parsed and the two
+    parses are left as they were.  Equal arguments make both orders the
+    same two strings, so only one order is tried.
 
     Each layout is parsed with the cheapest cost so far as its ceiling
     (``Lz78Parser.feed``), so one that cannot win stops early.  The
     differenced layouts go first, since they are usually the cheaper, and
     each second block is built only when it is parsed.
     """
-    orders = [(cols_x, cols_y, first_x)]
-    if list(cols_x) != list(cols_y):
-        orders.append((cols_y, cols_x, first_y))
+    orders = [(rep_x, rep_y, first_x)]
+    if rep_x != rep_y:
+        orders.append((rep_y, rep_x, first_y))
     best = math.inf
     for differenced in (True, False):
         for a, b, first in orders:
-            second = _differenced(b, a) if differenced else b
-            best = min(best, first.copy().feed("".join(second), best).cost)
+            n = len(b)
+            second = (format(int(b, 2) ^ int(a[:n].ljust(n, "0"), 2), f"0{n}b")
+                      if differenced and n else b)
+            best = min(best, first.copy().feed(second, best).cost)
     return JOINT_FLAG_BITS + best
-
-
-def _differenced(b: Sequence[str], a: Sequence[str]) -> list[str]:
-    """Each column of ``b`` XOR its partner in ``a``; unpartnered ones as is."""
-    return [_xor_bits(col, a[i]) if i < len(a) else col for i, col in enumerate(b)]
 
 
 def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:
     """Compressor complexity of the pair point at precision r."""
     return pair_cost(
-        point_columns(x.query(r), r),
-        point_columns(y.query(r), r),
+        point_representation(x.query(r), r),
+        point_representation(y.query(r), r),
         k_r_parse(x, r),
         k_r_parse(y, r),
     )

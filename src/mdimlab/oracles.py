@@ -208,18 +208,6 @@ class ProductOracle(PointOracle):
         return RationalPoint(coords)
 
 
-def random_oracle(seed: int, n: int = 1) -> StreamOracle:
-    return StreamOracle([hash_stream(seed, lane) for lane in range(n)])
-
-
-def diluted_oracle(seed: int, rho: Fraction, n: int = 1) -> StreamOracle:
-    return StreamOracle([diluted_stream(seed, rho, lane) for lane in range(n)])
-
-
-def rational_oracle(values: Sequence[Fraction]) -> StreamOracle:
-    return StreamOracle([rational_stream(v) for v in values])
-
-
 def make_oracle(spec: Mapping) -> PointOracle:
     """Build an oracle from a plain-data description, as found in configs.
 
@@ -233,18 +221,22 @@ def make_oracle(spec: Mapping) -> PointOracle:
     with json_object("generator", spec) as spec:
         kind = spec.get("kind")
         if kind == "random":
-            return random_oracle(json_int("seed", spec["seed"]),
-                                 json_dimension("n", spec.get("n", 1)))
+            seed = json_int("seed", spec["seed"])
+            lanes = range(json_dimension("n", spec.get("n", 1)))
+            return StreamOracle([hash_stream(seed, lane) for lane in lanes])
         if kind == "diluted":
-            return diluted_oracle(
-                json_int("seed", spec["seed"]), json_fraction("rho", spec["rho"]),
-                json_dimension("n", spec.get("n", 1)),
-            )
+            seed = json_int("seed", spec["seed"])
+            rho = json_fraction("rho", spec["rho"])
+            lanes = range(json_dimension("n", spec.get("n", 1)))
+            return StreamOracle([diluted_stream(seed, rho, lane)
+                                 for lane in lanes])
         if kind == "rational":
             values = json_list("values", spec["values"])
             json_dimension("rational dimension", len(values))
-            return rational_oracle([json_fraction(f"values[{i}]", v)
-                                    for i, v in enumerate(values)])
+            # every value is read before any stream checks its range
+            values = [json_fraction(f"values[{i}]", v)
+                      for i, v in enumerate(values)]
+            return StreamOracle([rational_stream(v) for v in values])
         if kind == "constant":
             coords = json_list("coords", spec["coords"])
             json_dimension("constant dimension", len(coords))

@@ -144,7 +144,7 @@ def _reverse_dpi_suite(cfg) -> SuiteReport:
 
 
 def _conservation_suite(cfg) -> SuiteReport:
-    d12, _, _, r9, x2 = _shared_oracles()
+    d12, _, _, _, x2 = _shared_oracles()
     base1 = mdim_estimate(d12, d12, cfg.grid)
     base2 = mdim_estimate(x2, x2, cfg.grid)
     rows = []

@@ -1,4 +1,12 @@
 import pytest
+from hypothesis import settings
+
+# property tests check what they assert, not how fast one example runs: on a
+# loaded host a single example can run past hypothesis's default 200 ms
+# deadline and fail a test whose property holds.  Examples and max_examples
+# stay as each test sets them.
+settings.register_profile("mdimlab", deadline=None)
+settings.load_profile("mdimlab")
 
 
 def pytest_configure(config):

@@ -61,13 +61,14 @@ def reference_pair_cost(cols_x, cols_y):
     )
 
 
-def _first(cols):
-    """A frozen parse of the joined columns, as ``k_r_parse`` holds one."""
-    return Lz78Parser().feed("".join(cols)).freeze()
+def _first(rep):
+    """A frozen parse of a representation, as ``k_r_parse`` holds one."""
+    return Lz78Parser().feed(rep).freeze()
 
 
 def _pair_cost(cols_x, cols_y):
-    return pair_cost(cols_x, cols_y, _first(cols_x), _first(cols_y))
+    rep_x, rep_y = "".join(cols_x), "".join(cols_y)
+    return pair_cost(rep_x, rep_y, _first(rep_x), _first(rep_y))
 
 
 def _state(parser):
@@ -147,13 +148,13 @@ class TestPairCost:
 
     @pytest.mark.parametrize("same", [False, True])
     def test_feeds_only_second_blocks(self, fed_bits, parsed_bits, same):
-        a = point_columns(make_oracle(D12).query(64), 64)
-        b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 2})
-                          .query(64), 64)
+        a = point_representation(make_oracle(D12).query(64), 64)
+        b = point_representation(make_oracle({"kind": "random", "seed": 3, "n": 2})
+                                 .query(64), 64)
         if same:
-            b = list(a)
+            b = a
         first_a, first_b = _first(a), _first(b)
-        size_a, size_b = len("".join(a)), len("".join(b))
+        size_a, size_b = len(a), len(b)
         del fed_bits[:], parsed_bits[:]
         pair_cost(a, b, first_a, first_b)
         # each order feeds its plain and its differenced second block to
@@ -165,9 +166,9 @@ class TestPairCost:
             assert sum(parsed_bits) == 112  # of 144 offered
 
     def test_passed_parses_are_left_as_they_were(self):
-        a = point_columns(make_oracle(D12).query(64), 64)
-        b = point_columns(make_oracle({"kind": "random", "seed": 3, "n": 1})
-                          .query(64), 64)
+        a = point_representation(make_oracle(D12).query(64), 64)
+        b = point_representation(make_oracle({"kind": "random", "seed": 3, "n": 1})
+                                 .query(64), 64)
         first_a, first_b = _first(a), _first(b)
         before = _state(first_a), _state(first_b)
         pair_cost(a, b, first_a, first_b)

@@ -17,12 +17,9 @@ from mdimlab.oracles import (
     ConstantOracle,
     ProductOracle,
     StreamOracle,
-    diluted_oracle,
     diluted_stream,
     hash_stream,
     make_oracle,
-    random_oracle,
-    rational_oracle,
     rational_stream,
 )
 
@@ -194,7 +191,8 @@ def test_constant_oracle_exact_at_all_precisions():
 
 
 def test_product_oracle_concatenates():
-    prod = ProductOracle(random_oracle(1, 2), rational_oracle([Fraction(1, 3)]))
+    prod = ProductOracle(make_oracle({"kind": "random", "seed": 1, "n": 2}),
+                         make_oracle({"kind": "rational", "values": ["1/3"]}))
     assert prod.dimension == 3
     assert len(prod.query(4).coords) == 3
 
@@ -220,5 +218,14 @@ def test_dimension_cap_is_the_largest_accepted(spec_of):
 
 
 def test_diluted_oracle_dimension():
-    oracle = diluted_oracle(7, Fraction(3, 4), n=2)
+    oracle = make_oracle({"kind": "diluted", "seed": 7, "rho": "3/4", "n": 2})
     assert oracle.dimension == 2
+
+
+def test_rational_values_are_all_read_before_any_range_check():
+    # 2 is a well-formed value out of [0, 1); the float after it is
+    # refused first, since every value is read before a stream is built
+    with pytest.raises(ValueError, match=r"values\[1\] must be an integer or a string"):
+        make_oracle({"kind": "rational", "values": [2, 1.5]})
+    with pytest.raises(ValueError, match=r"value must lie in \[0, 1\)"):
+        make_oracle({"kind": "rational", "values": [2, "1/2"]})
