@@ -11,8 +11,9 @@ this object":
 * the compressor (``k_r``): the emitted code length of the built-in
   dictionary compressor over a fixed-width binary representation of the
   point.  Deterministic and cheap at long inputs; this is what the
-  dimension estimators run on.  Each oracle's parses are memoized by
-  precision (``k_r_parse``), so the pair coder can go on from them.
+  dimension estimators run on.  Each oracle's representation and its parse
+  are memoized by precision (``k_r_entry``), so the pair coder reads them
+  instead of querying and formatting the point again.
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
@@ -135,64 +136,68 @@ def ball_points(
 
 # ---- compressor K_r memo ----------------------------------------------------
 # Estimators sweep the same oracles over many precisions, and the pair coder
-# goes on from both arguments' parses, so each oracle's LZ78 parses are kept
-# frozen (``Lz78Parser.freeze``) by precision.  Most oracles hash by
-# identity, so the memo holds them weakly: an oracle's parses are freed with
-# the oracle instead of pinning it for the life of the process.
+# reads both arguments' representations and goes on from their parses, so
+# each oracle's representations are kept by precision as entries (length,
+# integer value, frozen parse); ``Lz78Parser.freeze`` freezes the parse.
+# Most oracles hash by identity, so the memo holds them weakly: an oracle's
+# entries are freed with the oracle instead of pinning it for the life of
+# the process.
 #
 # LZ78 parses online, so when a representation extends the one at the
 # oracle's highest memoized precision, a copy of that parse fed the tail
-# costs the same as a parse of the whole string.  The highest representation
-# is kept as its precision, length and integer value, enough to test that
-# exactly without querying the oracle again.  The three go in one ``top``
-# record, written in one store: equal ``ConstantOracle``s hash by value and
-# share one memo entry, so a reader on another thread sees the old record
-# or the new one, never a mix.  A one-coordinate point's columns nest
-# across precisions; the columns of a point of several coordinates seldom
-# do, since its first column grows into where the second one started.
+# costs the same as a parse of the whole string; the held integer value
+# tests that exactly without querying the oracle again.  Equal
+# ``ConstantOracle``s hash by value and share one memo, so ``top`` is written
+# after its entry is stored: a reader on another thread that sees it also
+# finds the entry.  A one-coordinate point's columns nest across
+# precisions; the columns of a point of several coordinates seldom do,
+# since its first column grows into where the second one started.
 
 
 class _OracleParses:
-    """One oracle's frozen parses by precision, and the highest one's text
-    as ``top``: (precision, length, integer value), precision -1 at first."""
+    """One oracle's entries by precision, and ``top``, the highest
+    precision held (-1 at first)."""
 
-    __slots__ = ("parses", "top")
+    __slots__ = ("entries", "top")
 
     def __init__(self) -> None:
-        self.parses: dict[int, Lz78Parser] = {}
-        self.top = (-1, 0, 0)
+        self.entries: dict[int, tuple[int, int, Lz78Parser]] = {}
+        self.top = -1
 
-    def parse(self, x: PointOracle, r: int) -> Lz78Parser:
+    def parse(self, x: PointOracle, r: int) -> tuple[int, int, Lz78Parser]:
         text = point_representation(x.query(r), r)
-        top, n, value = self.top
-        if r > top >= 0 and len(text) >= n and int(text[:n], 2) == value:
-            parser = self.parses[top].copy().feed(text[n:])
+        n, value = len(text), int(text, 2)
+        top = self.top
+        m, low, parser = self.entries[top] if r > top >= 0 else (0, 0, None)
+        if parser is not None and n >= m and value >> (n - m) == low:
+            parser = parser.copy().feed(text[m:])
         else:
             parser = Lz78Parser().feed(text)
-        self.parses[r] = parser.freeze()
-        if r > self.top[0]:
-            self.top = (r, len(text), int(text, 2))
-        return parser
+        entry = self.entries[r] = (n, value, parser.freeze())
+        if r > self.top:
+            self.top = r
+        return entry
 
 
 _PARSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def k_r_parse(x: PointOracle, r: int) -> Lz78Parser:
-    """The frozen LZ78 parse of ``point_representation`` at precision r.
+def k_r_entry(x: PointOracle, r: int) -> tuple[int, int, Lz78Parser]:
+    """``point_representation`` at precision r as (length, integer value,
+    frozen LZ78 parse).
 
-    Memoized per oracle and precision; fork it with ``copy`` to go on.
+    Memoized per oracle and precision; fork the parse with ``copy`` to go on.
     """
     memo = _PARSES.get(x)
     if memo is None:
         memo = _PARSES[x] = _OracleParses()
-    parser = memo.parses.get(r)
-    return parser if parser is not None else memo.parse(x, r)
+    entry = memo.entries.get(r)
+    return entry if entry is not None else memo.parse(x, r)
 
 
 def k_r(x: PointOracle, r: int) -> int:
     """Compressor K_r: code length of ``point_representation`` at precision r."""
-    return k_r_parse(x, r).cost
+    return k_r_entry(x, r)[2].cost
 
 
 def exact_k_r(x: PointOracle, r: int, cfg: MachineConfig) -> int | None:

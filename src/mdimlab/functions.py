@@ -177,13 +177,7 @@ class ComputableFunction:
 
 
 class ImageOracle(PointOracle):
-    """Oracle for f(x) built from an oracle for x: query r evaluates f at r.
-
-    The last answer is kept, so asking for the same precision twice in a
-    row evaluates f once: an estimator reads each precision's point for
-    K_r and again for the pair coder.  A ``RationalPoint`` is immutable,
-    so the kept one is safe to share.
-    """
+    """Oracle for f(x) built from an oracle for x: query r evaluates f at r."""
 
     def __init__(self, f: ComputableFunction, x: PointOracle):
         if x.dimension != f.n:
@@ -192,17 +186,13 @@ class ImageOracle(PointOracle):
             )
         self._f = f
         self._x = x
-        self._last: tuple[int, RationalPoint] | None = None
 
     @property
     def dimension(self) -> int:
         return self._f.k
 
     def query(self, r: int) -> RationalPoint:
-        last = self._last
-        if last is None or last[0] != r:
-            last = self._last = (r, self._f.evaluate(self._x, r))
-        return last[1]
+        return self._f.evaluate(self._x, r)
 
 
 def _as_point(coords: Sequence[DyadicRational]) -> RationalPoint:

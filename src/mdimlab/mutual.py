@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .compressor import Lz78Parser, lz78_cost
-from .complexity import ball_points, k_r, k_r_parse, point_representation
+from .complexity import ball_points, k_r, k_r_entry
 from .constants import (
     GUARD_BITS,
     JOINT_FLAG_BITS,
@@ -58,51 +58,47 @@ def mutual_info(p: str, q: str, cfg: MachineConfig) -> int | None:
 
 
 def pair_cost(
-    rep_x: str, rep_y: str, first_x: Lz78Parser, first_y: Lz78Parser
+    entry_x: tuple[int, int, Lz78Parser], entry_y: tuple[int, int, Lz78Parser]
 ) -> int:
     """Code length of the cheapest decodable joint layout, plus flag bits.
 
-    Four layouts are tried: each argument order, with the second block
-    either plain or XOR-differenced against the first: XOR the first
-    representation, cut or padded with zeros on the right to the second's
-    length.  Columns at one precision share one width, so that is each
-    column XOR its partner.  The layout family is closed under argument
-    swap, so the result is exactly symmetric.  Differencing makes a shared
-    coordinate cost only its near-zero residue; the flag bits pay for
-    naming the chosen layout.
+    Each argument is a representation as ``complexity.k_r_entry`` holds it:
+    (length, integer value, parse of the representation).  Four layouts are
+    tried: each argument order, with the second block either plain or
+    XOR-differenced against the first: XOR the first representation, cut
+    or padded with zeros on the right to the second's length, which on the
+    integer values is one shift.  Columns at one precision share one width,
+    so that is each column XOR its partner.  The layout family is closed
+    under argument swap, so the result is exactly symmetric.  Differencing
+    makes a shared coordinate cost only its near-zero residue; the flag bits
+    pay for naming the chosen layout.
 
-    ``first_x`` and ``first_y`` are parses of ``rep_x`` and ``rep_y``, such
-    as ``complexity.k_r_parse`` holds: each layout goes on from a copy of
-    its first block's parse, so only second blocks are parsed and the two
-    parses are left as they were.  Equal arguments make both orders the
-    same two strings, so only one order is tried.
+    Each layout goes on from a copy of its first block's parse, so only
+    second blocks are formatted and parsed and the two parses are left as
+    they were.  Equal arguments make both orders the same two strings, so
+    only one order is tried.
 
     Each layout is parsed with the cheapest cost so far as its ceiling
     (``Lz78Parser.feed``), so one that cannot win stops early.  The
     differenced layouts go first, since they are usually the cheaper, and
     each second block is built only when it is parsed.
     """
-    orders = [(rep_x, rep_y, first_x)]
-    if rep_x != rep_y:
-        orders.append((rep_y, rep_x, first_y))
+    orders = [(entry_x, entry_y)]
+    if entry_x[:2] != entry_y[:2]:
+        orders.append((entry_y, entry_x))
     best = math.inf
     for differenced in (True, False):
-        for a, b, first in orders:
-            n = len(b)
-            second = (format(int(b, 2) ^ int(a[:n].ljust(n, "0"), 2), f"0{n}b")
-                      if differenced and n else b)
+        for (m, a, first), (n, b, _) in orders:
+            if differenced:
+                b ^= a >> (m - n) if m >= n else a << (n - m)
+            second = format(b, f"0{n}b") if n else ""
             best = min(best, first.copy().feed(second, best).cost)
     return JOINT_FLAG_BITS + best
 
 
 def k_r_pair(x: PointOracle, y: PointOracle, r: int) -> int:
     """Compressor complexity of the pair point at precision r."""
-    return pair_cost(
-        point_representation(x.query(r), r),
-        point_representation(y.query(r), r),
-        k_r_parse(x, r),
-        k_r_parse(y, r),
-    )
+    return pair_cost(k_r_entry(x, r), k_r_entry(y, r))
 
 
 # ---- mutual information of points at precision r ---------------------------
@@ -200,7 +196,8 @@ class DimEstimate:
 
 @dataclass(frozen=True)
 class MutualProfile:
-    """Profile of i_r over a precision window with its slope envelope."""
+    """Profile of the compressor's I_r = K_r(x) + K_r(y) - K_r(x,y) over a
+    precision window, with its slope envelope."""
 
     r_grid: tuple[int, ...]
     i_values: tuple[int, ...]

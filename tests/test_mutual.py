@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mdimlab import constants as C
 from mdimlab import mutual
 from mdimlab.codec import DYADIC_ZERO, DyadicRational, RationalPoint
-from mdimlab.complexity import k_r, k_r_parse, point_columns, point_representation
+from mdimlab.complexity import k_r, k_r_entry, point_columns, point_representation
 from mdimlab.compressor import Lz78Parser, lz78_cost
 from mdimlab.functions import ImageOracle, library_function
 from mdimlab.harness import config_from_mapping, run_suite
@@ -62,13 +62,13 @@ def reference_pair_cost(cols_x, cols_y):
 
 
 def _first(rep):
-    """A frozen parse of a representation, as ``k_r_parse`` holds one."""
-    return Lz78Parser().feed(rep).freeze()
+    """A representation as ``k_r_entry`` holds it: (length, integer value,
+    frozen parse); the empty one is (0, 0, parse)."""
+    return len(rep), int(rep or "0", 2), Lz78Parser().feed(rep).freeze()
 
 
 def _pair_cost(cols_x, cols_y):
-    rep_x, rep_y = "".join(cols_x), "".join(cols_y)
-    return pair_cost(rep_x, rep_y, _first(rep_x), _first(rep_y))
+    return pair_cost(_first("".join(cols_x)), _first("".join(cols_y)))
 
 
 def _state(parser):
@@ -140,6 +140,9 @@ class TestPairCost:
     @example(pair=([""], ["", ""]))
     @example(pair=(["1"], ["1", "0"]))
     @example(pair=(["10110011001110001"], ["10110011001110001", "0" * 17]))
+    # two columns against three: the shorter first representation is
+    # padded on the right, so its columns meet their partners
+    @example(pair=(["11", "01"], ["11", "01", "00"]))
     @given(column_pairs())
     def test_matches_four_layout_reference(self, pair):
         cols_x, cols_y = pair
@@ -153,10 +156,10 @@ class TestPairCost:
                                  .query(64), 64)
         if same:
             b = a
-        first_a, first_b = _first(a), _first(b)
+        entry_a, entry_b = _first(a), _first(b)
         size_a, size_b = len(a), len(b)
         del fed_bits[:], parsed_bits[:]
-        pair_cost(a, b, first_a, first_b)
+        pair_cost(entry_a, entry_b)
         # each order feeds its plain and its differenced second block to
         # copies of the first block's parse; equal arguments try one order
         assert sum(fed_bits) == (2 * size_a if same else 2 * (size_a + size_b))
@@ -169,19 +172,20 @@ class TestPairCost:
         a = point_representation(make_oracle(D12).query(64), 64)
         b = point_representation(make_oracle({"kind": "random", "seed": 3, "n": 1})
                                  .query(64), 64)
-        first_a, first_b = _first(a), _first(b)
+        entry_a, entry_b = _first(a), _first(b)
+        first_a, first_b = entry_a[2], entry_b[2]
         before = _state(first_a), _state(first_b)
-        pair_cost(a, b, first_a, first_b)
-        pair_cost(a, a, first_a, first_a)
+        pair_cost(entry_a, entry_b)
+        pair_cost(entry_a, entry_a)
         assert (_state(first_a), _state(first_b)) == before
         # and the memo's parses, after a whole estimate goes on from them
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
-        held = [k_r_parse(o, r) for o in (x, y) for r in SHORT]
+        held = [k_r_entry(o, r)[2] for o in (x, y) for r in SHORT]
         states = [_state(parser) for parser in held]
         mdim_estimate(x, y, SHORT)
         mdim_estimate(x, x, SHORT)
-        assert [k_r_parse(o, r) for o in (x, y) for r in SHORT] == held
+        assert [k_r_entry(o, r)[2] for o in (x, y) for r in SHORT] == held
         assert [_state(parser) for parser in held] == states
 
     def test_warm_k_r_pair_feeds_no_first_block(self, fed_bits, parsed_bits):
@@ -333,7 +337,7 @@ def _reference(name, r):
 
 
 def _counting_queries(oracle):
-    """The precisions an ``ImageOracle`` is asked for from now on."""
+    """The precisions an oracle is asked for from now on."""
     asked = []
     query = oracle.query
 
@@ -386,7 +390,8 @@ class TestKrMemo:
     @pytest.mark.parametrize("spec", [("scale", {"c": "-1"}),
                                       ("hilbert2d", {})])
     def test_an_image_is_evaluated_once_per_precision(self, spec):
-        # k_r and the pair coder both read each precision's image point
+        # k_r and the pair coder both read each precision's image point,
+        # the pair coder from the memo, so ``ImageOracle`` keeps no answer
         f = library_function(*spec)
         evaluated = []
 
@@ -399,6 +404,18 @@ class TestKrMemo:
         prof = mdim_estimate(ImageOracle(counted_f, make_oracle(D12)), y, SHORT)
         assert evaluated == list(SHORT)
         assert prof == mdim_estimate(ImageOracle(f, make_oracle(D12)), y, SHORT)
+
+    def test_mdim_estimate_queries_each_oracle_once_per_precision(self):
+        # the pair coder reads each representation from the memo instead
+        # of asking the oracle for its point again
+        x = make_oracle(D12)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 2})
+        image = ImageOracle(library_function("scale", {"c": "-1"}),
+                            make_oracle(D12))
+        asked = [_counting_queries(o) for o in (x, y, image)]
+        mdim_estimate(x, y, SHORT)
+        mdim_estimate(image, y, SHORT)
+        assert asked == [list(SHORT)] * 3
 
     @pytest.mark.parametrize("name", sorted(MEMO_ORACLES))
     @pytest.mark.parametrize("start", [1, 3, 5])
