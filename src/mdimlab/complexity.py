@@ -137,47 +137,23 @@ def ball_points(
 # ---- compressor K_r memo ----------------------------------------------------
 # Estimators sweep the same oracles over many precisions, and the pair coder
 # reads both arguments' representations and goes on from their parses, so
-# each oracle's representations are kept by precision as entries (length,
-# integer value, frozen parse); ``Lz78Parser.freeze`` freezes the parse.
-# Most oracles hash by identity, so the memo holds them weakly: an oracle's
-# entries are freed with the oracle instead of pinning it for the life of
-# the process.
+# each oracle's representations are kept in a dict by precision as entries
+# (length, integer value, frozen parse); ``Lz78Parser.freeze`` freezes the
+# parse.  Most oracles hash by identity, so the memo holds them weakly: an
+# oracle's entries are freed with the oracle instead of pinning it for the
+# life of the process.
 #
 # LZ78 parses online, so when a representation extends the one at the
-# oracle's highest memoized precision, a copy of that parse fed the tail
-# costs the same as a parse of the whole string; the held integer value
-# tests that exactly without querying the oracle again.  Equal
-# ``ConstantOracle``s hash by value and share one memo, so ``top`` is written
-# after its entry is stored: a reader on another thread that sees it also
-# finds the entry.  A one-coordinate point's columns nest across
+# nearest lower precision held, a copy of that parse fed the tail costs the
+# same as a parse of the whole string; the held integer value tests that
+# exactly without querying the oracle again.  An oracle's dimension is
+# fixed, so the lower representation is the shorter.  Threads share an
+# oracle's dict without a lock: entries only gain keys, each is stored
+# whole in one assignment, and two threads that miss one precision store
+# equal entries.  The keys are copied before a scan, since another thread
+# may store one meanwhile.  A one-coordinate point's columns nest across
 # precisions; the columns of a point of several coordinates seldom do,
 # since its first column grows into where the second one started.
-
-
-class _OracleParses:
-    """One oracle's entries by precision, and ``top``, the highest
-    precision held (-1 at first)."""
-
-    __slots__ = ("entries", "top")
-
-    def __init__(self) -> None:
-        self.entries: dict[int, tuple[int, int, Lz78Parser]] = {}
-        self.top = -1
-
-    def parse(self, x: PointOracle, r: int) -> tuple[int, int, Lz78Parser]:
-        text = point_representation(x.query(r), r)
-        n, value = len(text), int(text, 2)
-        top = self.top
-        m, low, parser = self.entries[top] if r > top >= 0 else (0, 0, None)
-        if parser is not None and n >= m and value >> (n - m) == low:
-            parser = parser.copy().feed(text[m:])
-        else:
-            parser = Lz78Parser().feed(text)
-        entry = self.entries[r] = (n, value, parser.freeze())
-        if r > self.top:
-            self.top = r
-        return entry
-
 
 _PARSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -188,11 +164,20 @@ def k_r_entry(x: PointOracle, r: int) -> tuple[int, int, Lz78Parser]:
 
     Memoized per oracle and precision; fork the parse with ``copy`` to go on.
     """
-    memo = _PARSES.get(x)
-    if memo is None:
-        memo = _PARSES[x] = _OracleParses()
-    entry = memo.entries.get(r)
-    return entry if entry is not None else memo.parse(x, r)
+    entries = _PARSES.setdefault(x, {})
+    entry = entries.get(r)
+    if entry is not None:
+        return entry
+    text = point_representation(x.query(r), r)
+    n, value = len(text), int(text, 2)
+    below = max((p for p in list(entries) if p < r), default=None)
+    m, low, parser = entries[below] if below is not None else (0, 0, None)
+    if parser is not None and value >> (n - m) == low:
+        parser = parser.copy().feed(text[m:])
+    else:
+        parser = Lz78Parser().feed(text)
+    entry = entries[r] = (n, value, parser.freeze())
+    return entry
 
 
 def k_r(x: PointOracle, r: int) -> int:

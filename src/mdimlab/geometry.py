@@ -221,10 +221,13 @@ _ZN_ORDER: dict[int, tuple[list[tuple[int, ...]], int]] = {}
 def _zn_points(count: int, n: int) -> list[tuple[int, ...]]:
     """At least the ``count`` first points of Z^n, in enumeration order.
 
-    The list grows by whole bands of squared norm [b, 4b), so each band is
+    The order grows by whole bands of squared norm [b, 4b), so each band is
     sorted once.  Its box is scanned in ``product`` order of the values
     0, 1, -1, 2, -2, ..., which is the positive-first lex order, so a
-    stable sort by squared norm alone gives the enumeration order.
+    stable sort by squared norm alone gives the enumeration order.  A grown
+    order is a new list, stored with its bound in one assignment: a list
+    once returned never changes, and two threads growing one order each
+    store a whole one.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -239,7 +242,7 @@ def _zn_points(count: int, n: int) -> list[tuple[int, ...]]:
             if low <= (s := sum(v * v for v in p)) < bound
         ]
         band.sort(key=operator.itemgetter(0))
-        points.extend(p for _, p in band)
+        points = points + [p for _, p in band]
     _ZN_ORDER[n] = (points, bound)
     return points
 

@@ -73,6 +73,9 @@ def _built(data: Mapping, name: str, build) -> tuple:
     """(spec, build(spec)) for each spec of the config list ``name``."""
     with _field(name):
         specs = json_list(name, data.get(name, []))
+    if name in data and not specs:
+        raise InvalidConfigError(
+            f"{name} is empty; leave the key out to run the default set")
     built = []
     for i, spec in enumerate(specs):
         with _field(f"{name}[{i}]"):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mdimlab import geometry
 from mdimlab.codec import DyadicRational, RationalPoint, encode_point
 from mdimlab.geometry import (
     Ball,
@@ -355,6 +356,16 @@ def test_zn_rejects_dimension_zero():
             zn_prefix(count, 0)
     with pytest.raises(ValueError):
         zn_prefix(-1, 1)
+
+
+def test_zn_order_returned_is_never_grown(monkeypatch):
+    # a grown order is a new list: one a caller holds, or another thread
+    # is still growing, stays as it was returned
+    monkeypatch.setattr(geometry, "_ZN_ORDER", {})
+    small = geometry._zn_points(5, 2)
+    before = list(small)
+    assert len(geometry._zn_points(5000, 2)) >= 5000
+    assert small == before
 
 
 def test_dyadic_lds_blocks():

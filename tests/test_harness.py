@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from mdimlab import constants as C
-from mdimlab import harness, machine, mutual
+from mdimlab import geometry, harness, machine, mutual
 from mdimlab.cli import main
 from mdimlab.complexity import point_columns
 from mdimlab.functions import ImageOracle, library_function
@@ -266,13 +266,16 @@ def test_golden_files_match_pinned_digests(suite):
 
 
 def test_concurrent_runs_match_golden_digests(monkeypatch):
-    # two threads each of two estimator suites in one process, switching
-    # often: they share the reference stream, its ratio cache and the K_r
-    # memo of equal constant oracles, and every report stays exact.  Each
-    # trial starts on a fresh stream and an empty cache and releases the
-    # threads together; against a stream that appended its blocks, one
-    # trial caught the race in 4 runs of 10 and three trials in 10 of 10
-    suites = ("kprofile", "counterexample") * 2
+    # two threads each of three suites in one process, switching often,
+    # and every report stays exact.  The estimator suites share the
+    # reference stream and its ratio cache; each builds its own oracles,
+    # so they share no K_r memo entry (``TestKrMemo`` in test_mutual runs
+    # threads on one oracle's memo).  The coding-bounds pair shares the
+    # machine's enumeration and the lattice order.  Each trial starts on a
+    # fresh stream and empty caches and releases the threads together;
+    # against a stream that appended its blocks, one trial caught the race
+    # in 4 runs of 10 and three trials in 10 of 10
+    suites = ("kprofile", "counterexample", "coding-bounds") * 2
     configs = [_golden_config(suite) for suite in suites]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -281,6 +284,8 @@ def test_concurrent_runs_match_golden_digests(monkeypatch):
             mutual.reference_ratio.cache_clear()
             monkeypatch.setattr(mutual, "_REF_STREAM",
                                 hash_stream(C.REFERENCE_SEED, 0))
+            monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+            monkeypatch.setattr(geometry, "_ZN_ORDER", {})
             start = threading.Barrier(len(configs), timeout=60)
 
             def run(cfg):
@@ -484,6 +489,11 @@ class TestCli:
         # programs to 8,388,607
         ("machine", {"machine": {"max_program_len": 31}},
          "max_program_len=31 has more programs than the item cap"),
+        # an empty list would otherwise run the pinned default set
+        ("kprofile", {"generators": [], "window": [32768, 65536]},
+         "generators is empty"),
+        ("counterexample", {"generators": []}, "generators is empty"),
+        ("dpi", {"functions": []}, "functions is empty"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):

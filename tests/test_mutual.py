@@ -2,7 +2,11 @@
 
 import dataclasses
 import gc
+import random
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -436,6 +440,46 @@ class TestKrMemo:
         for r in C.COMPRESSOR_GRID:
             k_r(x, r)
         assert sum(fed_bits) == (sizes[-1] if nests else sum(sizes))
+
+    def test_a_parse_goes_on_from_the_nearest_lower_precision(self, fed_bits):
+        # asked below the highest precision held, a parse goes on from the
+        # nearest lower entry: none at 1024, then 1024 and 2048
+        x = make_oracle(D12)
+        for r in (65536, 1024, 2048, 4096):
+            k_r(x, r)
+        assert fed_bits == [65_544, 1_032, 1_024, 2_048]
+        assert [k_r(x, r) for r in (1024, 2048, 4096, 65536)] == [
+            _reference("diluted", r) for r in (1024, 2048, 4096, 65536)]
+
+    def test_threads_share_one_oracle_memo(self):
+        # four threads ask one oracle, and two equal constant oracles built
+        # apart, which share one memo, for the grid in shuffled orders,
+        # switching often; every entry held is what a fresh parse gives
+        oracles = (make_oracle(D12), _const(-3, 3), _const(-3, 3))
+        orders = [random.Random(seed).sample(C.COMPRESSOR_GRID,
+                                             len(C.COMPRESSOR_GRID))
+                  for seed in range(4)]
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def ask(order):
+            start.wait()
+            for r in order:
+                for oracle in oracles:
+                    k_r_entry(oracle, r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                list(pool.map(ask, orders))
+        finally:
+            sys.setswitchinterval(interval)
+        for oracle in oracles:
+            for r in C.COMPRESSOR_GRID:
+                n, value, parser = k_r_entry(oracle, r)
+                text = point_representation(oracle.query(r), r)
+                assert (n, value, parser.cost) == (
+                    len(text), int(text, 2), lz78_cost(text)), r
 
     def test_memo_does_not_keep_oracles_alive(self):
         x = make_oracle(D12)
