@@ -235,9 +235,14 @@ def json_object(name: str, data):
 def json_fraction(name: str, value) -> Fraction:
     """``value`` as a Fraction if it is a JSON integer or a string such as
     ``"3/8"``; a JSON float would be read as its binary double, so it is
-    refused with booleans and everything else."""
+    refused with booleans and everything else.  Exponent notation is
+    refused before ``Fraction`` expands it: ``"1e-10000000"`` would build a
+    33-million-bit denominator, while integer and decimal strings are
+    bounded by the 4,300-digit limit on integer conversion."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{name} must be an integer or a string, not {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"{name} must not use exponent notation, not {value!r}")
     return Fraction(value)
 
 

@@ -13,7 +13,7 @@ K_r(x) + K_r(y) - K_r(x,y) on fixed-width truncated representatives.  The
 profile values are first rescaled by the measured cost-per-bit of a pinned
 reference stream at matching representation length; that cancels the
 coder's sublinear dictionary overhead, so one incompressible expansion bit
-per precision bit reads as slope 1.0.  Reported k and i values stay in raw
+per precision bit reads as slope 1.0.  A ``Profile``'s values stay in raw
 emitted bits.
 """
 
@@ -169,75 +169,49 @@ def _check_grid(grid: Sequence[int]) -> None:
         )
 
 
-def _slope_range(
-    grid: Sequence[int], raw: Sequence[int], n: int, width: int
-) -> tuple[float, float]:
-    """(min, max) of the least-squares slopes over each ``width``
-    consecutive precisions, each value of ``raw`` divided by the reference
-    ratio at its input length of ``n * (GUARD_BITS + r)`` bits."""
-    series = [v / reference_ratio(n * (GUARD_BITS + r)) for v, r in zip(raw, grid)]
+@dataclass(frozen=True)
+class Profile:
+    """A complexity profile over a precision grid and the envelope of its
+    local slopes.
+
+    For K_r of one point, lo ~ dim and hi ~ Dim; for the mutual profile
+    I_r = K_r(x) + K_r(y) - K_r(x,y), lo ~ mdim and hi ~ Mdim.  ``values``
+    holds one value per grid precision.
+    """
+
+    r_grid: tuple[int, ...]
+    values: tuple[int, ...]
+    lo: float
+    hi: float
+
+
+def _profile(
+    grid: tuple[int, ...], values: Sequence[int], n: int, width: int
+) -> Profile:
+    """The profile of ``values`` with lo and hi the min and max of the
+    least-squares slopes over each ``width`` consecutive precisions, each
+    value divided by the reference ratio at its input length of
+    ``n * (GUARD_BITS + r)`` bits."""
+    series = [v / reference_ratio(n * (GUARD_BITS + r))
+              for v, r in zip(values, grid)]
     width = min(width, len(grid))
     slopes = [
         _least_squares_slope(grid[i : i + width], series[i : i + width])
         for i in range(len(grid) - width + 1)
     ]
-    return min(slopes), max(slopes)
+    return Profile(grid, tuple(values), min(slopes), max(slopes))
 
 
-@dataclass(frozen=True)
-class DimEstimate:
-    """Window of local slopes of K_r against r: lo ~ dim, hi ~ Dim."""
-
-    lo: float
-    hi: float
-    r_grid: tuple[int, ...]
-    k_values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MutualProfile:
-    """Profile of the compressor's I_r = K_r(x) + K_r(y) - K_r(x,y) over a
-    precision window, with its slope envelope."""
-
-    r_grid: tuple[int, ...]
-    i_values: tuple[int, ...]
-    slope_lo: float
-    slope_hi: float
-    k_x_values: tuple[int, ...]
-    k_y_values: tuple[int, ...]
-    k_xy_values: tuple[int, ...]
-
-
-def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> DimEstimate:
-    """Estimated (dim, Dim) of the oracle's point over the precision grid."""
+def dim_estimate(x: PointOracle, grid: tuple[int, ...]) -> Profile:
+    """K_r profile of the oracle's point over the grid: lo ~ dim, hi ~ Dim."""
     _check_grid(grid)
-    raw = [k_r(x, r) for r in grid]
-    lo, hi = _slope_range(grid, raw, x.dimension, WINDOW_DIM)
-    return DimEstimate(lo, hi, grid, tuple(raw))
+    return _profile(grid, [k_r(x, r) for r in grid], x.dimension, WINDOW_DIM)
 
 
 def mdim_estimate(
     x: PointOracle, y: PointOracle, grid: tuple[int, ...]
-) -> MutualProfile:
-    """Estimated mutual-dimension profile of two oracles over the grid."""
+) -> Profile:
+    """I_r profile of two oracles over the grid: lo ~ mdim, hi ~ Mdim."""
     _check_grid(grid)
-    k_x, k_y, k_xy, i_vals = [], [], [], []
-    for r in grid:
-        kx = k_r(x, r)
-        ky = k_r(y, r)
-        kxy = k_r_pair(x, y, r)
-        k_x.append(kx)
-        k_y.append(ky)
-        k_xy.append(kxy)
-        i_vals.append(kx + ky - kxy)
-    lo, hi = _slope_range(grid, i_vals, x.dimension + y.dimension,
-                          WINDOW_MUTUAL)
-    return MutualProfile(
-        grid,
-        tuple(i_vals),
-        lo,
-        hi,
-        tuple(k_x),
-        tuple(k_y),
-        tuple(k_xy),
-    )
+    values = [k_r(x, r) + k_r(y, r) - k_r_pair(x, y, r) for r in grid]
+    return _profile(grid, values, x.dimension + y.dimension, WINDOW_MUTUAL)

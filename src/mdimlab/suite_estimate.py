@@ -37,7 +37,7 @@ def _kprofile_suite(cfg) -> SuiteReport:
         name = spec.get("kind", "?") + f"#{idx}"
         rows += [
             info_row("kprofile", f"{name} r={r}", k)
-            for r, k in zip(est.r_grid, est.k_values)
+            for r, k in zip(est.r_grid, est.values)
         ]
         rows.append(info_row("dim_envelope", name,
                              round(est.lo, 6), round(est.hi, 6)))
@@ -68,18 +68,18 @@ def _mdim_suite(cfg) -> SuiteReport:
     for name, (oracle, _) in oracles.items():
         est = estimates[name]
         prof = mdim_estimate(oracle, oracle, cfg.grid)
-        delta = max(abs(prof.slope_lo - est.lo), abs(prof.slope_hi - est.hi))
+        delta = max(abs(prof.lo - est.lo), abs(prof.hi - est.hi))
         worst_identity = max(worst_identity, delta)
         rows.append(at_most("mdim_identity", name, delta,
                             C.MDIM_IDENTITY_TOL))
         cap = oracle.dimension + C.MDIM_RANGE_SLACK
-        ok_range = prof.slope_lo >= 0 and prof.slope_hi <= cap
+        ok_range = prof.lo >= 0 and prof.hi <= cap
         rows.append(check_row("mdim_range", name,
-                              round(prof.slope_lo, 6), round(cap, 6), ok_range))
+                              round(prof.lo, 6), round(cap, 6), ok_range))
     other = make_oracle({"kind": "random", "seed": 8, "n": 1})
     indep = mdim_estimate(oracles["random-7"][0], other, cfg.grid)
     rows.append(at_most("mdim_independent", "random-7 : random-8",
-                        indep.slope_hi, C.MDIM_INDEPENDENT_MAX))
+                        indep.hi, C.MDIM_INDEPENDENT_MAX))
     sym_worst = 0
     a = oracles["random-7"][0]
     b = oracles["diluted-1/2"][0]
@@ -89,7 +89,7 @@ def _mdim_suite(cfg) -> SuiteReport:
                         sym_worst, C.MDIM_SYMMETRY_TOL))
     constants = {
         "worst_identity_delta": round(worst_identity, 6),
-        "independent_slope_hi": round(indep.slope_hi, 6),
+        "independent_slope_hi": round(indep.hi, 6),
         "symmetry_max_delta": sym_worst,
     }
     return finish("mdim", rows, constants)

@@ -91,17 +91,17 @@ def _dpi_suite(cfg) -> SuiteReport:
                 base_profiles[pair_name] = mdim_estimate(x, y, cfg.grid)
             base = base_profiles[pair_name]
             image = mdim_estimate(ImageOracle(f, x), y, cfg.grid)
-            bound = factor * base.slope_hi + C.DPI_SLACK
+            bound = factor * base.hi + C.DPI_SLACK
             label = f"{_function_label(spec)} on {pair_name}"
-            rows.append(at_most("dpi_slope", label, image.slope_hi, bound))
-            margins.append(bound - image.slope_hi)
+            rows.append(at_most("dpi_slope", label, image.hi, bound))
+            margins.append(bound - image.hi)
             for j, r in enumerate(image.r_grid):
                 target = f.declared_modulus.value(r + 1)
                 later = [jj for jj, rr in enumerate(base.r_grid)
                          if rr >= target]
                 if not later:
                     continue
-                slack = base.i_values[later[0]] - image.i_values[j]
+                slack = base.values[later[0]] - image.values[j]
                 rows.append(info_row("dpi_finite_scale",
                                      f"{label} r={r}", slack))
     return finish("dpi", rows, {"worst_margin": round(min(margins), 6)})
@@ -110,10 +110,8 @@ def _dpi_suite(cfg) -> SuiteReport:
 def _reverse_rows(check: str, label: str, base, prof) -> list[dict]:
     """Gated rows: each slope of ``base`` is at most ``prof``'s plus DPI_SLACK."""
     return [
-        at_most(f"{check}_lo", label, base.slope_lo,
-                prof.slope_lo + C.DPI_SLACK),
-        at_most(f"{check}_hi", label, base.slope_hi,
-                prof.slope_hi + C.DPI_SLACK),
+        at_most(f"{check}_lo", label, base.lo, prof.lo + C.DPI_SLACK),
+        at_most(f"{check}_hi", label, base.hi, prof.hi + C.DPI_SLACK),
     ]
 
 
@@ -138,8 +136,8 @@ def _reverse_dpi_suite(cfg) -> SuiteReport:
     for label, pair_oracle in configs:
         prof = mdim_estimate(pair_oracle, d12, cfg.grid)
         rows += _reverse_rows("reverse_dpi", label, base, prof)
-        margins += [prof.slope_lo + C.DPI_SLACK - base.slope_lo,
-                    prof.slope_hi + C.DPI_SLACK - base.slope_hi]
+        margins += [prof.lo + C.DPI_SLACK - base.lo,
+                    prof.hi + C.DPI_SLACK - base.hi]
     return finish("reverse-dpi", rows, {"worst_margin": round(min(margins), 6)})
 
 
@@ -152,13 +150,13 @@ def _conservation_suite(cfg) -> SuiteReport:
     ident_img = ImageOracle(library_function("identity", {"n": 1}), d12)
     prof = mdim_estimate(ident_img, ident_img, cfg.grid)
     rows.append(at_most("conservation_identity", "id:id on diluted-1/2",
-                        prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
+                        prof.hi, base1.hi + C.DPI_SLACK))
 
     half_img = ImageOracle(library_function("scale", {"c": "1/2"}), d12)
     prof = mdim_estimate(half_img, half_img, cfg.grid)
     rows.append(at_most("conservation_contraction",
                         "scale(1/2) pair on diluted-1/2",
-                        prof.slope_hi, base1.slope_hi + C.DPI_SLACK))
+                        prof.hi, base1.hi + C.DPI_SLACK))
 
     swap_a = library_function("affine", {
         "matrix": [["0", "1"], ["1", "0"]], "offset": ["1/4", "5/8"],
@@ -170,8 +168,7 @@ def _conservation_suite(cfg) -> SuiteReport:
     })
     prof = mdim_estimate(ImageOracle(swap_a, x2), ImageOracle(swap_b, x2),
                          cfg.grid)
-    delta = max(abs(prof.slope_lo - base2.slope_lo),
-                abs(prof.slope_hi - base2.slope_hi))
+    delta = max(abs(prof.lo - base2.lo), abs(prof.hi - base2.hi))
     rows.append(at_most("conservation_bilipschitz",
                         "swap affine pair on (diluted-1/2,random-9)",
                         delta, C.TWO_SIDED_SLACK))
@@ -180,8 +177,8 @@ def _conservation_suite(cfg) -> SuiteReport:
     prof = mdim_estimate(ImageOracle(hilb, d12), ident_img, cfg.grid)
     rows.append(at_most("conservation_holder",
                         "hilbert2d:identity factor 2 on diluted-1/2",
-                        prof.slope_hi,
-                        _holder_factor(hilb) * base1.slope_hi + C.DPI_SLACK))
+                        prof.hi,
+                        _holder_factor(hilb) * base1.hi + C.DPI_SLACK))
 
     s2 = library_function("sum", {"n": 2})
     w = make_oracle({"kind": "rational", "values": ["5/8"]})
@@ -238,12 +235,12 @@ def _counterexample_suite(cfg) -> SuiteReport:
                           round(dim_image.hi, 6), C.COUNTEREXAMPLE_DIM_FLOOR,
                           dim_image.hi >= C.COUNTEREXAMPLE_DIM_FLOOR))
     rows.append(at_most("parameter_image_mutual", "slope_hi(x : hilbert2d(x))",
-                        mutual.slope_hi, C.COUNTEREXAMPLE_MUTUAL_CEIL))
+                        mutual.hi, C.COUNTEREXAMPLE_MUTUAL_CEIL))
     rows.append(info_row("ordering",
                          "image dim vs 1 vs parameter Dim vs mutual",
-                         _ordering(dim_image.hi, dim_x.hi, mutual.slope_hi)))
+                         _ordering(dim_image.hi, dim_x.hi, mutual.hi)))
     constants.update({
-        "mutual_slope_hi": round(mutual.slope_hi, 6),
+        "mutual_slope_hi": round(mutual.hi, 6),
         "dim_parameter_hi": round(dim_x.hi, 6),
     })
     return finish("counterexample", rows, constants)

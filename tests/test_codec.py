@@ -15,6 +15,7 @@ from mdimlab.codec import (
     distance_sq,
     encode_int,
     encode_point,
+    json_fraction,
     try_decode_exact_point,
     zigzag,
 )
@@ -167,3 +168,16 @@ def test_ceil_half_log2_is_least_power_of_four(n):
 def test_ceil_half_log2_refuses_n_below_one(n):
     with pytest.raises(ValueError):
         ceil_half_log2(n)
+
+
+def test_json_fraction_reads_integer_fraction_and_decimal_strings():
+    assert json_fraction("c", "0.25") == Fraction(1, 4)
+    assert json_fraction("c", "-3/8") == Fraction(-3, 8)
+    assert json_fraction("c", "12") == 12
+    assert json_fraction("c", -5) == -5
+
+
+@pytest.mark.parametrize("value", ["1e-1", "2E3", "1e-10000000"])
+def test_json_fraction_refuses_exponent_notation(value):
+    with pytest.raises(ValueError, match="rho must not use exponent notation"):
+        json_fraction("rho", value)

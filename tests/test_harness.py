@@ -494,6 +494,19 @@ class TestCli:
          "generators is empty"),
         ("counterexample", {"generators": []}, "generators is empty"),
         ("dpi", {"functions": []}, "functions is empty"),
+        # exponent notation, refused before Fraction expands it
+        ("kprofile", {"generators": [{"kind": "diluted", "seed": 7,
+                                      "rho": "1e-1"}]}, "rho must not"),
+        ("kprofile", {"generators": [{"kind": "rational",
+                                      "values": ["1/3", "1e-1"]}]},
+         "values[1] must not"),
+        ("kprofile", {"generators": [{"kind": "constant",
+                                      "coords": ["1e-1"]}]},
+         "coords[0] must not"),
+        ("dpi", {"functions": [{"name": "scale", "params": {"c": "1e-1"}}]},
+         "c must not"),
+        ("dpi", {"functions": [{"name": "affine", "params": {
+            "matrix": [["1e-1"]], "offset": ["0"]}}]}, "matrix[0][0] must not"),
     ])
     def test_malformed_config_exit(self, tmp_path, capsys, monkeypatch,
                                    suite, payload, field):

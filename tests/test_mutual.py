@@ -222,14 +222,14 @@ def test_default_mdim_run_offers_and_parses_pinned_bits(feeds):
 class TestGridMutual:
     def test_compressor_identity_nonnegative(self):
         x = make_oracle(D12)
-        assert mdim_estimate(x, x, (1024, 2048)).i_values[0] >= 0
+        assert mdim_estimate(x, x, (1024, 2048)).values[0] >= 0
 
     def test_compressor_symmetric(self):
         x = make_oracle(D12)
         y = make_oracle({"kind": "random", "seed": 7, "n": 1})
         window = (1024, 2048)
-        assert (mdim_estimate(x, y, window).i_values
-                == mdim_estimate(y, x, window).i_values)
+        assert (mdim_estimate(x, y, window).values
+                == mdim_estimate(y, x, window).values)
 
     def test_pair_complexity_subadditive(self):
         x = make_oracle(D12)
@@ -260,7 +260,7 @@ class TestDimEstimate:
     def test_window_overrides_grid(self):
         est = dim_estimate(make_oracle(D12), SHORT)
         assert est.r_grid == SHORT
-        assert len(est.k_values) == len(SHORT)
+        assert len(est.values) == len(SHORT)
 
     def test_envelope_ordering(self):
         est = dim_estimate(make_oracle(D12), SHORT)
@@ -282,17 +282,18 @@ class TestMdimEstimate:
     def test_self_pair_frozen(self):
         x = make_oracle(D12)
         prof = mdim_estimate(x, x, C.COMPRESSOR_GRID)
-        assert round(prof.slope_lo, 6) == 0.522884
-        assert round(prof.slope_hi, 6) == 0.523540
+        assert round(prof.lo, 6) == 0.522884
+        assert round(prof.hi, 6) == 0.523540
 
     def test_three_term_identity(self):
-        # i_r = K_r(x) + K_r(y) - K_r(x, y) at every grid precision
+        # i_r = K_r(x) + K_r(y) - K_r(x, y) at every grid precision, on an
+        # unequal pair so that a value which drops or repeats a term fails
         x = make_oracle(D12)
-        prof = mdim_estimate(x, x, SHORT)
+        y = make_oracle({"kind": "random", "seed": 7, "n": 1})
+        prof = mdim_estimate(x, y, SHORT)
         assert prof.r_grid == tuple(SHORT)
-        for j in range(len(SHORT)):
-            assert prof.i_values[j] == (prof.k_x_values[j] + prof.k_y_values[j]
-                                        - prof.k_xy_values[j])
+        for j, r in enumerate(SHORT):
+            assert prof.values[j] == k_r(x, r) + k_r(y, r) - k_r_pair(x, y, r)
 
 
 class TestGridCheck:
@@ -314,6 +315,13 @@ class TestGridCheck:
 def reference_k_r(x, r):
     """Unmemoized K_r: a fresh parse of the whole representation."""
     return lz78_cost(point_representation(x.query(r), r))
+
+
+def reference_i_r(x, y, r):
+    """Unmemoized K_r(x) + K_r(y) - K_r(x, y), each a fresh parse."""
+    pair = reference_pair_cost(point_columns(x.query(r), r),
+                               point_columns(y.query(r), r))
+    return reference_k_r(x, r) + reference_k_r(y, r) - pair
 
 
 # oracles whose representations nest across the grid, and oracles whose do
@@ -365,11 +373,13 @@ class TestKrMemo:
         for _ in range(2):  # the second pass is answered from the memo
             for oracle in (x, y):
                 est = dim_estimate(oracle, window)
-                assert est.k_values == tuple(reference_k_r(oracle, r)
-                                             for r in window)
+                assert est.values == tuple(reference_k_r(oracle, r)
+                                           for r in window)
             prof = mdim_estimate(x, y, window)
-            assert prof.k_x_values == tuple(reference_k_r(x, r) for r in window)
-            assert prof.k_y_values == tuple(reference_k_r(y, r) for r in window)
+            assert prof.values == tuple(reference_i_r(x, y, r) for r in window)
+            for r in window:
+                assert k_r(x, r) == reference_k_r(x, r)
+                assert k_r(y, r) == reference_k_r(y, r)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(MEMO_ORACLES)), grid_requests)
@@ -427,7 +437,7 @@ class TestKrMemo:
         window = C.COMPRESSOR_GRID[start:]
         x = MEMO_ORACLES[name]()
         est = dim_estimate(x, window)
-        assert est.k_values == tuple(_reference(name, r) for r in window)
+        assert est.values == tuple(_reference(name, r) for r in window)
 
     @pytest.mark.parametrize("name, nests", [("diluted", True),
                                              ("random-2d", False)])
