@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .codec import (
@@ -243,16 +243,12 @@ def _root_summary(top: int, budget: int, units: list[int]) -> tuple:
     level pc; then come its successors in lex order, then its ``HALT``,
     which decides for each level p >= pc + 3 its 2**(p - pc - 3) suffixes
     in one class.  A successor with no room for an opcode or no budget
-    left is a class of one.  Only states with room for an opcode in some
-    successor are kept, frozen into arrays; the others cost less to
-    derive again.  The memo lives for one call.
+    left is a class of one.  Every other state's summary is cached, and
+    the cache lives for one call.
     """
-    # imported here: the extension module adds resident memory, which a
-    # run that builds no enumeration need not load
-    from array import array
-
-    memo: dict[tuple[int, str, int], tuple] = {}
-
+    # a cached summary is shared by every parent that reaches its state:
+    # parents read its lists and never write them
+    @cache
     def summarize(pc: int, out: str, steps: int) -> tuple:
         ends = [-1] * (2 * (top - pc + 1))
         ends[0] = ends[1] = 0
@@ -297,19 +293,8 @@ def _root_summary(top: int, budget: int, units: list[int]) -> tuple:
                 if child_pc + 3 > top or child_steps >= budget:
                     add_class(child_pc, shift, shift, 1, child_out)
                     continue
-                state = (child_pc, child_out, child_steps)
-                summary = memo.get(state)
-                if summary is None:
-                    summary = summarize(*state)
-                    if child_pc + 6 <= top:  # a successor has room
-                        # a mass is at most 2**max_program_len <= 2**30 and
-                        # a key below 22 << 21, so 4-byte ints hold both
-                        summary = memo[state] = (
-                            *summary[:2], tuple(summary[2]),
-                            array("i", summary[3]), array("i", summary[4]),
-                        )
                 (child_halting, child_violations, child_outs, child_ends,
-                 child_weights) = summary
+                 child_weights) = summarize(child_pc, child_out, child_steps)
                 halting += child_halting
                 violations += child_violations
                 pairs = iter(child_ends)
@@ -328,7 +313,7 @@ def _root_summary(top: int, budget: int, units: list[int]) -> tuple:
 
     try:
         return summarize(0, "", 0)
-    finally:  # summarize holds itself: free its memo now, not at a gc pass
+    finally:  # summarize holds itself: free its cache now, not at a gc pass
         del summarize
 
 

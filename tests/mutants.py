@@ -1,0 +1,167 @@
+"""Planted faults kept as data, and a runner that shows the tests still
+catch them (mutation testing: DeMillo, Lipton and Sayward, "Hints on test
+data selection", IEEE Computer 1978).
+
+Each mutant names a module of ``src/mdimlab``, one exact source snippet,
+its replacement, and the tests that must fail once it is applied.  A
+mutant listed as equivalent changes nothing any test can see; its reason
+says why, and it must survive.
+
+Run from the root of a checkout::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+The runner copies the tree to a temporary directory, applies one mutant at
+a time there and runs only that mutant's tests.  It prints each mutant as
+``killed`` (every named test failed), ``survived`` (some named test
+passed), ``equivalent`` (an equivalent mutant survived) or ``stale`` (its
+snippet does not occur exactly once).  It exits 1 on a survivor, a stale
+snippet, or an equivalent mutant that a test kills.  The tier-1 test
+``tests/test_mutants.py`` checks only that every snippet still occurs
+exactly once, so a later edit to a listed module shows up there.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "mdimlab"
+
+WORK_PIN = "tests/test_differential.py::test_walk_summarizes_states_not_prefixes"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name under src/mdimlab
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids that must fail
+    equivalent: str = ""  # why no test can see it; such a mutant must survive
+
+
+MUTANTS = (
+    Mutant(
+        "machine-cache-gated-on-room",
+        "machine.py",
+        "child_weights) = summarize(child_pc, child_out, child_steps)",
+        "child_weights) = (summarize if child_pc + 6 <= top else "
+        "summarize.__wrapped__)(child_pc, child_out, child_steps)",
+        (WORK_PIN,),
+    ),
+    Mutant(
+        "machine-leaf-shortcut-dropped",
+        "machine.py",
+        "if child_pc + 3 > top or child_steps >= budget:",
+        "if False:",
+        (WORK_PIN,),
+    ),
+    Mutant(
+        "machine-prefix-term-dropped",
+        "machine.py",
+        "first <= last or first.startswith(last)",
+        "first <= last",
+        (
+            "tests/test_differential.py::test_prefix_check_flags_planted_violations[levels0]",
+            "tests/test_differential.py::test_prefix_check_flags_planted_violations[levels1]",
+            "tests/test_differential.py::test_prefix_check_flags_planted_violations[levels3]",
+            "tests/test_differential.py::test_prefix_check_is_sound",
+        ),
+    ),
+    Mutant(
+        "machine-prefix-sort-skipped",
+        "machine.py",
+        "ends = sorted(ranges)",
+        "ends = list(ranges)",
+        (
+            "tests/test_acceptance.py::test_criterion_01_prefix_kraft",
+            "tests/test_differential.py::test_enumeration_matches_per_program_reference[24-256-]",
+            "tests/test_differential.py::test_halting_set_check_flags_planted_walk_faults[last-two-swapped-24-256]",
+            "tests/test_differential.py::test_prefix_check_passes_prefix_free_levels",
+            "tests/test_differential.py::test_prefix_check_is_sound",
+            "tests/test_harness.py::test_report_golden_digest[machine]",
+        ),
+    ),
+    Mutant(
+        "machine-leaf-past-budget",
+        "machine.py",
+        "or child_steps >= budget:",
+        "or child_steps > budget:",
+        (WORK_PIN,),
+        equivalent=(
+            "a child with no budget left yields only its own class either "
+            "way, so every report is the same; the mutant summarizes such a "
+            "child too, but at (24, 256) and (28, 256), the configs the work "
+            "pin counts, no child with room for an opcode has exactly the "
+            "budget charged"
+        ),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    source = (root / PACKAGE / mutant.module).read_text(encoding="utf-8")
+    return source.count(mutant.snippet)
+
+
+def failed_tests(tree: Path, tests: tuple[str, ...]) -> set[str]:
+    """Node ids among ``tests`` that fail or error in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
+    )
+    if proc.returncode not in (0, 1):  # 1: some test failed
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}"
+                           f"{proc.stderr}")
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M))
+
+
+def verdict(mutant: Mutant, tree: Path) -> str:
+    if occurrences(mutant, tree) != 1:
+        return "stale"
+    path = tree / PACKAGE / mutant.module
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original.replace(mutant.snippet, mutant.replacement),
+                    encoding="utf-8")
+    try:
+        failed = failed_tests(tree, mutant.tests)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if mutant.equivalent:
+        return "killed, listed as equivalent" if failed else "equivalent"
+    missed = [test for test in mutant.tests if test not in failed]
+    return "survived: " + " ".join(missed) if missed else "killed"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants:", " ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+        for mutant in chosen:
+            result = verdict(mutant, tree)
+            bad += result not in ("killed", "equivalent")
+            print(f"{mutant.name}: {result}", flush=True)
+    print(f"{len(chosen)} mutants, {bad} not as listed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -695,8 +695,8 @@ def test_straight_classes_expand_to_per_program_runs(budget):
 def test_walk_summarizes_states_not_prefixes():
     # the unconditional (24, 256) enumeration has 9,217 instruction
     # prefixes, which the per-class walk visited once each; the state walk
-    # computes one summary per kept state and per state it derives again,
-    # 520 in all
+    # computes one summary per distinct state that is not a class of one:
+    # 233 at (24, 256) and 1,553 at (28, 256)
     summarize = next(
         c for c in machine._root_summary.__code__.co_consts
         if getattr(c, "co_name", None) == "summarize"
@@ -708,13 +708,15 @@ def test_walk_summarizes_states_not_prefixes():
         if event == "call" and frame.f_code is summarize:
             summaries += 1
 
-    sys.setprofile(profile)
-    try:  # an enumeration walks when it is built
-        enum = Enumeration(MachineConfig(24, 256))
-    finally:
-        sys.setprofile(None)
-    assert enum.halting_count == 31672
-    assert summaries <= 1_000
+    for max_len, halting, states in ((24, 31672, 233), (28, 554384, 1553)):
+        summaries = 0
+        sys.setprofile(profile)
+        try:  # an enumeration walks when it is built
+            enum = Enumeration(MachineConfig(max_len, 256))
+        finally:
+            sys.setprofile(None)
+        assert enum.halting_count == halting
+        assert summaries == states
 
 
 # each fault rewrites the operand codes of every call: the first codes are

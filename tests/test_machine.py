@@ -134,6 +134,31 @@ def test_kraft_mass_monotone_in_budget_and_length():
     assert a <= b <= c
 
 
+# (halting programs, distinct outputs, Kraft mass, sha256 of "output k
+# witness mass_units" per output in order) of the two largest enumerations
+# under ITEM_CAP: (28, 256) is the default machine of the exact suites
+LARGEST_ENUMERATIONS = {
+    28: (554_384, 1_863, Fraction(1_216_235, 1 << 21),
+         "702dc55fccde0a9f1a23afe1075ac611d499f754528ccde0717a324e9d30c3b9"),
+    30: (2_328_716, 6_325, Fraction(156_265_907, 1 << 28),
+         "6ab5187aa0d4754bfc1d5f925c1a28a5e0ab01cfb607de0e5d8c9a71f7690fc3"),
+}
+
+
+@pytest.mark.parametrize("max_len", sorted(LARGEST_ENUMERATIONS))
+def test_largest_enumerations_pinned(max_len):
+    # no other test builds a machine above (24, 256); too large to check
+    # against a per-program run, so only pinned values guard them
+    enum = machine.Enumeration(MachineConfig(max_len, 256))
+    digest = hashlib.sha256()
+    for output, info in enum.outputs.items():
+        digest.update(f"{output} {info.k} {info.witness} "
+                      f"{info.mass_units}\n".encode())
+    assert (enum.halting_count, len(enum.outputs), enum.kraft,
+            digest.hexdigest()) == LARGEST_ENUMERATIONS[max_len]
+    assert enum.prefix_violations == 0
+
+
 def test_budget_monotonicity():
     small, big = MachineConfig(16, 1), MachineConfig(16, 1000)
     halted_small = dict(enumerate_halting(small))
