@@ -43,17 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args: argparse.Namespace) -> ExperimentConfig:
-    """Parse the config once, each given flag replacing its config key."""
+    """Parse the config once, each given flag replacing its config key.
+    A file for another suite is refused before any other key is read; an
+    unknown or missing suite is ``config_from_mapping``'s first check."""
     flags = {"seed": args.seed, "format": args.fmt, "out": args.out}
     flags = {key: value for key, value in flags.items() if value is not None}
-    if not args.config:
-        return config_from_mapping({"suite": args.suite, **flags})
-    cfg = load_config(args.config, flags)
-    if cfg.suite != args.suite:
+    data = load_config(args.config) if args.config else {"suite": args.suite}
+    suite = data.get("suite")
+    if suite != args.suite and suite in SUITE_NAMES:
         raise InvalidConfigError(
-            f"config is for suite {cfg.suite!r}, not {args.suite!r}"
+            f"config is for suite {suite!r}, not {args.suite!r}"
         )
-    return cfg
+    return config_from_mapping({**data, **flags})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -209,29 +209,27 @@ def lattice_point_in_ball(ball: Ball) -> RationalPoint:
     return RationalPoint(tuple([DyadicRational(m, s) for m in idx]))
 
 
-# n -> (the points of Z^n with squared norm below the bound, in enumeration
-# order; the bound).  Bounded per dimension by the largest index asked: the
-# bound is at most four times that index's squared norm.  It outlives a call
-# and a run because indices are asked one at a time: acceptance criterion 3
-# reads 100,001 of them in each of n = 1, 2, 3, which builds each order once
-# (about 1 s, holding about 36 MB) instead of once per index
-_ZN_ORDER: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+def zn_enumeration(i: int, n: int) -> tuple[int, ...]:
+    """The i-th point of Z^n by Euclidean norm, positive-before-negative lex."""
+    if i < 0:
+        raise ValueError("need i >= 0")
+    return zn_prefix(i + 1, n)[i]
 
 
-def _zn_points(count: int, n: int) -> list[tuple[int, ...]]:
-    """At least the ``count`` first points of Z^n, in enumeration order.
+def zn_prefix(count: int, n: int) -> list[tuple[int, ...]]:
+    """The ``count`` first points of Z^n, in enumeration order.
 
     The order grows by whole bands of squared norm [b, 4b), so each band is
     sorted once.  Its box is scanned in ``product`` order of the values
     0, 1, -1, 2, -2, ..., which is the positive-first lex order, so a
-    stable sort by squared norm alone gives the enumeration order.  A grown
-    order is a new list, stored with its bound in one assignment: a list
-    once returned never changes, and two threads growing one order each
-    store a whole one.
+    stable sort by squared norm alone gives the enumeration order.
     """
+    if count < 0:
+        raise ValueError("need count >= 0")
     if n < 1:
         raise ValueError("need n >= 1")
-    points, bound = _ZN_ORDER.get(n, ([], 0))
+    points = []
+    bound = 0
     while len(points) < count:
         low, bound = bound, max(1, 4 * bound)
         m = math.isqrt(bound - 1)
@@ -242,22 +240,8 @@ def _zn_points(count: int, n: int) -> list[tuple[int, ...]]:
             if low <= (s := sum(v * v for v in p)) < bound
         ]
         band.sort(key=operator.itemgetter(0))
-        points = points + [p for _, p in band]
-    _ZN_ORDER[n] = (points, bound)
-    return points
-
-
-def zn_enumeration(i: int, n: int) -> tuple[int, ...]:
-    """The i-th point of Z^n by Euclidean norm, positive-before-negative lex."""
-    if i < 0:
-        raise ValueError("need i >= 0")
-    return _zn_points(i + 1, n)[i]
-
-
-def zn_prefix(count: int, n: int) -> list[tuple[int, ...]]:
-    if count < 0:
-        raise ValueError("need count >= 0")
-    return _zn_points(count, n)[:count]
+        points += [p for _, p in band]
+    return points[:count]
 
 
 @dataclass(frozen=True)
@@ -286,9 +270,9 @@ def dyadic_lds(
     """
     decoded = [(s, p) for p, _, s in points if p.dimension == n]
     records = []
+    order = zn_prefix(t_max, n)
     for layer in range(r_max + 1):
-        for t in range(t_max):
-            idx = zn_enumeration(t, n)
+        for t, idx in enumerate(order):
             cube = DyadicCube(layer, idx)
             members = frozenset(s for s, p in decoded if cube.contains(p))
             records.append(LdsRecord(layer, t, members))

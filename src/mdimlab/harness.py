@@ -206,9 +206,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
-    """Parse the JSON config at ``path``; each of ``flags`` replaces the
-    file's value for its key before the check."""
+def load_config(path: str) -> dict:
+    """The JSON object in the config file at ``path``, not yet checked as
+    a config: ``config_from_mapping`` does that."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_unique_keys)
@@ -222,7 +222,7 @@ def load_config(path: str, flags: Mapping | None = None) -> ExperimentConfig:
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfigError("config must be a JSON object")
-    return config_from_mapping({**data, **(flags or {})})
+    return data
 
 
 # ---- dispatch ---------------------------------------------------------------

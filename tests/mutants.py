@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "mdimlab"
 
 WORK_PIN = "tests/test_differential.py::test_walk_summarizes_states_not_prefixes"
+GOLDEN = "tests/test_harness.py::test_report_golden_digest"
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,82 @@ MUTANTS = (
             "child too, but at (24, 256) and (28, 256), the configs the work "
             "pin counts, no child with room for an opcode has exactly the "
             "budget charged"
+        ),
+    ),
+    Mutant(
+        "geometry-cube-contains-ceil",
+        "geometry.py",
+        "c.num >> -s",
+        "-(-c.num >> -s)",
+        (
+            "tests/test_geometry.py::test_cube_membership_half_open",
+            "tests/test_acceptance.py::test_criterion_05_coding_bound",
+            f"{GOLDEN}[geometry]",
+            f"{GOLDEN}[coding-bounds]",
+        ),
+    ),
+    Mutant(
+        "geometry-cube-containing-ceil",
+        "geometry.py",
+        "c.num >> (c.exp - r)",
+        "-(-c.num >> (c.exp - r))",
+        (
+            "tests/test_geometry.py::test_cube_containing_examples",
+            "tests/test_differential.py::test_geometry_suite_balls_match_references[1]",
+            f"{GOLDEN}[geometry]",
+        ),
+    ),
+    Mutant(
+        "codec-distance-exponent-of-p-only",
+        "codec.py",
+        "for a in pc + qc:",
+        "for a in pc:",
+        (
+            "tests/test_acceptance.py::test_criterion_04_counting_bounds",
+            "tests/test_acceptance.py::test_criterion_10_left_inverse_synthesis",
+            f"{GOLDEN}[geometry]",
+            f"{GOLDEN}[coding-bounds]",
+        ),
+    ),
+    Mutant(
+        "codec-distance-exponent-above-max",
+        "codec.py",
+        "e = 0",
+        "e = 1",
+        ("tests/test_differential.py::test_distance_sq_matches_fraction_sum",),
+    ),
+    Mutant(
+        "geometry-cover-term-off-by-one",
+        "geometry.py",
+        "(side - f) ** 2",
+        "(side - f - 1) ** 2",
+        (
+            "tests/test_geometry.py::test_cover_examples",
+            "tests/test_differential.py::test_geometry_tie_cases_match_references[boundary]",
+            f"{GOLDEN}[geometry]",
+        ),
+    ),
+    Mutant(
+        "geometry-lattice-exponent-skips-first",
+        "geometry.py",
+        "e = s\n    for c in coords:",
+        "e = s\n    for c in coords[1:]:",
+        (
+            "tests/test_geometry.py::test_lattice_point_examples",
+            "tests/test_differential.py::test_geometry_tie_cases_match_references[midpoint]",
+            f"{GOLDEN}[geometry]",
+        ),
+    ),
+    Mutant(
+        "geometry-zn-negative-first",
+        "geometry.py",
+        "(k, -k)",
+        "(-k, k)",
+        (
+            "tests/test_geometry.py::test_zn_enumeration_1d_prefix",
+            "tests/test_geometry.py::test_zn_order_matches_sorted_box",
+            "tests/test_geometry.py::test_zn_prefix_digest_at_scale[3]",
+            f"{GOLDEN}[coding-bounds]",
         ),
     ),
 )

@@ -21,7 +21,7 @@ from mdimlab.functions import (
     library_function,
     linear_modulus,
 )
-from mdimlab.geometry import zn_enumeration
+from mdimlab.geometry import zn_prefix
 from mdimlab.harness import config_from_mapping, run_suite
 from mdimlab.mutual import dim_estimate
 from mdimlab.oracles import ConstantOracle, ProductOracle, make_oracle
@@ -77,8 +77,7 @@ def test_criterion_02_geometry_exactness(acceptance_verdicts):
 def test_criterion_03_enumeration_bound(acceptance_verdicts):
     failures = 0
     for n in (1, 2, 3):
-        for i in range(100001):
-            m = zn_enumeration(i, n)
+        for i, m in enumerate(zn_prefix(100001, n)):
             k = math.isqrt(sum(c * c for c in m))
             if not i < (2 * k + 1) ** n:
                 failures += 1

@@ -1,6 +1,7 @@
 """Exact geometry tests: containment, covers, lattices, enumeration order."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mdimlab import geometry
 from mdimlab.codec import DyadicRational, RationalPoint, encode_point
 from mdimlab.geometry import (
     Ball,
@@ -328,8 +328,7 @@ def test_zn_enumeration_index_bound_sample():
     # i < (2*floor(sqrt(norm_sq)) + 1)**n, an integer-exact strengthening of
     # the norm bound; the acceptance suite sweeps this to 10**5
     for n in (1, 2, 3):
-        for i in range(0, 3000, 7):
-            m = zn_enumeration(i, n)
+        for i, m in enumerate(zn_prefix(3000, n)):
             s = sum(v * v for v in m)
             assert i < (2 * math.isqrt(s) + 1) ** n or s == 0 and i == 0
 
@@ -358,14 +357,20 @@ def test_zn_rejects_dimension_zero():
         zn_prefix(-1, 1)
 
 
-def test_zn_order_returned_is_never_grown(monkeypatch):
-    # a grown order is a new list: one a caller holds, or another thread
-    # is still growing, stays as it was returned
-    monkeypatch.setattr(geometry, "_ZN_ORDER", {})
-    small = geometry._zn_points(5, 2)
-    before = list(small)
-    assert len(geometry._zn_points(5000, 2)) >= 5000
-    assert small == before
+# sha256 of zn_prefix(20000, n), one point a line, coordinates joined by
+# spaces: the last points have squared norm 10**8, 6370 and 283, bands that
+# the sorted-box reference above does not reach
+ZN_PREFIX_DIGESTS = {
+    1: "ac3fbc163ca95c7126e662d1ec2a9ea89573827aaa7e5c6b4b026cd9dd41eb38",
+    2: "75ed69c256b6147c9424f043e85c4062950b27837322bb84d5c38ecc1b6c1d4d",
+    3: "afd67e97befac89f096694fe2f9fb1015200e824680eddd78c1fcfb92e25731c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZN_PREFIX_DIGESTS))
+def test_zn_prefix_digest_at_scale(n):
+    text = "".join(" ".join(map(str, p)) + "\n" for p in zn_prefix(20000, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == ZN_PREFIX_DIGESTS[n]
 
 
 def test_dyadic_lds_blocks():

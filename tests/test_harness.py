@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from mdimlab import constants as C
-from mdimlab import geometry, harness, machine, mutual
+from mdimlab import harness, machine, mutual
 from mdimlab.cli import main
 from mdimlab.complexity import point_columns
 from mdimlab.functions import ImageOracle, library_function
@@ -271,10 +271,10 @@ def test_concurrent_runs_match_golden_digests(monkeypatch):
     # reference stream and its ratio cache; each builds its own oracles,
     # so they share no K_r memo entry (``TestKrMemo`` in test_mutual runs
     # threads on one oracle's memo).  The coding-bounds pair shares the
-    # machine's enumeration and the lattice order.  Each trial starts on a
-    # fresh stream and empty caches and releases the threads together;
-    # against a stream that appended its blocks, one trial caught the race
-    # in 4 runs of 10 and three trials in 10 of 10
+    # machine's enumeration.  Each trial starts on a fresh stream and empty
+    # caches and releases the threads together; against a stream that
+    # appended its blocks, one trial caught the race in 4 runs of 10 and
+    # three trials in 10 of 10
     suites = ("kprofile", "counterexample", "coding-bounds") * 2
     configs = [_golden_config(suite) for suite in suites]
     interval = sys.getswitchinterval()
@@ -285,7 +285,6 @@ def test_concurrent_runs_match_golden_digests(monkeypatch):
             monkeypatch.setattr(mutual, "_REF_STREAM",
                                 hash_stream(C.REFERENCE_SEED, 0))
             monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-            monkeypatch.setattr(geometry, "_ZN_ORDER", {})
             start = threading.Barrier(len(configs), timeout=60)
 
             def run(cfg):
@@ -366,6 +365,20 @@ class TestCli:
             main(["kraft"])
         assert exc.value.code == 2
         assert "invalid choice: 'kraft'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, flags, payload", [
+        ("geometry", ["--seed", "3"], {"suite": "dpi", "window": [1024, 2048]}),
+        ("mdim", [], {"suite": "dpi",
+                      "functions": [{"name": "identity", "params": {"n": 1}}]}),
+    ])
+    def test_other_suite_refused_before_its_keys(self, tmp_path, capsys,
+                                                 suite, flags, payload):
+        # the config's suite is compared first, so neither a flag nor a key
+        # of the file is checked against the suite asked for
+        path = self._config_file(tmp_path, payload)
+        assert main([suite, *flags, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config is for suite 'dpi', not {suite!r}\n")
 
     @pytest.mark.parametrize("suite, payload, field", [
         ("kprofile", {"generators": [{"kind": "bogus"}]}, "generators[0]"),

@@ -32,8 +32,6 @@ MODULE_STATE = {
     "the longest prefix asked; drawing it again costs 3.3 ms per run",
     "mutual.reference_ratio": "state: one float per reference length; "
     "parsing mdim's 14 prefixes again costs 24 ms per run",
-    "geometry._ZN_ORDER": "state: the lattice order per dimension, bounded "
-    "by the largest index asked; criterion 3 asks 100,001 one at a time",
     "machine._OPCODES": TABLE,
     "harness._SUITES": TABLE,
     "suite_estimate.RUNNERS": TABLE,

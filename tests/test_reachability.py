@@ -45,7 +45,7 @@ UNREACHED = {
     "functions._sample_point": "helper of functions.modulus_check",
     "functions._shift": "helper of functions.modulus_check",
     "geometry.scale_ball": TRACED,
-    "geometry.zn_prefix": TRACED,
+    "geometry.zn_enumeration": TRACED,
     "geometry.DyadicCube.closure_distance_sq": TRACED,
     "geometry._gap_sq": "helper of geometry.DyadicCube.closure_distance_sq",
     "machine.enumerate_halting": TRACED,
