@@ -21,14 +21,20 @@ kept for later forks read-only and compact: its child lists become 4-byte
 object per phrase).  A frozen parse refuses ``feed``; its copies are
 backed by lists again, since the parse loop runs slower on arrays.
 
+The cost is a function of the phrase count alone.  The first T phrases
+cost C(T) = T + sum of ``i.bit_length()`` over i < T, which in closed form
+is (w + 1)·T − 2^w + 1 with w = (T − 1).bit_length() for T ≥ 1
+(``_cost_of``), and a partial phrase counts as one more phrase.  So the parse keeps no running
+cost: ``cost`` is C of the phrase count.
+
 ``feed`` takes an optional cost ceiling, so a caller after the cheapest of
-several strings can stop parsing one that cannot win.  The cost never
-decreases as bits are fed: a bit that extends the partial phrase leaves it
-unchanged, one that starts a phrase adds that phrase's charge, and closing
-a phrase adds exactly the charge the partial phrase already carried.  So
-once the closed cost reaches the ceiling, the whole string's cost does too,
-and the parse stops there; the comparison is made only when a phrase
-closes, not once per bit.
+several strings can stop parsing one that cannot win.  C grows with T, so
+the cost never decreases as bits are fed, and once the closed cost reaches
+the ceiling, the whole string's cost does too.  The parse stops at the
+first phrase close that brings the closed cost to the ceiling, so the
+ceiling is a phrase count: on entry ``feed`` works out the least count
+above the current one whose C reaches it (``_stop``), and each new
+phrase only compares its number with that count.
 
 ``feed`` checks its input in one pass: it translates the string through a
 table that sends ``0`` and ``1`` to the byte values 0 and 1 and every other
@@ -49,6 +55,7 @@ processes agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from operator import length_hint
 
 
@@ -61,20 +68,45 @@ RUN_MIN = 64
 _RUNS = (bytes(RUN_MIN), b"\x01" * RUN_MIN)
 
 
-def _token_cost(index: int) -> int:
-    return index.bit_length() + 1
+def _cost_of(phrases: int) -> int:
+    """Bits to emit ``phrases`` phrases, phrase i costing
+    ``i.bit_length() + 1``.
+
+    The first 2^w phrases cost w·2^w + 1 bits in all, and each further
+    one, up to the 2^(w + 1)-th, costs w + 2.
+    """
+    if not phrases:
+        return 0
+    width = (phrases - 1).bit_length()
+    return (width + 1) * phrases - (1 << width) + 1
+
+
+def _stop(phrases: int, ceiling: float) -> int:
+    """The least phrase count above ``phrases`` whose cost reaches
+    ``ceiling``; -1 if none does."""
+    count = phrases + 1
+    if _cost_of(count) >= ceiling:
+        return count
+    if not ceiling < math.inf:  # infinite or NaN: no cost reaches it
+        return -1
+    need = math.ceil(ceiling)  # costs are integers
+    # counts in (2^(w - 1), 2^w] cost (w + 1)·count − 2^w + 1: find the
+    # first band whose last count reaches ``need``, then the count in it
+    width = (count - 1).bit_length()
+    while _cost_of(1 << width) < need:
+        width += 1
+    return -((1 - (1 << width) - need) // (width + 1))
 
 
 class Lz78Parser:
-    """Incremental parser holding a running compressed-size total."""
+    """Incremental parser; its cost is a function of its phrase count."""
 
-    __slots__ = ("_zero", "_one", "_node", "_closed_cost", "_tokens", "_length")
+    __slots__ = ("_zero", "_one", "_node", "_tokens", "_length")
 
     def __init__(self) -> None:
         self._zero = [0]
         self._one = [0]
         self._node = 0
-        self._closed_cost = 0
         self._tokens = 0
         self._length = 0
 
@@ -84,7 +116,6 @@ class Lz78Parser:
         twin._zero = list(self._zero)
         twin._one = list(self._one)
         twin._node = self._node
-        twin._closed_cost = self._closed_cost
         twin._tokens = self._tokens
         twin._length = self._length
         return twin
@@ -99,7 +130,7 @@ class Lz78Parser:
         self._one = array("I", self._one)
         return self
 
-    def feed(self, bits: str, ceiling: float = float("inf")) -> "Lz78Parser":
+    def feed(self, bits: str, ceiling: float = math.inf) -> "Lz78Parser":
         """Parse ``bits`` on from the current state.
 
         The whole string is checked first, in one translate pass, so a bad
@@ -109,10 +140,12 @@ class Lz78Parser:
         same result.
 
         With a ``ceiling``, the parse stops at the first phrase close that
-        brings the cost to the ceiling or above.  The parser then holds the
-        exact parse of the bits consumed so far, and ``length`` counts
-        only those.  Since ``cost`` never decreases as bits are fed, the
-        parse of the whole string would cost at least the ceiling too.
+        brings the cost to the ceiling or above: the phrase count worked
+        out on entry, since the cost is a function of that count.  The
+        parser then holds the exact parse of the bits consumed so far, and
+        ``length`` counts only those.  Since ``cost`` never decreases as
+        bits are fed, the parse of the whole string would cost at least
+        the ceiling too.
         """
         if not isinstance(self._zero, list):
             raise ValueError("a frozen parse is not fed; feed a copy")
@@ -123,8 +156,8 @@ class Lz78Parser:
         zero, one = self._zero, self._one
         children_by_bit = (zero, one)
         node = self._node
-        cost = self._closed_cost
         tokens = self._tokens
+        stop = _stop(tokens, ceiling)
         pos, end = 0, len(data)
         # where the next run of each bit starts, end if none; -1 until found
         run_at = [-1, -1]
@@ -144,13 +177,12 @@ class Lz78Parser:
                 if child:
                     node = child
                 else:
-                    cost += tokens.bit_length() + 1
                     tokens += 1
                     children[node] = tokens
                     zero.append(0)
                     one.append(0)
                     node = 0
-                    if cost >= ceiling:
+                    if tokens == stop:
                         break
             else:
                 pos = start
@@ -181,7 +213,6 @@ class Lz78Parser:
                     if child:
                         node = child
                         continue
-                    cost += tokens.bit_length() + 1
                     tokens += 1
                     children[node] = tokens
                     zero.append(0)
@@ -189,7 +220,7 @@ class Lz78Parser:
                     if node == chain[-1]:
                         chain.append(tokens)
                     node = 0
-                    if cost >= ceiling:
+                    if tokens == stop:
                         break
                 else:
                     continue
@@ -198,7 +229,6 @@ class Lz78Parser:
             pos = start - length_hint(unread)
             break
         self._node = node
-        self._closed_cost = cost
         self._tokens = tokens
         self._length += pos
         return self
@@ -211,9 +241,7 @@ class Lz78Parser:
     @property
     def cost(self) -> int:
         """Compressed size in bits of everything consumed so far."""
-        if self._node != 0:
-            return self._closed_cost + _token_cost(self._tokens)
-        return self._closed_cost
+        return _cost_of(self.phrase_count)
 
     @property
     def phrase_count(self) -> int:

@@ -135,8 +135,8 @@ def j_r(x: PointOracle, y: PointOracle, r: int, cfg: MachineConfig) -> int | Non
 # the pinned reference stream and its cost ratio by length.  The stream holds
 # the longest prefix asked and the cache one float per length; a default
 # ``mdim`` run asks 14 lengths, the longest 131,088 bits.  Both outlive a run:
-# a run with copies of its own would redo about 27 ms of work (best of 20 on
-# a 2-CPU host), 3.3 ms to draw the stream and 24 ms to parse the 14
+# a run with copies of its own would redo about 20 ms of work (best of 20 on
+# a 2-CPU host), 3 ms to draw the stream and 17 ms to parse the 14
 # prefixes.  Threads may share them: the stream writes each block at its own
 # offset, and a cached ratio is the same float from any thread
 _REF_STREAM = hash_stream(REFERENCE_SEED, 0)

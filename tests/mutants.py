@@ -38,6 +38,12 @@ PACKAGE = Path("src") / "mdimlab"
 
 WORK_PIN = "tests/test_differential.py::test_walk_summarizes_states_not_prefixes"
 GOLDEN = "tests/test_harness.py::test_report_golden_digest"
+# bits offered to and consumed by ``Lz78Parser.feed`` in a default mdim run
+LZ78_WORK_PIN = "tests/test_mutual.py::test_default_mdim_run_offers_and_parses_pinned_bits"
+LONG_STREAM = "tests/test_differential.py::test_lz78_matches_dict_trie_on_long_streams"
+CEILING_STOP = ("tests/test_differential.py::"
+                "test_lz78_feed_stops_at_the_first_close_reaching_the_ceiling")
+PAIR_COST = "tests/test_mutual.py::TestPairCost"
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,7 @@ MUTANTS = (
         "-(-c.num >> -s)",
         (
             "tests/test_geometry.py::test_cube_membership_half_open",
+            "tests/test_complexity.py::TestCodingBound::test_dyadic_lds_holds",
             "tests/test_acceptance.py::test_criterion_05_coding_bound",
             f"{GOLDEN}[geometry]",
             f"{GOLDEN}[coding-bounds]",
@@ -180,6 +187,97 @@ MUTANTS = (
             "tests/test_geometry.py::test_zn_order_matches_sorted_box",
             "tests/test_geometry.py::test_zn_prefix_digest_at_scale[3]",
             f"{GOLDEN}[coding-bounds]",
+        ),
+    ),
+    # the run skip of ``Lz78Parser.feed``
+    Mutant(
+        "lz78-run-tail-short",
+        "compressor.py",
+        "if run_end - pos <= depth:",
+        "if run_end - pos < depth:",
+        (
+            f"{LONG_STREAM}[stream1]",
+            CEILING_STOP,
+            LZ78_WORK_PIN,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "lz78-run-no-ceiling-check",
+        "compressor.py",
+        "chain.append(tokens)\n                    node = 0\n"
+        "                    if tokens == stop:\n                        break\n",
+        "chain.append(tokens)\n                    node = 0\n",
+        (
+            f"{LONG_STREAM}[stream1]",
+            f"{LONG_STREAM}[stream3]",
+            CEILING_STOP,
+            LZ78_WORK_PIN,
+        ),
+    ),
+    Mutant(
+        "lz78-run-tail-dropped",
+        "compressor.py",
+        "node = chain[run_end - pos]",
+        "node = 0",
+        (
+            f"{LONG_STREAM}[stream1]",
+            f"{LONG_STREAM}[stream3]",
+            f"{PAIR_COST}::test_matches_four_layout_reference",
+            LZ78_WORK_PIN,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "lz78-run-jump-too-far",
+        "compressor.py",
+        "pos += depth\n",
+        "pos += depth + 1\n",
+        (
+            f"{LONG_STREAM}[stream1]",
+            f"{LONG_STREAM}[stream3]",
+            f"{PAIR_COST}::test_matches_four_layout_reference",
+            LZ78_WORK_PIN,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "lz78-length-counts-offered-bits",
+        "compressor.py",
+        "self._length += pos",
+        "self._length += end",
+        (
+            f"{LONG_STREAM}[stream0]",
+            CEILING_STOP,
+            f"{PAIR_COST}::test_feeds_only_second_blocks[True]",
+            f"{PAIR_COST}::test_warm_k_r_pair_feeds_no_first_block",
+            LZ78_WORK_PIN,
+        ),
+    ),
+    # the ceiling as a phrase count
+    Mutant(
+        "lz78-stop-passed",
+        "compressor.py",
+        "if tokens == stop:\n                        break\n            else:",
+        "if tokens > stop:\n                        break\n            else:",
+        (
+            "tests/test_compressor.py::test_hand_parsed_costs[0101-6-phrases4]",
+            f"{LONG_STREAM}[stream0]",
+            LZ78_WORK_PIN,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "lz78-stop-cost-one-short",
+        "compressor.py",
+        "(1 - (1 << width) - need)",
+        "(-(1 << width) - need)",
+        (
+            "tests/test_compressor.py::test_stop_matches_a_linear_search[0]",
+            "tests/test_compressor.py::test_stop_matches_a_linear_search[512]",
+            f"{LONG_STREAM}[stream0]",
+            f"{PAIR_COST}::test_feeds_only_second_blocks[True]",
+            LZ78_WORK_PIN,
         ),
     ),
 )

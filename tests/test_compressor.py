@@ -5,7 +5,9 @@ ceil-log of the dictionary size plus one bit, and a dangling partial
 phrase at the end of input is charged like a finished one.
 """
 
+import math
 import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from mdimlab.compressor import (
     Lz78Parser,
+    _cost_of,
+    _stop,
     conditional_cost,
     lz78_cost,
 )
@@ -90,3 +94,47 @@ def test_feed_rejects_bad_character_before_any_state_change():
 def test_rejects_non_bits():
     with pytest.raises(ValueError):
         lz78_cost("012")
+
+
+# the cost of the first T phrases, summed one phrase at a time
+RUNNING_COST = [0, *accumulate(i.bit_length() + 1 for i in range(1 << 13))]
+
+
+def _band_sum(count):
+    """The cost of ``count`` phrases summed by width: phrase 0 has width 0,
+    and the phrases 2^(w-1) .. 2^w - 1 have width w."""
+    total = min(count, 1)
+    width = 1
+    while 1 << (width - 1) < count:
+        total += (width + 1) * (min(count, 1 << width) - (1 << (width - 1)))
+        width += 1
+    return total
+
+
+def test_closed_cost_matches_the_running_sum():
+    assert [_cost_of(t) for t in range(len(RUNNING_COST))] == RUNNING_COST
+    assert [_band_sum(t) for t in range(len(RUNNING_COST))] == RUNNING_COST
+    for count in (1 << 40) - 1, 1 << 40, (1 << 40) + 1:
+        assert _cost_of(count) == _band_sum(count)
+    # the phrase opened after 2^40 phrases costs 41 + 1 bits
+    assert _cost_of((1 << 40) + 1) - _cost_of(1 << 40) == 42
+
+
+def _linear_stop(phrases, ceiling):
+    for count in range(phrases + 1, len(RUNNING_COST)):
+        if RUNNING_COST[count] >= ceiling:
+            return count
+    return -1
+
+
+@pytest.mark.parametrize("phrases", [0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 511, 512,
+                                     513, 1000, 2047, 2048])
+def test_stop_matches_a_linear_search(phrases):
+    edges = [RUNNING_COST[1 << w] + d for w in range(12) for d in (-1, 0, 1)]
+    ceilings = [0, -1, RUNNING_COST[phrases], RUNNING_COST[phrases] + 1,
+                RUNNING_COST[phrases + 1], RUNNING_COST[phrases + 1] + 0.5,
+                *edges, 20000, 20000.25, math.inf]
+    for ceiling in ceilings:
+        assert _stop(phrases, ceiling) == _linear_stop(phrases, ceiling), ceiling
+    assert _stop(phrases, -math.inf) == phrases + 1
+    assert _stop(phrases, math.nan) == -1

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdimlab import functions, machine, suite_geometry
@@ -34,7 +34,7 @@ from mdimlab.codec import (
     distance_sq_parts,
     gamma_encode,
 )
-from mdimlab.compressor import Lz78Parser
+from mdimlab.compressor import RUN_MIN, Lz78Parser
 from mdimlab.functions import (
     ModulusSpec,
     SSelector,
@@ -446,14 +446,32 @@ def test_lz78_matches_dict_trie_on_long_streams(stream):
     # thousands of phrases, past anything the sampled strings reach
     bits = stream.prefix(1 << 15)
     fast, slow = Lz78Parser(), DictTrieLz78()
+    closes = [_state(slow)]  # the state after each phrase close
     for at in range(0, len(bits), 97):
         chunk = bits[at : at + 97]
         fast.feed(chunk)
         for bit in chunk:
             slow.push(bit)
+            if not slow.node:
+                closes.append(_state(slow))
         assert _state(fast) == _state(slow)
     # in one feed, the diluted padding is runs of a thousand zeros
     assert _state(Lz78Parser().feed(bits)) == _state(slow)
+    # ceilings at the cost of 2^w phrases and either side of it, where the
+    # token width grows, and at the first and last closes that end a run of
+    # RUN_MIN equal bits, which ``feed`` parses a phrase at a time; from a
+    # fresh parse and from one mid-stream
+    edges = [closes[1 << w][0] + d for w in range(8, slow.tokens.bit_length())
+             for d in (-1, 0, 1)]
+    in_runs = [s[0] for s in closes
+               if bits.endswith(("0" * RUN_MIN, "1" * RUN_MIN), 0, s[1])]
+    for start in 0, 9001:
+        parser = Lz78Parser().feed(bits[:start])
+        for ceiling in (*edges, *in_runs[:1], *in_runs[-1:], parser.cost,
+                        slow.cost, slow.cost + 1):
+            stop = next((s for s in closes if s[1] > start and s[0] >= ceiling),
+                        _state(slow))
+            assert _state(parser.copy().feed(bits[start:], ceiling)) == stop
 
 
 @settings(max_examples=200)
@@ -836,6 +854,10 @@ def _point(coords):
 @given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.lists(dyadics, min_size=n, max_size=n),
                         st.lists(dyadics, min_size=n, max_size=n))))
+# integer points (0 / 2^4 and 8 / 2^3 are canonically n / 2^0): every
+# exponent is 0, so the common exponent is too
+@example(pair=([DyadicRational(3, 0), DyadicRational(0, 4)],
+               [DyadicRational(-1, 0), DyadicRational(8, 3)]))
 def test_distance_sq_matches_fraction_sum(pair):
     p, q = (_point(c) for c in pair)
     assert distance_sq(p, q) == distance_sq_reference(p, q)

@@ -2,11 +2,24 @@
 (``python tests/mutants.py``) is out of tier-1, this checks only that each
 mutant still names code and tests that exist."""
 
+import ast
 import re
 
 import pytest
 
 from mutants import MUTANTS, PACKAGE, ROOT, occurrences
+
+
+def defines(file, names):
+    """Whether the test file defines ``names``: a test function, or a class
+    and then a test method in it."""
+    scope = ast.parse((ROOT / file).read_text(encoding="utf-8")).body
+    *classes, test = names
+    for name in classes:
+        scope = next((node.body for node in scope if isinstance(node, ast.ClassDef)
+                      and node.name == name), [])
+    return any(isinstance(node, ast.FunctionDef) and node.name == test
+               for node in scope)
 
 
 def test_mutant_names_are_unique():
@@ -23,6 +36,14 @@ def test_mutant_applies(mutant):
     compile(source.replace(mutant.snippet, mutant.replacement), str(path), "exec")
     assert mutant.tests
     for test in mutant.tests:
-        file, name = re.fullmatch(r"(tests/test_\w+\.py)::(\w+)(\[.*\])?",
-                                  test).group(1, 2)
-        assert f"def {name}(" in (ROOT / file).read_text(encoding="utf-8"), test
+        match = re.fullmatch(r"(tests/test_\w+\.py)((?:::\w+)+)(\[.*\])?", test)
+        assert match, test
+        assert defines(match[1], match[2].split("::")[1:]), test
+
+
+def test_ids_name_a_method_in_its_class():
+    file = "tests/test_complexity.py"
+    assert defines(file, ["TestCodingBound", "test_dyadic_lds_holds"])
+    assert not defines(file, ["test_dyadic_lds_holds"])
+    assert not defines(file, ["TestProfiles", "test_dyadic_lds_holds"])
+    assert not defines(file, ["TestCodingBound", "test_absent"])

@@ -37,7 +37,6 @@ UNREACHED = {
     "codec._ReadKeys.__len__": PROTOCOL,
     "compressor.conditional_cost": TRACED,
     "compressor.Lz78Parser.length": "test hook: tests/test_differential.py",
-    "compressor.Lz78Parser.phrase_count": "test hook: tests/test_differential.py",
     "functions.modulus_check": "test hook: tests/test_functions.py",
     "functions.inverse_modulus_check": "test hook: tests/test_functions.py",
     "functions.consistency_check": "test hook: tests/test_functions.py",
