@@ -20,6 +20,10 @@ member, and the precision-r complexity of an ideal point is the complexity
 of the open radius-2**-r ball around it.  ``ball_points`` holds the one rule
 for that ball on the exact machine: a surrogate centered at a deep
 approximant of the point.
+
+Each function of the exact half imports what it runs of ``machine`` and
+``geometry`` in its body, so the estimators, which import this module,
+load neither.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .codec import RationalPoint, encode_int, encode_point
 from .compressor import Lz78Parser
@@ -38,9 +42,11 @@ from .constants import (
     LDS_CODING_CONSTANT,
     PRECISION_IMPROVEMENT_CONSTANT,
 )
-from .geometry import Ball, DyadicCube, LdsRecord, cube_containing
-from .machine import MachineConfig, apriori_mass, exact_k, get_enumeration
 from .oracles import PointOracle
+
+if TYPE_CHECKING:
+    from .geometry import Ball, DyadicCube, LdsRecord
+    from .machine import MachineConfig
 
 # depth margin when a ball center must stand in for an ideal point; the
 # surrogate ball misclassifies only a boundary band of width 2**(1-r-margin)
@@ -100,6 +106,8 @@ def point_representation(p: RationalPoint, r: int) -> str:
 
 def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]]:
     """All (point, K, encoding) triples the enumeration reaches, K-sorted."""
+    from .machine import get_enumeration
+
     return get_enumeration(cfg).points
 
 
@@ -108,6 +116,8 @@ def enumerated_points(cfg: MachineConfig) -> list[tuple[RationalPoint, int, str]
 
 def k_of_set(points: Iterable[RationalPoint], cfg: MachineConfig) -> int | None:
     """Minimum exact K over the members' encodings; None if unreachable."""
+    from .machine import exact_k
+
     values = (exact_k(encode_point(q), "", cfg) for q in points)
     return min((rep.value for rep in values if rep is not None), default=None)
 
@@ -130,6 +140,8 @@ def ball_points(
     The open ball is centered at the approximant x.query(r + margin), which
     stands in for the ideal point.
     """
+    from .geometry import Ball
+
     center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
     return _points_in_region(Ball.at_precision(center, r), cfg)
 
@@ -213,6 +225,8 @@ def minimizers(
 
 def k_of_precision(r: int, cfg: MachineConfig) -> int:
     """K of the precision parameter itself, as an encoded integer."""
+    from .machine import exact_k
+
     rep = exact_k(encode_int(r), "", cfg)
     if rep is None:
         raise ValueError(f"precision {r} is not reachable on this machine")
@@ -240,6 +254,8 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     The count in any precision-r cube must stay within 2**(d + K(r) + c);
     the report carries the minimal c that works.
     """
+    from .geometry import cube_containing
+
     cubes = {cube_containing(q, r) for q, _, _ in enumerated_points(cfg)}
     return _count_bound("cube", r, d, cfg, cubes, 1, CUBE_COUNT_CONSTANT)
 
@@ -251,6 +267,8 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     are sampled at every enumerated point, the adversarial choice available
     at desk scale.
     """
+    from .geometry import Ball
+
     balls = (Ball.at_precision(q, r) for q, _, _ in enumerated_points(cfg))
     return _count_bound("ball", r, d, cfg, balls, 2, BALL_COUNT_CONSTANT)
 
@@ -264,6 +282,8 @@ def check_lds_coding_bound(
     under-approximation, so each measured constant upper-bounds the true
     one.  Zero-mass blocks are skipped: their right-hand side is infinite.
     """
+    from .machine import apriori_mass, get_enumeration
+
     enum = get_enumeration(cfg)
     reports = []
     for rec in lds:

@@ -15,6 +15,10 @@ reference stream at matching representation length; that cancels the
 coder's sublinear dictionary overhead, so one incompressible expansion bit
 per precision bit reads as slope 1.0.  A ``Profile``'s values stay in raw
 emitted bits.
+
+``mutual_info`` imports ``exact_k`` in its body, and ``i_r`` and ``j_r``
+reach the geometry only through ``complexity.ball_points``, so an
+estimator run loads neither the machine nor the geometry.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .compressor import Lz78Parser, lz78_cost
 from .complexity import ball_points, k_r, k_r_entry
@@ -33,8 +37,10 @@ from .constants import (
     WINDOW_DIM,
     WINDOW_MUTUAL,
 )
-from .machine import MachineConfig, exact_k
 from .oracles import PointOracle, hash_stream
+
+if TYPE_CHECKING:
+    from .machine import MachineConfig
 
 
 # ---- mutual information of binary strings ---------------------------------
@@ -47,6 +53,8 @@ def mutual_info(p: str, q: str, cfg: MachineConfig) -> int | None:
     when the exact search finds nothing; an unreachable q returns before
     the conditional search runs.
     """
+    from .machine import exact_k
+
     unconditional = exact_k(q, "", cfg)
     if unconditional is None:
         return None

@@ -2,7 +2,8 @@
 calibration of the dimension and mutual dimension estimators.
 
 Neither maps a point through a function, so neither loads the function
-library.
+library, and neither runs the exact machine, so neither loads ``machine``
+or ``geometry``.
 """
 
 from __future__ import annotations

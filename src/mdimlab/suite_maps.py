@@ -2,7 +2,8 @@
 inequalities in both directions, conservation of the mutual slope under
 certified maps, and the space-filling counterexample.
 
-These are the only suites that load the function library.
+These are the only suites that load the function library.  They run the
+estimators alone, so they load neither ``machine`` nor ``geometry``.
 """
 
 from __future__ import annotations

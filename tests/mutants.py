@@ -44,6 +44,9 @@ LONG_STREAM = "tests/test_differential.py::test_lz78_matches_dict_trie_on_long_s
 CEILING_STOP = ("tests/test_differential.py::"
                 "test_lz78_feed_stops_at_the_first_close_reaching_the_ceiling")
 PAIR_COST = "tests/test_mutual.py::TestPairCost"
+LOADS = "tests/test_imports.py::test_each_suite_loads_only_the_layers_it_runs"
+KR_MEMO = "tests/test_mutual.py::TestKrMemo"
+SELF_PAIR = "tests/test_mutual.py::TestMdimEstimate::test_self_pair_frozen"
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,91 @@ MUTANTS = (
             f"{PAIR_COST}::test_feeds_only_second_blocks[True]",
             LZ78_WORK_PIN,
         ),
+    ),
+    # the estimator half of complexity and mutual, which loads neither the
+    # machine nor the geometry
+    Mutant(
+        "complexity-machine-imported-at-module-level",
+        "complexity.py",
+        "from .oracles import PointOracle\n",
+        "from .machine import get_enumeration\nfrom .oracles import PointOracle\n",
+        (
+            f"{LOADS}[mdim]",
+            f"{LOADS}[kprofile]",
+            f"{LOADS}[dpi]",
+            "tests/test_imports.py::test_estimators_load_neither_machine_nor_geometry",
+            "tests/test_imports.py::"
+            "test_exact_run_after_an_estimator_run_loads_the_exact_half",
+        ),
+    ),
+    Mutant(
+        "complexity-continuation-without-value-check",
+        "complexity.py",
+        "if parser is not None and value >> (n - m) == low:",
+        "if parser is not None:",
+        (
+            "tests/test_acceptance.py::test_criterion_11_reverse_dpi_and_conservation",
+            f"{KR_MEMO}::test_any_request_order_matches_the_reference",
+            f"{KR_MEMO}::test_nested_representations_are_parsed_once[random-2d-False]",
+            f"{KR_MEMO}::test_windows_above_the_bottom_match_the_reference[1-random-2d]",
+            f"{GOLDEN}[dpi]",
+        ),
+    ),
+    Mutant(
+        "mutual-pair-shift-wrong-way",
+        "mutual.py",
+        "else a << (n - m)",
+        "else a >> (n - m)",
+        (
+            f"{PAIR_COST}::test_matches_four_layout_reference",
+            f"{GOLDEN}[dpi]",
+            f"{GOLDEN}[reverse-dpi]",
+        ),
+    ),
+    Mutant(
+        "mutual-mdim-window-dim",
+        "mutual.py",
+        "y.dimension, WINDOW_MUTUAL)",
+        "y.dimension, WINDOW_DIM)",
+        (
+            "tests/test_acceptance.py::test_criterion_07_mutual_dimension_properties",
+            "tests/test_imports.py::test_module_has_no_unused_imports[mutual.py]",
+            SELF_PAIR,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "mutual-profile-min-max-swapped",
+        "mutual.py",
+        "tuple(values), min(slopes), max(slopes))",
+        "tuple(values), max(slopes), min(slopes))",
+        (
+            "tests/test_acceptance.py::test_criterion_06_estimator_calibration",
+            "tests/test_mutual.py::TestDimEstimate::test_diluted_half_frozen",
+            "tests/test_mutual.py::TestDimEstimate::test_rational_quarter_frozen",
+            SELF_PAIR,
+            f"{GOLDEN}[kprofile]",
+        ),
+    ),
+    Mutant(
+        "mutual-k-r-of-x-twice",
+        "mutual.py",
+        "k_r(x, r) + k_r(y, r)",
+        "k_r(x, r) + k_r(x, r)",
+        (
+            "tests/test_acceptance.py::test_criterion_08_data_processing",
+            "tests/test_mutual.py::TestMdimEstimate::test_three_term_identity",
+            "tests/test_mutual.py::TestGridMutual::test_compressor_symmetric",
+            f"{KR_MEMO}::test_memo_matches_direct_k_r[window0]",
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "mutual-reference-length-of-x",
+        "mutual.py",
+        "x.dimension + y.dimension, WINDOW_MUTUAL)",
+        "x.dimension, WINDOW_MUTUAL)",
+        (LZ78_WORK_PIN, SELF_PAIR, f"{GOLDEN}[mdim]"),
     ),
 )
 

@@ -16,6 +16,7 @@ config loads, so a suite never pays for a layer it does not run.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -235,24 +236,39 @@ def test_harness_may_import_every_runner_module():
     assert sorted(runners - LAYERS["harness"]) == []
 
 
-def test_functions_loads_neither_machine_nor_geometry():
-    # a fresh interpreter, so no other test's imports are in sys.modules
+def _fresh_run(code, *args):
+    """stdout of ``code`` in a fresh interpreter, so that no other test's
+    imports are in its sys.modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_functions_loads_neither_machine_nor_geometry():
     code = ("import sys, mdimlab.functions; "
             "print(*sorted(m for m in sys.modules if m.startswith('mdimlab')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == [
+    assert _fresh_run(code).split() == [
         "mdimlab", "mdimlab.codec", "mdimlab.functions", "mdimlab.oracles"]
+
+
+def test_estimators_load_neither_machine_nor_geometry():
+    # complexity and mutual import the exact machine and the geometry only
+    # inside the functions that run them
+    code = ("import sys, mdimlab.mutual, mdimlab.suite_estimate; "
+            "print(*sorted(m for m in sys.modules if m.startswith('mdimlab')))")
+    assert _fresh_run(code).split() == [
+        "mdimlab", "mdimlab.codec", "mdimlab.complexity", "mdimlab.compressor",
+        "mdimlab.constants", "mdimlab.mutual", "mdimlab.oracles",
+        "mdimlab.report", "mdimlab.suite_estimate"]
 
 
 # the modules besides ``mdimlab`` itself that reading a default config of
 # each suite loads: its runner module and the layers that module runs
 ENTRY = {"codec", "constants", "harness", "report"}
 EXACT = {"complexity", "compressor", "geometry", "machine", "oracles"}
-ESTIMATORS = EXACT | {"mutual"}
+ESTIMATORS = {"complexity", "compressor", "mutual", "oracles"}
 SUITE_LOADS = {
     "machine": ENTRY | EXACT | {"suite_exact"},
     "geometry": ENTRY | {"geometry", "suite_geometry"},
@@ -289,15 +305,34 @@ print(json.dumps(out))
 @pytest.mark.parametrize("suite", sorted(SUITE_LOADS))
 def test_each_suite_loads_only_the_layers_it_runs(suite):
     # a fresh interpreter per suite, so only this suite's imports are loaded
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    out = json.loads(subprocess.run(
-        [sys.executable, "-c", LOADS_PROBE, suite], env=env, check=True,
-        capture_output=True, text=True).stdout)
+    out = json.loads(_fresh_run(LOADS_PROBE, suite))
     # the command line loads no runner module before the config is read
     assert out["cli"] == sorted(ENTRY | {"cli"})
     assert out["config"] == sorted(SUITE_LOADS[suite] | {"cli"})
     if suite == "machine":
         # the runner module was loaded with the config: the run loads nothing
         assert out["run"] == out["config"]
+
+
+LAZY_PROBE = """
+import hashlib, json, sys
+from mdimlab.harness import config_from_mapping, run_suite
+
+run_suite(config_from_mapping({"suite": "kprofile", "window": [1024, 2048]}))
+out = {"estimator": sorted(m for m in sys.modules if m.startswith("mdimlab."))}
+report = run_suite(config_from_mapping({"suite": "coding-bounds", "machine": {
+    "max_program_len": 24, "step_budget": 256}}))
+out["digest"] = hashlib.sha256(report.render("json").encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_exact_run_after_an_estimator_run_loads_the_exact_half():
+    # the function-level imports of complexity load the machine and the
+    # geometry on the exact suite's first call, after an estimator run in
+    # the same process, and the exact report is the golden one
+    out = json.loads(_fresh_run(LAZY_PROBE))
+    assert not {"mdimlab.machine", "mdimlab.geometry"} & set(out["estimator"])
+    assert "mdimlab.complexity" in out["estimator"]
+    golden = PACKAGE.parents[1] / "tests" / "golden" / "coding-bounds.json"
+    assert out["digest"] == hashlib.sha256(golden.read_bytes()).hexdigest()
