@@ -47,15 +47,15 @@ class BitStream:
     """Lazily materialized infinite bit sequence with a cached prefix.
 
     The prefix is kept as a ``bytearray`` of ASCII ``0``/``1``, so reading a
-    bit or a prefix costs time in what it returns, not in what came before.
-    Source contract: ``block(i)`` returns, as a ``str`` of ``0``/``1``, the
-    bits from index i to the end of the block that holds i.  It must answer
-    any index in any order, so a source keeps no state between calls; the
-    stream asks at its buffer length and writes the whole run at that
-    offset.  Two threads that extend one stream at once may both fetch a
-    block, but both write the same bits to the same place, so no lock is
-    needed.  A result that is not a non-empty string of ``0``/``1`` raises
-    ``ValueError``.
+    bit, a prefix or a slice costs time in what it returns, not in what came
+    before.  Source contract: ``block(i)`` returns, as a ``str`` of
+    ``0``/``1``, the bits from index i to the end of the block that holds i.
+    It must answer any index in any order, so a source keeps no state
+    between calls; the stream asks at its buffer length and writes the whole
+    run at that offset.  Two threads that extend one stream at once may both
+    fetch a block, but both write the same bits to the same place, so no
+    lock is needed.  A result that is not a non-empty string of ``0``/``1``
+    raises ``ValueError``; the check is one bytes pass over the block.
     """
 
     def __init__(self, block: Callable[[int], str]):
@@ -67,14 +67,21 @@ class BitStream:
         while len(buf) < k:
             start = len(buf)
             bits = self._block(start)
-            if not isinstance(bits, str) or not bits or bits.strip("01"):
+            # a character other than 0/1 survives the delete, and one
+            # outside ASCII is first replaced by "?"
+            data = bits.encode("ascii", "replace") if isinstance(bits, str) else b""
+            if not data or data.translate(None, b"01"):
                 raise ValueError(f"bit source produced {bits!r}")
-            buf[start:start + len(bits)] = bits.encode()
+            buf[start:start + len(data)] = data
+
+    def read(self, start: int, stop: int) -> str:
+        """Bits [start, stop) of the stream."""
+        if len(self._buf) < stop:
+            self._extend(stop)
+        return self._buf[start:stop].decode()
 
     def prefix(self, k: int) -> str:
-        if len(self._buf) < k:
-            self._extend(k)
-        return self._buf[:k].decode()
+        return self.read(0, k)
 
     def bit(self, i: int) -> int:
         if i >= len(self._buf):
@@ -82,13 +89,26 @@ class BitStream:
         return self._buf[i] - 48
 
 
+# SHA-256 digests a hash stream's source returns per call, and their bits
+HASH_DIGESTS = 32
+HASH_BLOCK = 256 * HASH_DIGESTS
+
+
 def hash_stream(seed: int, lane: int = 0) -> BitStream:
-    """Pinned pseudo-random bits: SHA-256 of (seed, lane, block counter)."""
+    """Pinned pseudo-random bits: SHA-256 of (seed, lane, counter).
+
+    The stream is the digests of counters 0, 1, 2, ... joined in order.
+    A block is ``HASH_DIGESTS`` consecutive digests, converted to bits in
+    one pass.
+    """
     tag = f"mdimlab:{seed}:{lane}|".encode()
 
     def block(i: int) -> str:
-        digest = hashlib.sha256(tag + (i // 256).to_bytes(8, "big")).digest()
-        return format(int.from_bytes(digest, "big"), "0256b")[i % 256:]
+        b, phase = divmod(i, HASH_BLOCK)
+        first = b * HASH_DIGESTS
+        words = b"".join([hashlib.sha256(tag + c.to_bytes(8, "big")).digest()
+                          for c in range(first, first + HASH_DIGESTS)])
+        return format(int.from_bytes(words, "big"), f"0{HASH_BLOCK}b")[phase:]
 
     return BitStream(block)
 
@@ -105,7 +125,8 @@ def diluted_stream(
     a run of fresh bits, drawn in order from the seeded random stream, and
     pads the rest with zeros.  Period q gets floor((q+1)*rho*period) -
     floor(q*rho*period) fresh bits, so the density of fresh positions in
-    any prefix converges to rho.  A period is one block of the stream.
+    any prefix converges to rho.  A period is one block of the stream, and
+    it reads only its own fresh bits of the random stream.
     """
     if not 0 <= rho <= 1:
         raise ValueError("density must satisfy 0 <= rho <= 1")
@@ -118,7 +139,7 @@ def diluted_stream(
     def block(j: int) -> str:
         q, phase = divmod(j, period)
         start, stop = q * num // den, (q + 1) * num // den
-        return base.prefix(stop)[start:].ljust(period, "0")[phase:]
+        return base.read(start, stop).ljust(period, "0")[phase:]
 
     return BitStream(block)
 

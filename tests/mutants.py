@@ -47,6 +47,13 @@ PAIR_COST = "tests/test_mutual.py::TestPairCost"
 LOADS = "tests/test_imports.py::test_each_suite_loads_only_the_layers_it_runs"
 KR_MEMO = "tests/test_mutual.py::TestKrMemo"
 SELF_PAIR = "tests/test_mutual.py::TestMdimEstimate::test_self_pair_frozen"
+# source calls, per stream kind, of a default mdim run
+SOURCE_CALLS = "tests/test_oracles.py::test_default_mdim_run_asks_each_source_pinned_times"
+DILUTION_FORMULA = "tests/test_differential.py::test_diluted_stream_matches_fraction_formula"
+START_BOX = "tests/test_differential.py::test_start_box_holds_every_acceptor"
+# boxes the left-inverse search bounds over criterion 10's trials
+BOXES_PIN = "tests/test_functions.py::TestLeftInverse::test_criterion_10_trials_bound_pinned_boxes"
+GRID_CHECK = "tests/test_mutual.py::TestGridCheck::test_bad_grid_raises_before_any_k_r"
 
 
 @dataclass(frozen=True)
@@ -367,6 +374,104 @@ MUTANTS = (
         "x.dimension + y.dimension, WINDOW_MUTUAL)",
         "x.dimension, WINDOW_MUTUAL)",
         (LZ78_WORK_PIN, SELF_PAIR, f"{GOLDEN}[mdim]"),
+    ),
+    Mutant(
+        "mutual-grid-check-after-k-r",
+        "mutual.py",
+        "    _check_grid(grid)\n"
+        "    values = [k_r(x, r) + k_r(y, r) - k_r_pair(x, y, r) for r in grid]\n",
+        "    values = [k_r(x, r) + k_r(y, r) - k_r_pair(x, y, r) for r in grid]\n"
+        "    _check_grid(grid)\n",
+        tuple(f"{GRID_CHECK}[grid{i}]" for i in range(4)),
+    ),
+    # the bit streams
+    Mutant(
+        "oracles-hash-counter-one-block-off",
+        "oracles.py",
+        "first = b * HASH_DIGESTS",
+        "first = (b + 1) * HASH_DIGESTS",
+        (
+            "tests/test_oracles.py::test_hash_stream_pinned_prefix",
+            "tests/test_oracles.py::test_hash_stream_matches_direct_digest",
+            "tests/test_oracles.py::test_hash_stream_joins_per_counter_digests",
+            "tests/test_mutual.py::TestReferenceRatio::test_frozen_values",
+            LZ78_WORK_PIN,
+            f"{GOLDEN}[mdim]",
+        ),
+    ),
+    Mutant(
+        "oracles-one-digest-per-call",
+        "oracles.py",
+        "HASH_DIGESTS = 32",
+        "HASH_DIGESTS = 1",
+        (SOURCE_CALLS,),
+    ),
+    Mutant(
+        "oracles-block-check-dropped",
+        "oracles.py",
+        'if not data or data.translate(None, b"01"):',
+        "if not data:",
+        ("tests/test_oracles.py::test_bit_stream_rejects_bad_source",),
+    ),
+    Mutant(
+        "oracles-dilution-period-one-bit-late",
+        "oracles.py",
+        "base.read(start, stop)",
+        "base.read(start + 1, stop + 1)",
+        (
+            f"{DILUTION_FORMULA}[3-1/3]",
+            f"{DILUTION_FORMULA}[2048-1/2]",
+            "tests/test_oracles.py::test_diluted_stream_period_layout",
+            "tests/test_oracles.py::test_diluted_stream_non_dyadic_density",
+            SOURCE_CALLS,
+            "tests/test_mutual.py::TestDimEstimate::test_diluted_half_frozen",
+            f"{GOLDEN}[kprofile]",
+        ),
+    ),
+    # the start box of the left-inverse search
+    Mutant(
+        "functions-start-box-reach-one-short",
+        "functions.py",
+        "reach = isqrt(n * row[width + j]) // det + 1",
+        "reach = isqrt(n * row[width + j]) // det",
+        (START_BOX, BOXES_PIN),
+    ),
+    Mutant(
+        "functions-start-box-not-clipped-at-0",
+        "functions.py",
+        "lo.append(max(centre - reach, 0))",
+        "lo.append(centre - reach)",
+        (
+            START_BOX,
+            "tests/test_differential.py::test_left_inverse_matches_full_grid_scan[0-x1]",
+            "tests/test_differential.py::"
+            "test_left_inverse_matches_full_grid_scan[0-identity-3-lower-edge]",
+        ),
+    ),
+    Mutant(
+        "functions-start-box-singular-as-empty",
+        "functions.py",
+        "            return (0,) * width, (cells,) * width",
+        "            return None",
+        (START_BOX, "tests/test_functions.py::TestLeftInverse::"
+         "test_singular_map_searches_the_whole_grid"),
+    ),
+    # sound: with the +1 in the reach either rounding of the centre keeps
+    # every acceptor, so the box is only looser and the work pin sees it
+    Mutant(
+        "functions-start-box-centre-rounded-up",
+        "functions.py",
+        "centre = -row[-1] // det",
+        "centre = -(row[-1] // det)",
+        (BOXES_PIN,),
+    ),
+    Mutant(
+        "functions-start-box-empty-check-dropped",
+        "functions.py",
+        "        if lo[j] >= hi[j]:\n            return None\n",
+        "",
+        (START_BOX, "tests/test_functions.py::TestLeftInverse::"
+         "test_empty_start_box_exhausts_at_once[preimage-outside-box]"),
     ),
 )
 

@@ -74,6 +74,7 @@ from mdimlab.machine import (
     valid_payload_lengths,
 )
 from mdimlab.oracles import (
+    HASH_BLOCK,
     ConstantOracle,
     diluted_stream,
     hash_stream,
@@ -603,8 +604,8 @@ _BLOCK_STREAMS = {
 
 
 @pytest.mark.parametrize("kind, arg, size", [
-    ("hash", 0, 256),
-    ("hash", 1, 256),
+    ("hash", 0, HASH_BLOCK),
+    ("hash", 1, HASH_BLOCK),
     *(("diluted", (rho, period), period)
       for rho in ("0", "1/3", "1") for period in (1, 3, 2048)),
     ("rational", "22/23", 256),
@@ -613,7 +614,7 @@ _BLOCK_STREAMS = {
 def test_source_block_is_a_slice_of_the_prefix(kind, arg, size):
     # a fresh source asked out of order, mid-block and mid-period included,
     # returns the stream's bits up to the next block boundary
-    n = 3 * 2048 + 256
+    n = 3 * max(HASH_BLOCK, 2048) + 256
     expected = _BLOCK_STREAMS[kind](arg).prefix(n)
     source = _BLOCK_STREAMS[kind](arg)._block
     rng = random.Random(7)

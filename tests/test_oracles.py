@@ -1,8 +1,10 @@
 """Point-oracle tests: pinned streams, dilution layout, query consistency."""
 
 import hashlib
+import importlib
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 from mdimlab import oracles
 from mdimlab.codec import DIMENSION_CAP, DyadicRational, RationalPoint
+from mdimlab.harness import config_from_mapping, run_suite
 from mdimlab.oracles import (
     DILUTION_PERIOD,
+    HASH_BLOCK,
     BitStream,
     ConstantOracle,
     ProductOracle,
@@ -44,12 +48,25 @@ def test_hash_stream_matches_direct_digest():
     assert hash_stream(42, 3).prefix(256) == expected
 
 
+def test_hash_stream_joins_per_counter_digests():
+    # a source call returns many digests; the stream is still the digest of
+    # each counter in turn, joined one by one, across block boundaries
+    n = 3 * HASH_BLOCK + 100
+    expected = ""
+    for counter in range(n // 256 + 1):
+        tag = b"mdimlab:42:3|" + counter.to_bytes(8, "big")
+        word = int.from_bytes(hashlib.sha256(tag).digest(), "big")
+        expected += format(word, "0256b")
+    assert hash_stream(42, 3).prefix(n) == expected[:n]
+
+
 def test_hash_stream_lanes_differ():
     assert hash_stream(7, 0).prefix(64) != hash_stream(7, 1).prefix(64)
 
 
 def test_bit_stream_rejects_bad_source():
-    for source in (lambda i: 2, lambda i: "", lambda i: "012"):
+    for source in (lambda i: 2, lambda i: "", lambda i: "012",
+                   lambda i: "0\u0661", lambda i: b"01"):
         stream = BitStream(source)
         with pytest.raises(ValueError):
             stream.bit(0)
@@ -94,7 +111,27 @@ def test_stream_asks_its_source_once_per_block(monkeypatch):
 
     monkeypatch.setattr(oracles, "BitStream", CountedStream)
     hash_stream(5).prefix(1 << 16)
-    assert len(calls) <= 256
+    assert calls == list(range(0, 1 << 16, HASH_BLOCK))
+
+
+def test_default_mdim_run_asks_each_source_pinned_times(monkeypatch):
+    # source calls of every stream one default ``mdim`` run builds, by
+    # stream kind; a dilution's random base counts as a hash stream.  A
+    # source that returns less per call shows up here as a higher count.
+    # ``mutual``'s reference stream is built at import, so it is imported
+    # before the count starts and its calls are never counted.
+    importlib.import_module("mdimlab.mutual")
+    calls = Counter()
+
+    class CountedStream(BitStream):
+        def __init__(self, source):
+            kind = source.__qualname__.partition(".")[0]
+            super().__init__(lambda i: calls.update([kind]) or source(i))
+
+    monkeypatch.setattr(oracles, "BitStream", CountedStream)
+    run_suite(config_from_mapping({"suite": "mdim"}))
+    assert calls == {"hash_stream": 28, "diluted_stream": 96,
+                     "rational_stream": 512}
 
 
 def test_rational_stream_expansions():
