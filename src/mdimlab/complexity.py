@@ -17,17 +17,20 @@ this object":
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
-of the open radius-2**-r ball around it.  ``ball_points`` holds the one rule
+of the open radius-2**-r ball around it.  ``_ball_points`` holds the one rule
 for that ball on the exact machine: a surrogate centered at a deep
 approximant of the point.
 
 Each function of the exact half imports what it runs of ``machine`` and
 ``geometry`` in its body, so the estimators, which import this module,
-load neither.
+load neither.  A bound check fetches the enumerated points once and scans
+each of its regions in that list, so the imports run once per check, not
+once per region.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -123,19 +126,19 @@ def k_of_set(points: Iterable[RationalPoint], cfg: MachineConfig) -> int | None:
 
 
 def _points_in_region(
-    region: Ball | DyadicCube, cfg: MachineConfig
+    region: Ball | DyadicCube, points: list[tuple[RationalPoint, int, str]]
 ) -> list[tuple[RationalPoint, int, str]]:
     return [
         (q, k, enc)
-        for q, k, enc in enumerated_points(cfg)
+        for q, k, enc in points
         if q.dimension == region.dimension and region.contains(q)
     ]
 
 
-def ball_points(
-    x: PointOracle, r: int, cfg: MachineConfig
+def _ball_points(
+    x: PointOracle, r: int, points: list[tuple[RationalPoint, int, str]]
 ) -> list[tuple[RationalPoint, int, str]]:
-    """Enumerated (point, K, encoding) triples within 2**-r of x, K-sorted.
+    """The triples of ``points`` within 2**-r of x.
 
     The open ball is centered at the approximant x.query(r + margin), which
     stands in for the ideal point.
@@ -143,7 +146,14 @@ def ball_points(
     from .geometry import Ball
 
     center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
-    return _points_in_region(Ball.at_precision(center, r), cfg)
+    return _points_in_region(Ball.at_precision(center, r), points)
+
+
+def ball_points(
+    x: PointOracle, r: int, cfg: MachineConfig
+) -> list[tuple[RationalPoint, int, str]]:
+    """Enumerated (point, K, encoding) triples within 2**-r of x, K-sorted."""
+    return _ball_points(x, r, enumerated_points(cfg))
 
 
 # ---- compressor K_r memo ----------------------------------------------------
@@ -206,18 +216,24 @@ def exact_k_r(x: PointOracle, r: int, cfg: MachineConfig) -> int | None:
     return min((k for _, k, _ in ball_points(x, r, cfg)), default=None)
 
 
-def minimizers(
-    region: Ball | DyadicCube, d: int, cfg: MachineConfig
+def _minimizers(
+    region: Ball | DyadicCube, d: int, points: list[tuple[RationalPoint, int, str]]
 ) -> MinimizerSet | None:
-    """All enumerated points of the region within d bits of its K floor."""
     if d < 0:
         raise ValueError("slack must be nonnegative")
-    inside = _points_in_region(region, cfg)
+    inside = _points_in_region(region, points)
     if not inside:
         return None
     k_floor = min(k for _, k, _ in inside)
     members = tuple(q for q, k, _ in inside if k <= k_floor + d)
     return MinimizerSet(members, k_floor)
+
+
+def minimizers(
+    region: Ball | DyadicCube, d: int, cfg: MachineConfig
+) -> MinimizerSet | None:
+    """All enumerated points of the region within d bits of its K floor."""
+    return _minimizers(region, d, enumerated_points(cfg))
 
 
 # ---- measured-constant checks of the counting and coding bounds -----------
@@ -235,14 +251,15 @@ def k_of_precision(r: int, cfg: MachineConfig) -> int:
 
 def _count_bound(
     kind: str, r: int, d: int, cfg: MachineConfig,
+    points: list[tuple[RationalPoint, int, str]],
     regions: Iterable[Ball | DyadicCube], factor: int,
     constant: float,
 ) -> BoundReport:
-    """The worst log2(count of d-approximate minimizers) over ``regions``,
-    against d + factor * K(r) + ``constant``; the measured constant is the
-    least one that works."""
+    """The worst log2(count of d-approximate minimizers among ``points``)
+    over ``regions``, against d + factor * K(r) + ``constant``; the measured
+    constant is the least one that works."""
     kr = factor * k_of_precision(r, cfg)
-    worst = max((math.log2(len(minimizers(region, d, cfg).members))
+    worst = max((math.log2(len(_minimizers(region, d, points).members))
                  for region in regions), default=float("-inf"))
     return BoundReport(f"{kind}_count[r={r},d={d}]", worst, d + kr + constant,
                        worst - d - kr)
@@ -256,8 +273,9 @@ def check_cube_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     """
     from .geometry import cube_containing
 
-    cubes = {cube_containing(q, r) for q, _, _ in enumerated_points(cfg)}
-    return _count_bound("cube", r, d, cfg, cubes, 1, CUBE_COUNT_CONSTANT)
+    points = enumerated_points(cfg)
+    cubes = {cube_containing(q, r) for q, _, _ in points}
+    return _count_bound("cube", r, d, cfg, points, cubes, 1, CUBE_COUNT_CONSTANT)
 
 
 def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
@@ -269,8 +287,9 @@ def check_ball_count_bound(r: int, d: int, cfg: MachineConfig) -> BoundReport:
     """
     from .geometry import Ball
 
-    balls = (Ball.at_precision(q, r) for q, _, _ in enumerated_points(cfg))
-    return _count_bound("ball", r, d, cfg, balls, 2, BALL_COUNT_CONSTANT)
+    points = enumerated_points(cfg)
+    balls = (Ball.at_precision(q, r) for q, _, _ in points)
+    return _count_bound("ball", r, d, cfg, points, balls, 2, BALL_COUNT_CONSTANT)
 
 
 def check_lds_coding_bound(
@@ -285,6 +304,7 @@ def check_lds_coding_bound(
     from .machine import apriori_mass, get_enumeration
 
     enum = get_enumeration(cfg)
+    layer_k = functools.cache(functools.partial(k_of_precision, cfg=cfg))
     reports = []
     for rec in lds:
         if not rec.members:
@@ -293,7 +313,7 @@ def check_lds_coding_bound(
         if mass == 0:
             continue
         k_block = min(enum.outputs[s].k for s in rec.members)
-        kr = k_of_precision(rec.layer, cfg)
+        kr = layer_k(rec.layer)
         log_inv_mass = math.log2(mass.denominator) - math.log2(mass.numerator)
         measured = k_block - log_inv_mass - kr
         rhs = log_inv_mass + kr + LDS_CODING_CONSTANT
@@ -315,8 +335,9 @@ def check_precision_improvement(
     """
     if s < 0:
         raise ValueError("extra precision must be nonnegative")
-    base = exact_k_r(x, r, cfg)
-    refined = exact_k_r(x, r + s, cfg)
+    points = enumerated_points(cfg)
+    base, refined = (min((k for _, k, _ in _ball_points(x, t, points)), default=None)
+                     for t in (r, r + s))
     if base is None or refined is None:
         return None
     n = x.dimension

@@ -2,6 +2,14 @@
 
 It runs only ``codec`` and ``geometry``, so a geometry run loads no
 machine, estimator or function layer.
+
+The draws fix every seeded ball.  ``_randrange`` takes them as CPython's
+``random.Random.randrange(a, b)`` does, k = (b - a).bit_length() bits from
+``getrandbits`` until the value is below b - a, so it draws the same values
+at less cost per call.  The hit check ``_inside`` reads the exact
+``Fraction`` of ``codec.distance_sq``, apart from ``Ball.contains``, and
+compares its numerator and denominator with the radius 2**-r in integers
+instead of building the radius squared.
 """
 
 from __future__ import annotations
@@ -20,17 +28,34 @@ from .geometry import (
 from .report import SuiteReport, at_most, check_row, finish
 
 
+def _randrange(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randrange(a, b)``: the same draws, by the same rejection loop."""
+    n = b - a
+    k = n.bit_length()
+    v = rng.getrandbits(k)
+    while v >= n:
+        v = rng.getrandbits(k)
+    return a + v
+
+
 def _random_point(rng: random.Random, n: int, depth: int) -> RationalPoint:
     """n coordinates m / 2**depth, each m drawn from [-2**(depth+1), 2**(depth+1))."""
     span = 2 << depth
     return RationalPoint(tuple([
-        DyadicRational(rng.randrange(-span, span), depth) for _ in range(n)
+        DyadicRational(_randrange(rng, -span, span), depth) for _ in range(n)
     ]))
 
 
 def _random_ball(rng: random.Random, n: int) -> Ball:
-    r = rng.randrange(0, 13)
+    r = _randrange(rng, 0, 13)
     return Ball(_random_point(rng, n, r + 2), r)
+
+
+def _inside(point: RationalPoint, ball: Ball) -> bool:
+    """|point - center|**2 < 2**-2r, on the exact ``distance_sq``: its
+    numerator times 4**r against its denominator."""
+    d = distance_sq(point, ball.center)
+    return d.numerator << 2 * ball.precision < d.denominator
 
 
 def _geometry_axis_task(seed: int, n: int) -> tuple[list[dict], int]:
@@ -41,8 +66,7 @@ def _geometry_axis_task(seed: int, n: int) -> tuple[list[dict], int]:
     worst_cover = 0
     for _ in range(trials):
         ball = _random_ball(rng, n)
-        point = lattice_point_in_ball(ball)
-        if distance_sq(point, ball.center) < ball.radius**2:
+        if _inside(lattice_point_in_ball(ball), ball):
             hits += 1
         worst_cover = max(worst_cover, len(cubes_intersecting_ball(ball)))
     r = 4
@@ -65,14 +89,14 @@ def _geometry_partition_task(seed: int) -> list[dict]:
     rng = random.Random(f"{seed}:partition")
     fails = 0
     for _ in range(10000):
-        n = rng.randrange(1, 4)
-        r = rng.randrange(0, 13)
+        n = _randrange(rng, 1, 4)
+        r = _randrange(rng, 0, 13)
         q = _random_point(rng, n, r + 3)
         cube = cube_containing(q, r)
         if not cube.contains(q):
             fails += 1
             continue
-        shifted = DyadicCube(cube.precision, tuple(i + 1 for i in cube.index))
+        shifted = DyadicCube(cube.precision, tuple([i + 1 for i in cube.index]))
         if shifted.contains(q):
             fails += 1
     return [

@@ -54,6 +54,10 @@ START_BOX = "tests/test_differential.py::test_start_box_holds_every_acceptor"
 # boxes the left-inverse search bounds over criterion 10's trials
 BOXES_PIN = "tests/test_functions.py::TestLeftInverse::test_criterion_10_trials_bound_pinned_boxes"
 GRID_CHECK = "tests/test_mutual.py::TestGridCheck::test_bad_grid_raises_before_any_k_r"
+# the geometry suite's draws and hit check, on its own inputs
+DRAWS = "tests/test_geometry.py::test_suite_draws_are_randrange_draws"
+HIT_CHECK = "tests/test_geometry.py::test_suite_hit_check_agrees_with_fractions"
+FAST_PATH = "tests/test_geometry.py::test_precision_fast_path_agrees_with_the_full_check"
 
 
 @dataclass(frozen=True)
@@ -472,6 +476,63 @@ MUTANTS = (
         "",
         (START_BOX, "tests/test_functions.py::TestLeftInverse::"
          "test_empty_start_box_exhausts_at_once[preimage-outside-box]"),
+    ),
+    Mutant(
+        "suite-geometry-draw-keeps-the-width",
+        "suite_geometry.py",
+        "    while v >= n:",
+        "    while v > n:",
+        # the report reads the same at every seed: only the draw test and
+        # the normalisation pin see the wrong draws
+        (DRAWS + "[3]", DRAWS + "[11]", "tests/test_geometry.py::"
+         "test_geometry_suite_normalises_a_pinned_number_of_dyadics"),
+    ),
+    Mutant(
+        "suite-geometry-hit-shift-one-too-large",
+        "suite_geometry.py",
+        "d.numerator << 2 * ball.precision < d.denominator",
+        "d.numerator << 2 * ball.precision + 1 < d.denominator",
+        (HIT_CHECK,),
+    ),
+    Mutant(
+        "suite-geometry-hit-at-the-radius",
+        "suite_geometry.py",
+        "d.numerator << 2 * ball.precision < d.denominator",
+        "d.numerator << 2 * ball.precision <= d.denominator",
+        (HIT_CHECK,),
+    ),
+    Mutant(
+        "geometry-ball-fast-path-takes-minus-one",
+        "geometry.py",
+        'if type(r) is not int or r < 0:\n            _check_precision("ball", r)',
+        'if type(r) is not int or r < -1:\n            _check_precision("ball", r)',
+        ("tests/test_geometry.py::test_negative_precision_is_refused",
+         FAST_PATH + "[-1]", "tests/test_geometry.py::test_scale_ball"),
+    ),
+    Mutant(
+        "geometry-cube-fast-path-takes-minus-one",
+        "geometry.py",
+        'if type(r) is not int or r < 0:\n            _check_precision("cube", r)',
+        'if type(r) is not int or r < -1:\n            _check_precision("cube", r)',
+        ("tests/test_geometry.py::test_cube_precision_must_be_a_nonnegative_int[-1]",
+         FAST_PATH + "[-1]"),
+    ),
+    Mutant(
+        "geometry-ball-fast-path-takes-bools",
+        "geometry.py",
+        'if type(r) is not int or r < 0:\n            _check_precision("ball", r)',
+        'if not isinstance(r, int) or r < 0:\n            _check_precision("ball", r)',
+        ("tests/test_geometry.py::test_ball_precision_must_be_a_nonnegative_int",
+         FAST_PATH + "[True]", FAST_PATH + "[False]"),
+    ),
+    Mutant(
+        "geometry-cube-fast-path-checks-zero",
+        "geometry.py",
+        'if type(r) is not int or r < 0:\n            _check_precision("cube", r)',
+        'if type(r) is not int or r <= 0:\n            _check_precision("cube", r)',
+        # every cube is the same, but the suites' precision-0 cubes now
+        # reach the full check, which the reachability table lists as unreached
+        ("tests/test_reachability.py::test_unreached_functions_match_the_table",),
     ),
 )
 

@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mdimlab.codec import DyadicRational, RationalPoint, encode_point
+from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, encode_point
 from mdimlab.geometry import (
     Ball,
     DyadicCube,
+    _check_precision,
     ceil_half_log2,
     cube_containing,
     cubes_intersecting_ball,
@@ -26,6 +27,7 @@ from mdimlab.geometry import (
 )
 from mdimlab.harness import config_from_mapping, run_suite
 from mdimlab.machine import MachineConfig, get_enumeration
+from mdimlab.suite_geometry import _inside, _random_ball, _randrange
 
 
 def dy(num, exp=0):
@@ -170,6 +172,41 @@ def test_geometry_suite_normalises_a_pinned_number_of_dyadics(monkeypatch):
     assert calls == 70_076
 
 
+# every range the geometry suite draws from: the dimension and the
+# precision, then the coordinates at depth r + 2 (balls) and r + 3
+# (partition points), each of width 4 << depth
+SUITE_RANGES = [(1, 4), (0, 13)] + [(-(2 << depth), 2 << depth)
+                                    for depth in range(2, 16)]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_suite_draws_are_randrange_draws(seed):
+    # the geometry report reads the same at every seed, so neither its
+    # digest nor a per-seed benchmark store would see a wrong draw
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for a, b in SUITE_RANGES:
+        for _ in range(300):
+            assert _randrange(ours, a, b) == theirs.randrange(a, b), (a, b)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_suite_hit_check_agrees_with_fractions():
+    # the suite's own balls at seed 1, each with the lattice point it checks
+    # and points 3/4 of the radius and one radius off the center
+    for n in (1, 2, 3, 4):
+        rng = random.Random(f"1:axis={n}")
+        for _ in range(2500):
+            ball = _random_ball(rng, n)
+            first, *rest = ball.center.coords
+            points = [lattice_point_in_ball(ball)] + [
+                RationalPoint((DyadicRational.from_fraction(
+                    first.to_fraction() + step * ball.radius), *rest))
+                for step in (Fraction(3, 4), 1)
+            ]
+            exact = [distance_sq(q, ball.center) < ball.radius**2 for q in points]
+            assert [_inside(q, ball) for q in points] == exact == [True, True, False]
+
+
 def test_cover_examples():
     b = Ball.at_precision(RationalPoint.of(dy(1, 1)), 0)
     assert sorted(idx[0] for idx in cubes_intersecting_ball(b)) == [-1, 0, 1]
@@ -200,6 +237,28 @@ def test_cube_precision_must_be_a_nonnegative_int(precision):
     message = re.escape(f"cube precision must be an int >= 0, not {precision!r}")
     with pytest.raises(ValueError, match=message):
         DyadicCube(precision, (0,))
+
+
+class Level(int):
+    """Not a plain int: the fast path sends it to the full check, which
+    accepts it."""
+
+
+@pytest.mark.parametrize("precision", [0, 1, 12, Level(3), -1, -5, True, False,
+                                       1.0, 0.5, "1", None, Fraction(2)])
+def test_precision_fast_path_agrees_with_the_full_check(precision):
+    # Ball and DyadicCube take a plain int >= 0 without calling the check;
+    # every value builds, or fails with the message, as the check decides
+    c = RationalPoint.of(dy(0))
+    for shape, build in (("ball", lambda r: Ball(c, r)),
+                         ("cube", lambda r: DyadicCube(r, (0,)))):
+        try:
+            _check_precision(shape, precision)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build(precision)
+        else:
+            assert build(precision).precision is precision
 
 
 def _random_dyadic_point(rng, n, span=6, depth=8):
