@@ -17,20 +17,19 @@ this object":
 
 The complexity of a region (ball or cube) is the complexity of its cheapest
 member, and the precision-r complexity of an ideal point is the complexity
-of the open radius-2**-r ball around it.  ``_ball_points`` holds the one rule
+of the open radius-2**-r ball around it.  ``ball_points`` holds the one rule
 for that ball on the exact machine: a surrogate centered at a deep
 approximant of the point.
 
 Each function of the exact half imports what it runs of ``machine`` and
 ``geometry`` in its body, so the estimators, which import this module,
-load neither.  A bound check fetches the enumerated points once and scans
-each of its regions in that list, so the imports run once per check, not
-once per region.
+load neither.  A count bound check fetches the enumerated points once and
+scans each of its regions in that list, so the imports run once per check,
+not once per region.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -135,10 +134,10 @@ def _points_in_region(
     ]
 
 
-def _ball_points(
-    x: PointOracle, r: int, points: list[tuple[RationalPoint, int, str]]
+def ball_points(
+    x: PointOracle, r: int, cfg: MachineConfig
 ) -> list[tuple[RationalPoint, int, str]]:
-    """The triples of ``points`` within 2**-r of x.
+    """Enumerated (point, K, encoding) triples within 2**-r of x, K-sorted.
 
     The open ball is centered at the approximant x.query(r + margin), which
     stands in for the ideal point.
@@ -146,14 +145,7 @@ def _ball_points(
     from .geometry import Ball
 
     center = x.query(r + BALL_CENTER_DEPTH_MARGIN)
-    return _points_in_region(Ball.at_precision(center, r), points)
-
-
-def ball_points(
-    x: PointOracle, r: int, cfg: MachineConfig
-) -> list[tuple[RationalPoint, int, str]]:
-    """Enumerated (point, K, encoding) triples within 2**-r of x, K-sorted."""
-    return _ball_points(x, r, enumerated_points(cfg))
+    return _points_in_region(Ball.at_precision(center, r), enumerated_points(cfg))
 
 
 # ---- compressor K_r memo ----------------------------------------------------
@@ -304,7 +296,6 @@ def check_lds_coding_bound(
     from .machine import apriori_mass, get_enumeration
 
     enum = get_enumeration(cfg)
-    layer_k = functools.cache(functools.partial(k_of_precision, cfg=cfg))
     reports = []
     for rec in lds:
         if not rec.members:
@@ -313,7 +304,7 @@ def check_lds_coding_bound(
         if mass == 0:
             continue
         k_block = min(enum.outputs[s].k for s in rec.members)
-        kr = layer_k(rec.layer)
+        kr = k_of_precision(rec.layer, cfg)
         log_inv_mass = math.log2(mass.denominator) - math.log2(mass.numerator)
         measured = k_block - log_inv_mass - kr
         rhs = log_inv_mass + kr + LDS_CODING_CONSTANT
@@ -335,9 +326,8 @@ def check_precision_improvement(
     """
     if s < 0:
         raise ValueError("extra precision must be nonnegative")
-    points = enumerated_points(cfg)
-    base, refined = (min((k for _, k, _ in _ball_points(x, t, points)), default=None)
-                     for t in (r, r + s))
+    base = exact_k_r(x, r, cfg)
+    refined = exact_k_r(x, r + s, cfg)
     if base is None or refined is None:
         return None
     n = x.dimension

@@ -25,12 +25,9 @@ class InternalGeometryError(RuntimeError):
 
 
 def _check_precision(shape: str, r) -> None:
-    """Refuse a precision that is not an int >= 0; a bool is refused too.
-
-    ``Ball`` and ``DyadicCube`` call it only for a precision that is not a
-    plain int >= 0, so the common case costs one type test and one compare.
-    """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+    """Refuse a precision that is not a plain int >= 0: a bool, or any other
+    subclass of int, is refused too."""
+    if type(r) is not int or r < 0:
         raise ValueError(f"{shape} precision must be an int >= 0, not {r!r}")
 
 
@@ -45,9 +42,7 @@ class Ball:
     precision: int
 
     def __post_init__(self) -> None:
-        r = self.precision
-        if type(r) is not int or r < 0:
-            _check_precision("ball", r)
+        _check_precision("ball", self.precision)
 
     @classmethod
     def at_precision(cls, center: RationalPoint, r: int) -> "Ball":
@@ -88,9 +83,7 @@ class DyadicCube:
     index: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r = self.precision
-        if type(r) is not int or r < 0:
-            _check_precision("cube", r)
+        _check_precision("cube", self.precision)
 
     @property
     def dimension(self) -> int:

@@ -57,7 +57,6 @@ GRID_CHECK = "tests/test_mutual.py::TestGridCheck::test_bad_grid_raises_before_a
 # the geometry suite's draws and hit check, on its own inputs
 DRAWS = "tests/test_geometry.py::test_suite_draws_are_randrange_draws"
 HIT_CHECK = "tests/test_geometry.py::test_suite_hit_check_agrees_with_fractions"
-FAST_PATH = "tests/test_geometry.py::test_precision_fast_path_agrees_with_the_full_check"
 
 
 @dataclass(frozen=True)
@@ -502,37 +501,22 @@ MUTANTS = (
         (HIT_CHECK,),
     ),
     Mutant(
-        "geometry-ball-fast-path-takes-minus-one",
+        "geometry-precision-takes-minus-one",
         "geometry.py",
-        'if type(r) is not int or r < 0:\n            _check_precision("ball", r)',
-        'if type(r) is not int or r < -1:\n            _check_precision("ball", r)',
+        "if type(r) is not int or r < 0:",
+        "if type(r) is not int or r < -1:",
         ("tests/test_geometry.py::test_negative_precision_is_refused",
-         FAST_PATH + "[-1]", "tests/test_geometry.py::test_scale_ball"),
+         "tests/test_geometry.py::test_cube_precision_must_be_a_nonnegative_int[-1]",
+         "tests/test_geometry.py::test_scale_ball"),
     ),
     Mutant(
-        "geometry-cube-fast-path-takes-minus-one",
+        "geometry-precision-refuses-zero",
         "geometry.py",
-        'if type(r) is not int or r < 0:\n            _check_precision("cube", r)',
-        'if type(r) is not int or r < -1:\n            _check_precision("cube", r)',
-        ("tests/test_geometry.py::test_cube_precision_must_be_a_nonnegative_int[-1]",
-         FAST_PATH + "[-1]"),
-    ),
-    Mutant(
-        "geometry-ball-fast-path-takes-bools",
-        "geometry.py",
-        'if type(r) is not int or r < 0:\n            _check_precision("ball", r)',
-        'if not isinstance(r, int) or r < 0:\n            _check_precision("ball", r)',
-        ("tests/test_geometry.py::test_ball_precision_must_be_a_nonnegative_int",
-         FAST_PATH + "[True]", FAST_PATH + "[False]"),
-    ),
-    Mutant(
-        "geometry-cube-fast-path-checks-zero",
-        "geometry.py",
-        'if type(r) is not int or r < 0:\n            _check_precision("cube", r)',
-        'if type(r) is not int or r <= 0:\n            _check_precision("cube", r)',
-        # every cube is the same, but the suites' precision-0 cubes now
-        # reach the full check, which the reachability table lists as unreached
-        ("tests/test_reachability.py::test_unreached_functions_match_the_table",),
+        "if type(r) is not int or r < 0:",
+        "if type(r) is not int or r <= 0:",
+        ("tests/test_acceptance.py::test_criterion_02_geometry_exactness",
+         "tests/test_geometry.py::test_ball_precision_must_be_a_nonnegative_int",
+         "tests/test_geometry.py::test_scale_ball", GOLDEN + "[geometry]"),
     ),
 )
 

@@ -15,7 +15,6 @@ from mdimlab.codec import DyadicRational, RationalPoint, distance_sq, encode_poi
 from mdimlab.geometry import (
     Ball,
     DyadicCube,
-    _check_precision,
     ceil_half_log2,
     cube_containing,
     cubes_intersecting_ball,
@@ -237,28 +236,6 @@ def test_cube_precision_must_be_a_nonnegative_int(precision):
     message = re.escape(f"cube precision must be an int >= 0, not {precision!r}")
     with pytest.raises(ValueError, match=message):
         DyadicCube(precision, (0,))
-
-
-class Level(int):
-    """Not a plain int: the fast path sends it to the full check, which
-    accepts it."""
-
-
-@pytest.mark.parametrize("precision", [0, 1, 12, Level(3), -1, -5, True, False,
-                                       1.0, 0.5, "1", None, Fraction(2)])
-def test_precision_fast_path_agrees_with_the_full_check(precision):
-    # Ball and DyadicCube take a plain int >= 0 without calling the check;
-    # every value builds, or fails with the message, as the check decides
-    c = RationalPoint.of(dy(0))
-    for shape, build in (("ball", lambda r: Ball(c, r)),
-                         ("cube", lambda r: DyadicCube(r, (0,)))):
-        try:
-            _check_precision(shape, precision)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                build(precision)
-        else:
-            assert build(precision).precision is precision
 
 
 def _random_dyadic_point(rng, n, span=6, depth=8):

@@ -47,7 +47,6 @@ UNREACHED = {
     "geometry.zn_enumeration": TRACED,
     "geometry.DyadicCube.closure_distance_sq": TRACED,
     "geometry._gap_sq": "helper of geometry.DyadicCube.closure_distance_sq",
-    "geometry._check_precision": "reference: tests/test_geometry.py",
     "geometry.Ball.radius": "reference: tests/test_geometry.py",
     "machine.enumerate_halting": TRACED,
     "machine._halting": "helper of machine.enumerate_halting",
@@ -58,8 +57,6 @@ UNREACHED = {
     "machine._execute": "helper of machine.run",
     "complexity.k_of_set": TRACED,
     "complexity.minimizers": TRACED,
-    "complexity.exact_k_r": "test hook: tests/test_complexity.py",
-    "complexity.ball_points": "helper of mutual.j_r",
     "mutual.mutual_info": TRACED,
     "mutual.i_r": TRACED,
     "mutual.j_r": TRACED,
